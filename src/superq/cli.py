@@ -82,12 +82,23 @@ def _parse_word(text: str):
     return dual.Functional.word(*letters)
 
 
+def _int_at_least(low: int):
+    """argparse type: an int no smaller than low."""
+    def parse(text):
+        n = int(text)
+        if n < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {n}")
+        return n
+    parse.__name__ = "int"   # argparse names the type in "invalid int value"
+    return parse
+
+
 def build_arg_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="superq",
         description="Exact symbolic computation in the graded quantum group "
                     "of the quantum super 2-spheres.")
-    ap.add_argument("--cache-size", type=int, default=None,
+    ap.add_argument("--cache-size", type=_int_at_least(0), default=None,
                     help="cap the internal memo tables (cleared when exceeded)")
     sub = ap.add_subparsers(dest="command", required=True)
 
@@ -128,7 +139,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("gram", help="orthogonality Gram of corep entries")
-    p.add_argument("--twoL-max", type=int, default=2)
+    p.add_argument("--twoL-max", type=_int_at_least(0), default=2)
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("sphere", help="quantum super sphere checks")
@@ -145,7 +156,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
                    choices=["rewrite", "hopf", "coaction", "qfun", "dual",
                             "pairing", "matcoef", "integral", "moments",
                             "peterweyl", "spheres", "completeness", "all"])
-    p.add_argument("--degree", type=int, default=None)
+    p.add_argument("--degree", type=_int_at_least(1), default=None)
     p.add_argument("--json", action="store_true")
     return ap
 
@@ -233,6 +244,8 @@ def main(argv=None) -> int:
     ap = build_arg_parser()
     try:
         args = ap.parse_args(argv)
+        if args.command == "sphere" and args.check == "characters" and not args.infinity:
+            ap.error("sphere --check characters is only computed for --infinity")
     except SystemExit as exc:
         return USAGE_ERROR if exc.code not in (0, None) else 0
     if args.cache_size is not None:

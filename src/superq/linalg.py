@@ -7,9 +7,10 @@ elimination with exact division; no pivoting heuristics beyond sparsity.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
-from .scalars import GaussRat, ONE, Scalar, ZERO
+from .scalars import GaussRat, ONE, Scalar, ScalarPoleError, ZERO, _lift
 
 Row = Dict[Hashable, Scalar]
 
@@ -130,11 +131,14 @@ def specialized_rank_certificate(rows: Sequence[Row], t_points=None) -> Optional
     The rank of a specialization never exceeds the rank over Q(i)(t), so if
     a specialization reaches min(#rows, #cols) the symbolic rank equals it.
     Returns that rank, or None when the certificate does not apply (then use
-    the symbolic path).  Only valid for radical-free entries.
+    the symbolic path).  Only valid for radical-free entries: a row with a
+    radical-bearing entry gives None.
     """
     rows = [r for r in rows if r]
     if not rows:
         return 0
+    if not all(v.is_rational_function() for r in rows for v in r.values()):
+        return None
     cols = set()
     for r in rows:
         cols.update(r)
@@ -142,7 +146,7 @@ def specialized_rank_certificate(rows: Sequence[Row], t_points=None) -> Optional
     for t0 in (t_points or (Fraction(5, 3), Fraction(7, 2), Fraction(11, 4))):
         try:
             num_rows = [{c: v.specialize_t(t0) for c, v in r.items()} for r in rows]
-        except Exception:
+        except ScalarPoleError:
             continue
         r = _gauss_rank(num_rows)
         if r == target:
@@ -151,26 +155,44 @@ def specialized_rank_certificate(rows: Sequence[Row], t_points=None) -> Optional
 
 
 def _gauss_rank(rows: List[Dict[Hashable, GaussRat]]) -> int:
-    work = [dict(r) for r in rows if any(v for v in r.values())]
+    """Rank by fraction-free elimination on Gaussian-integer rows.
+
+    Each row is scaled to Gaussian-integer entries, and after each step to
+    integer content 1; scaling a row by a nonzero number keeps the rank.
+    """
+    work = [r for r in (_int_row(_lift(r)[0]) for r in rows) if r]
     rk = 0
     while work:
         row = work.pop()
         col = next(iter(row))
-        inv = row[col].inv()
+        p, q = row[col]
         rk += 1
         new_work = []
         for r in work:
             f = r.get(col)
             if f:
-                f = f * inv
-                r = dict(r)
-                for c, v in row.items():
-                    s = r.get(c, GaussRat(0)) - f * v
-                    if s:
-                        r[c] = s
-                    elif c in r:
-                        del r[c]
+                # r <- (p + q*i)*r - f*row, which clears column col
+                fa, fb = f
+                out = {c: (p * x - q * y, p * y + q * x) for c, (x, y) in r.items()}
+                for c, (x, y) in row.items():
+                    u, v = out.get(c, (0, 0))
+                    u -= fa * x - fb * y
+                    v -= fa * y + fb * x
+                    if u or v:
+                        out[c] = (u, v)
+                    else:
+                        out.pop(c, None)
+                r = _int_row(out)
             if r:
                 new_work.append(r)
         work = new_work
     return rk
+
+
+def _int_row(row):
+    """row divided by the gcd of all its integer parts, zeros dropped."""
+    row = {c: xy for c, xy in row.items() if xy[0] or xy[1]}
+    g = gcd(*(n for xy in row.values() for n in xy)) if row else 1
+    if g > 1:
+        row = {c: (x // g, y // g) for c, (x, y) in row.items()}
+    return row

@@ -20,6 +20,12 @@ normalization of the two branches.)
 Every rational-function component is kept in canonical form: numerator and
 denominator coprime, denominator monic in t.  Equality of scalars is
 literal equality of canonical forms.
+
+Coefficients are GaussRat values, each a normalised integer triple (a, b, d)
+meaning (a + b*i)/d.  The polynomial and rational-function kernels work on
+those ints directly: they put the coefficients of an operand over one common
+denominator, compute with Gaussian-integer numerators, and normalise once per
+output coefficient.  No Fraction is built on the arithmetic path.
 """
 
 from __future__ import annotations
@@ -27,6 +33,7 @@ from __future__ import annotations
 import cmath
 import math
 from fractions import Fraction
+from math import gcd, isqrt
 from typing import Optional
 
 
@@ -51,53 +58,93 @@ class ScalarPoleError(ScalarError):
 # ---------------------------------------------------------------------------
 
 class GaussRat:
-    """A Gaussian rational re + im*i with exact Fraction parts."""
+    """A Gaussian rational (a + b*i)/d, stored as a normalised triple of ints.
 
-    __slots__ = ("re", "im")
+    d > 0 and gcd(a, b, d) == 1, so each value has exactly one triple, and
+    == and hash compare triples.  Zero is (0, 0, 1).  The constructor takes
+    the real and imaginary parts as ints, Fractions or rational strings;
+    .re and .im give them back as Fractions.
+    """
+
+    __slots__ = ("a", "b", "d")
 
     def __init__(self, re=0, im=0):
-        self.re = Fraction(re)
-        self.im = Fraction(im)
+        re, im = Fraction(re), Fraction(im)
+        p, q = re.denominator, im.denominator
+        d = p // gcd(p, q) * q
+        self.a = re.numerator * (d // p)
+        self.b = im.numerator * (d // q)
+        self.d = d
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self.a, self.d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self.b, self.d)
 
     def __bool__(self):
-        return bool(self.re) or bool(self.im)
+        return bool(self.a or self.b)
 
     def __eq__(self, other):
-        return isinstance(other, GaussRat) and self.re == other.re and self.im == other.im
+        return (isinstance(other, GaussRat) and self.a == other.a
+                and self.b == other.b and self.d == other.d)
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        return hash((self.a, self.b, self.d))
 
     def __add__(self, other):
-        return GaussRat(self.re + other.re, self.im + other.im)
+        d, e = self.d, other.d
+        return _gr(self.a * e + other.a * d, self.b * e + other.b * d, d * e)
 
     def __sub__(self, other):
-        return GaussRat(self.re - other.re, self.im - other.im)
+        d, e = self.d, other.d
+        return _gr(self.a * e - other.a * d, self.b * e - other.b * d, d * e)
 
     def __neg__(self):
-        return GaussRat(-self.re, -self.im)
+        return _gr(-self.a, -self.b, self.d)
 
     def __mul__(self, other):
-        return GaussRat(self.re * other.re - self.im * other.im,
-                        self.re * other.im + self.im * other.re)
+        a, b, c, e = self.a, self.b, other.a, other.b
+        return _gr(a * c - b * e, a * e + b * c, self.d * other.d)
 
     def inv(self):
-        n = self.re * self.re + self.im * self.im
+        a, b, d = self.a, self.b, self.d
+        n = a * a + b * b
         if not n:
             raise ScalarDivisionError("division by zero (Gaussian rational)")
-        return GaussRat(self.re / n, -self.im / n)
+        return _gr(a * d, -b * d, n)
 
     def __truediv__(self, other):
         return self * other.inv()
 
     def conj(self):
-        return GaussRat(self.re, -self.im)
+        return _gr(self.a, -self.b, self.d)
 
     def to_complex(self):
-        return complex(self.re) + 1j * complex(self.im)
+        return complex(self.a / self.d, self.b / self.d)
 
     def __repr__(self):
         return f"GaussRat({self.re!r}, {self.im!r})"
+
+
+_new = object.__new__
+
+
+def _gr(a: int, b: int, d: int) -> GaussRat:
+    """The GaussRat (a + b*i)/d, for ints with d > 0."""
+    if d != 1:
+        g = gcd(a, b, d)
+        if g != 1:
+            a //= g
+            b //= g
+            d //= g
+    x = _new(GaussRat)
+    x.a = a
+    x.b = b
+    x.d = d
+    return x
 
 
 G_ZERO = GaussRat(0)
@@ -112,7 +159,22 @@ def gauss_i_power(n: int) -> GaussRat:
 
 # ---------------------------------------------------------------------------
 # Polynomials in t over GaussRat, as sparse {exponent: coeff} dicts
+#
+# Keys are inserted and deleted as term-by-term coefficient arithmetic would
+# do it, so the dict order, which fixes the float summation order of
+# _peval, does not depend on how the kernels group their integer work.
 # ---------------------------------------------------------------------------
+
+def _lift(p):
+    """p over one denominator: ({e: (x, y)}, D) with p[e] == (x + y*i)/D."""
+    D = 1
+    for c in p.values():
+        if D % c.d:
+            D = D // gcd(D, c.d) * c.d
+    if D == 1:
+        return {e: (c.a, c.b) for e, c in p.items()}, 1
+    return {e: (c.a * (D // c.d), c.b * (D // c.d)) for e, c in p.items()}, D
+
 
 def _ptrim(p):
     return {e: c for e, c in p.items() if c}
@@ -120,36 +182,63 @@ def _ptrim(p):
 
 def _padd(a, b):
     out = dict(a)
-    for e, c in b.items():
-        s = out.get(e, G_ZERO) + c
-        if s:
-            out[e] = s
-        elif e in out:
+    for e, y in b.items():
+        x = out.get(e)
+        if x is None:
+            out[e] = y
+            continue
+        d, f = x.d, y.d
+        if d == f:
+            re, im = x.a + y.a, x.b + y.b
+        else:
+            re, im, d = x.a * f + y.a * d, x.b * f + y.b * d, d * f
+        if re or im:
+            out[e] = _gr(re, im, d)
+        else:
             del out[e]
     return out
 
 
 def _pneg(a):
-    return {e: -c for e, c in a.items()}
+    return {e: _gr(-c.a, -c.b, c.d) for e, c in a.items()}
 
 
 def _pmul(a, b):
-    out = {}
-    for ea, ca in a.items():
-        for eb, cb in b.items():
+    if len(b) == 1:
+        (m, c), = b.items()
+        return _pscale(a, c, m)
+    if len(a) == 1:
+        (m, c), = a.items()
+        return _pscale(b, c, m)
+    A, da = _lift(a)
+    B, db = _lift(b)
+    acc = {}
+    for ea, (xa, ya) in A.items():
+        for eb, (xb, yb) in B.items():
             e = ea + eb
-            s = out.get(e, G_ZERO) + ca * cb
-            if s:
-                out[e] = s
-            elif e in out:
-                del out[e]
-    return out
+            re = xa * xb - ya * yb
+            im = xa * yb + ya * xb
+            s = acc.get(e)
+            if s is not None:
+                re += s[0]
+                im += s[1]
+                if not (re or im):
+                    del acc[e]
+                    continue
+            acc[e] = (re, im)
+    d = da * db
+    return {e: _gr(re, im, d) for e, (re, im) in acc.items()}
 
 
-def _pscale(a, c: GaussRat):
+def _pscale(a, c: GaussRat, shift: int = 0):
+    """c * t^shift * a."""
     if not c:
         return {}
-    return {e: k * c for e, k in a.items()}
+    x, y, d = c.a, c.b, c.d
+    if x == d == 1 and not y:
+        return {e + shift: k for e, k in a.items()}
+    return {e + shift: _gr(k.a * x - k.b * y, k.a * y + k.b * x, k.d * d)
+            for e, k in a.items()}
 
 
 def _pdeg(a):
@@ -163,30 +252,43 @@ def _plead(a):
 def _pdivmod(a, b):
     if not b:
         raise ScalarDivisionError("polynomial division by zero")
-    q = {}
-    r = dict(a)
     db, lb = _pdeg(b), _plead(b)
-    while r and _pdeg(r) >= db:
-        dr = _pdeg(r)
-        c = r[dr] / lb
-        q[dr - db] = c
-        for eb, cb in b.items():
-            e = eb + dr - db
-            s = r.get(e, G_ZERO) - c * cb
-            if s:
-                r[e] = s
-            elif e in r:
-                del r[e]
-    return q, r
+    # Divide by the monic b/lb, lifted to B/n (lead n > 0).  The remainder
+    # R/D stays over one denominator, which grows by n per step.
+    B, n = _lift(_pmonic(b))
+    R, D = _lift(a)
+    quo = {}
+    while R:
+        dr = max(R)
+        if dr < db:
+            break
+        x, y = R[dr]
+        k = dr - db
+        quo[k] = (x, y, D)
+        if n != 1:
+            R = {e: (u * n, v * n) for e, (u, v) in R.items()}
+            D *= n
+        for eb, (u, v) in B.items():
+            e = eb + k
+            re, im = x * u - y * v, x * v + y * u
+            s = R.get(e)
+            if s is None:
+                R[e] = (-re, -im)
+                continue
+            re, im = s[0] - re, s[1] - im
+            if re or im:
+                R[e] = (re, im)
+            else:
+                del R[e]
+    # a = (quo / lb) * b + R/D
+    w = lb.inv()
+    p, q, m = w.a, w.b, w.d
+    quo = {e: _gr(x * p - y * q, x * q + y * p, d * m) for e, (x, y, d) in quo.items()}
+    return quo, {e: _gr(x, y, D) for e, (x, y) in R.items()}
 
 
 def _pmonic(a):
-    if not a:
-        return a
-    lc = _plead(a)
-    if lc == G_ONE:
-        return dict(a)
-    return _pscale(a, lc.inv())
+    return _pscale(a, _plead(a).inv()) if a else a
 
 
 def _pgcd(a, b):
@@ -198,11 +300,11 @@ def _pgcd(a, b):
 
 
 def _pconj(a):
-    return {e: c.conj() for e, c in a.items()}
+    return {e: _gr(c.a, -c.b, c.d) for e, c in a.items()}
 
 
 def _peval(a, tval: complex) -> complex:
-    return sum(c.to_complex() * tval ** e for e, c in a.items())
+    return sum(complex(c.a / c.d, c.b / c.d) * tval ** e for e, c in a.items())
 
 
 P_ZERO: dict = {}
@@ -222,32 +324,25 @@ def _rf_canon(num, den):
     if len(den) == 1:
         # Monomial denominator c*t^e: cancel the common t-power and rescale.
         e, c = next(iter(den.items()))
-        low = min(num)
-        k = min(e, low)
-        inv = c.inv()
-        num = {en - k: cn * inv for en, cn in num.items()}
+        k = min(e, min(num))
+        num = _pscale(num, c.inv(), -k)
         if e == k:
             return (num, dict(P_ONE))
         return (num, {e - k: G_ONE})
     if len(num) == 1:
         e, c = next(iter(num.items()))
-        low = min(den)
-        k = min(e, low)
-        den = {ed - k: cd for ed, cd in den.items()}
-        lc = _plead(den)
-        num = {e - k: c / lc}
-        if lc != G_ONE:
-            den = _pscale(den, lc.inv())
-        return (num, den)
+        k = min(e, min(den))
+        w = _plead(den).inv()
+        return ({e - k: c * w}, _pscale(den, w, -k))
     g = _pgcd(num, den)
-    if _pdeg(g) > 0 or _plead(g) != G_ONE:
+    if _pdeg(g) > 0:
         num, _ = _pdivmod(num, g)
         den, _ = _pdivmod(den, g)
     lc = _plead(den)
     if lc != G_ONE:
-        inv = lc.inv()
-        num = _pscale(num, inv)
-        den = _pscale(den, inv)
+        w = lc.inv()
+        num = _pscale(num, w)
+        den = _pscale(den, w)
     return (num, den)
 
 
@@ -439,6 +534,8 @@ class Scalar:
         For real q < 0 this gives the real value t = -sqrt(-q); otherwise t
         is taken on the principal branch of sqrt(q).  Radicals are evaluated
         by principal branch.  q must be nonzero and not a root of unity.
+        A denominator counts as vanishing when its value is below 1e-13
+        times sum |c_k| |t|^k, the size of its terms.
         """
         qc = complex(q_val)
         if qc == 0:
@@ -452,7 +549,8 @@ class Scalar:
         total = 0j
         for mask, (num, den) in self.parts.items():
             dv = _peval(den, tval)
-            if abs(dv) < 1e-13:
+            size = sum(abs(complex(c.a / c.d, c.b / c.d)) * abs(tval) ** e for e, c in den.items())
+            if abs(dv) < 1e-13 * size:
                 raise ScalarPoleError(f"pole at t = {tval}")
             val = _peval(num, tval) / dv
             if mask & R1_BIT:
@@ -467,17 +565,27 @@ class Scalar:
         if not self.is_rational_function():
             raise ScalarError("cannot specialize a radical-bearing scalar exactly")
         if not self.parts:
-            return GaussRat(0)
-        num, den = self.parts[0]
+            return G_ZERO
+        tn, td = t_val.numerator, t_val.denominator
+
         def ev(p):
-            out = G_ZERO
-            for e, c in p.items():
-                out = out + c * GaussRat(t_val ** e)
-            return out
-        dv = ev(den)
-        if not dv:
+            # p(tn/td) == (x + y*i)/D; canonical exponents are >= 0.
+            lifted, D = _lift(p)
+            top = max(lifted)
+            x = y = 0
+            for e, (u, v) in lifted.items():
+                w = tn ** e * td ** (top - e)
+                x += u * w
+                y += v * w
+            return x, y, D * td ** top
+
+        num, den = self.parts[0]
+        x, y, dn = ev(num)
+        u, v, dd = ev(den)
+        if not (u or v):
             raise ScalarPoleError(f"denominator vanishes at t = {t_val}")
-        return ev(num) / dv
+        # (x + y*i)/dn divided by (u + v*i)/dd
+        return _gr((x * u + y * v) * dd, (y * u - x * v) * dd, dn * (u * u + v * v))
 
     # -- rendering ----------------------------------------------------------
 
@@ -572,33 +680,37 @@ def eval_numeric(x: Scalar, q_val) -> complex:
 # Square-root detection inside Q(i)(t)  (radical-free scalars)
 # ---------------------------------------------------------------------------
 
-def _sqrt_fraction(x: Fraction) -> Optional[Fraction]:
-    if x < 0:
+def _sqrt_ratio(n: int, d: int):
+    """sqrt(n/d) as a reduced pair (r, s) when n/d >= 0 is a rational square."""
+    if n < 0:
         return None
-    pn, pd = x.numerator, x.denominator
-    rn, rd = math.isqrt(pn), math.isqrt(pd)
-    if rn * rn == pn and rd * rd == pd:
-        return Fraction(rn, rd)
+    g = gcd(n, d)
+    n, d = n // g, d // g
+    r, s = isqrt(n), isqrt(d)
+    if r * r == n and s * s == d:
+        return r, s
     return None
 
 
 def _sqrt_gauss(c: GaussRat) -> Optional[GaussRat]:
-    if not c.im:
-        r = _sqrt_fraction(c.re)
+    a, b, d = c.a, c.b, c.d
+    if not b:
+        r = _sqrt_ratio(a, d)
         if r is not None:
-            return GaussRat(r)
-        r = _sqrt_fraction(-c.re)
+            return _gr(r[0], 0, r[1])
+        r = _sqrt_ratio(-a, d)
         if r is not None:
-            return GaussRat(0, r)
+            return _gr(0, r[0], r[1])
         return None
-    n = _sqrt_fraction(c.re * c.re + c.im * c.im)
-    if n is None:
+    # sqrt(c) = x + (b/d)/(2x)*i with x^2 = (re + |c|)/2.
+    n = isqrt(a * a + b * b)
+    if n * n != a * a + b * b:
         return None
-    x2 = (c.re + n) / 2
-    x = _sqrt_fraction(x2)
-    if x is None or not x:
+    x = _sqrt_ratio(a + n, 2 * d)
+    if x is None or not x[0]:
         return None
-    return GaussRat(x, c.im / (2 * x))
+    xn, xd = x
+    return _gr(2 * d * xn * xn, b * xd * xd, 2 * d * xn * xd)
 
 
 def _sqrt_poly(p) -> Optional[dict]:
@@ -652,31 +764,38 @@ def scalar_sqrt(x: Scalar) -> Optional[Scalar]:
 def _integerize(num, den):
     """Scale num/den by one positive rational so all coefficients are
     Gaussian integers with overall content 1."""
-    fracs = [f for p in (num, den) for c in p.values() for f in (c.re, c.im)]
     lcm = 1
-    for f in fracs:
-        d = f.denominator
-        lcm = lcm * d // math.gcd(lcm, d)
+    for p in (num, den):
+        for c in p.values():
+            lcm = lcm * c.d // gcd(lcm, c.d)
     g = 0
-    for f in fracs:
-        if f:
-            g = math.gcd(g, abs((f * lcm).numerator))
-    sc = GaussRat(Fraction(lcm, g if g else 1))
-    return _pscale(num, sc), _pscale(den, sc)
+    for p in (num, den):
+        for c in p.values():
+            g = gcd(g, c.a * (lcm // c.d), c.b * (lcm // c.d))
+    g = g or 1
+
+    def scale(p):
+        return {e: _gr(c.a * (lcm // c.d) // g, c.b * (lcm // c.d) // g, 1)
+                for e, c in p.items()}
+    return scale(num), scale(den)
+
+
+def _rat_str(n: int, d: int) -> str:
+    """n/d as Fraction prints it."""
+    g = gcd(n, d)
+    n, d = n // g, d // g
+    return str(n) if d == 1 else f"{n}/{d}"
 
 
 def _gauss_str(c: GaussRat) -> str:
-    re, im = c.re, c.im
-    if not im:
-        return str(re)
-    if not re:
-        if im == 1:
-            return "i"
-        if im == -1:
-            return "-i"
-        return f"{im}i"
-    ims = "i" if im == 1 else ("-i" if im == -1 else f"{im}i")
-    return f"{re}+{ims}" if im > 0 else f"{re}{ims}"
+    a, b, d = c.a, c.b, c.d
+    if not b:
+        return _rat_str(a, d)
+    ims = "i" if b == d else ("-i" if b == -d else f"{_rat_str(b, d)}i")
+    if not a:
+        return ims
+    res = _rat_str(a, d)
+    return f"{res}+{ims}" if b > 0 else f"{res}{ims}"
 
 
 def _poly_str(p) -> str:

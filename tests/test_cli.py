@@ -154,6 +154,27 @@ def test_sphere_characters_cli(capsys):
     assert "1" in out and "-1" in out
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--cache-size", "-5", "nf", "a"], "--cache-size: must be at least 0, got -5"),
+    (["gram", "--twoL-max", "-1"], "--twoL-max: must be at least 0, got -1"),
+    (["verify", "--degree", "-3"], "--degree: must be at least 1, got -3"),
+    (["verify", "--suite", "hopf", "--degree", "0"], "--degree: must be at least 1, got 0"),
+    (["sphere", "--alpha", "1,0,1", "--check", "characters"],
+     "sphere --check characters is only computed for --infinity"),
+])
+def test_bad_arguments_exit_2(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert message in err
+
+
+def test_numeric_no_false_pole(capsys):
+    # t^-20 at t = -1/10 is 1e20: a small denominator, not a vanishing one.
+    code, out, _ = run_cli(capsys, "eps", "t^-20", "--numeric", "q=-1/100")
+    assert code == 0
+    assert abs(complex(out.strip()) / 1e20 - 1) < 1e-12
+
+
 def test_sphere_alpha_relations_cli(capsys):
     code, out, _ = run_cli(capsys, "sphere", "--alpha", "1,0,1",
                            "--check", "relations")

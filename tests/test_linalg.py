@@ -1,7 +1,9 @@
 from superq.linalg import (
     membership, nullspace, rank, solve, specialized_rank_certificate,
 )
-from superq.scalars import ONE, Scalar, T, T_INV, ZERO
+from fractions import Fraction
+
+from superq.scalars import KAPPA, ONE, SQRT_1_PLUS_T2, Scalar, T, T_INV, ZERO
 
 
 def s(x):
@@ -58,3 +60,16 @@ def test_specialized_rank_certificate():
     assert specialized_rank_certificate(rows) is None
     rows2 = [{"x": ONE, "y": T}, {"x": T, "y": ONE}]   # rank 2 = min(dims)
     assert specialized_rank_certificate(rows2) == 2
+
+
+def test_rank_certificate_skips_pole_points():
+    # Entries with a pole at the first point t = 5/3 fall through to the next.
+    pole = (T - s(Fraction(5, 3))).inv()
+    rows = [{"x": pole, "y": ONE}, {"x": ONE, "y": T}]
+    assert specialized_rank_certificate(rows) == 2
+    assert specialized_rank_certificate(rows, [Fraction(5, 3)]) is None
+
+
+def test_rank_certificate_declines_radical_rows():
+    assert specialized_rank_certificate([{"x": ONE}, {"y": KAPPA}]) is None
+    assert specialized_rank_certificate([{"x": T * SQRT_1_PLUS_T2, "y": ONE}]) is None

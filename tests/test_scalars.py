@@ -1,7 +1,10 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
+import sympy
+from hypothesis import assume, given, settings, strategies as st
 
 from superq import scalars as sc
 from superq.scalars import (
@@ -127,6 +130,15 @@ def test_eval_numeric_pole_error():
     assert abs(x.eval_numeric(-2) - (1 / 3)) < 1e-12
 
 
+def test_eval_numeric_pole_test_is_relative():
+    # t^-20 at t = -1/10 is 1e20: a small denominator, not a vanishing one.
+    assert abs((T_INV ** 20).eval_numeric(Fraction(-1, 100)) / 1e20 - 1) < 1e-12
+    # A true pole at large |t|: t^2 - 2e6 at t = -sqrt(2e6) rounds to about
+    # 1e-10, far above an absolute 1e-13 but tiny next to the terms' size.
+    with pytest.raises(ScalarPoleError):
+        (T * T - frac(2_000_000)).inv().eval_numeric(-2_000_000)
+
+
 def test_eval_numeric_rejects_bad_q():
     with pytest.raises(sc.ScalarError):
         ONE.eval_numeric(0)
@@ -182,3 +194,115 @@ def test_json_shape():
     js = (T + SQRT_1_PLUS_T2).to_json()
     assert isinstance(js, list)
     assert {"radicals", "num", "den"} <= set(js[0].keys())
+
+
+# ---------------------------------------------------------------------------
+# The integer-triple GaussRat and the field operations against an oracle
+# ---------------------------------------------------------------------------
+
+_fractions = st.fractions(min_value=-50, max_value=50, max_denominator=30)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(_fractions, _fractions, _fractions, _fractions)
+def test_gaussrat_invariants(p, q, r, s):
+    x, y = sc.GaussRat(p, q), sc.GaussRat(r, s)
+    cases = [(x, p, q), (y, r, s), (x + y, p + r, q + s), (x - y, p - r, q - s),
+             (x * y, p * r - q * s, p * s + q * r), (-x, -p, -q), (x.conj(), p, -q)]
+    if r or s:
+        n = r * r + s * s
+        cases.append((x / y, (p * r + q * s) / n, (q * r - p * s) / n))
+    for z, re, im in cases:
+        assert z.d > 0 and math.gcd(z.a, z.b, z.d) == 1
+        assert (z.re, z.im) == (re, im)
+        assert isinstance(z.re, Fraction) and isinstance(z.im, Fraction)
+        w = sc.GaussRat(re, im)
+        assert z == w and hash(z) == hash(w)
+        assert sc.GaussRat(z.re, z.im) == z
+        assert bool(z) == bool(re or im)
+
+
+def test_gaussrat_constructor_and_zero():
+    assert (sc.GaussRat(0).a, sc.GaussRat(0).b, sc.GaussRat(0).d) == (0, 0, 1)
+    x = sc.GaussRat(Fraction(2, 6), "-1/4")
+    assert (x.a, x.b, x.d) == (4, -3, 12)
+    assert sc.GaussRat(3) != 3
+    with pytest.raises(ScalarDivisionError):
+        sc.GaussRat(0).inv()
+
+
+def test_pdivmod_identity():
+    rng = random.Random(5)
+
+    def poly(exponents, terms):
+        return sc._ptrim({e: sc.GaussRat(Fraction(rng.randint(-5, 5), rng.randint(1, 4)),
+                                         Fraction(rng.randint(-2, 2), rng.randint(1, 3)))
+                          for e in rng.sample(exponents, terms)})
+    for _ in range(60):
+        a, b = poly(range(9), 5), poly(range(4), 3)
+        if not b:
+            continue
+        q, r = sc._pdivmod(a, b)
+        assert sc._padd(sc._pmul(q, b), r) == a
+        assert sc._pdeg(r) < sc._pdeg(b)
+
+
+_t = sympy.Symbol("t", real=True)
+_leaf = st.tuples(st.fractions(min_value=-4, max_value=4, max_denominator=3),
+                  st.fractions(min_value=-2, max_value=2, max_denominator=2),
+                  st.integers(-3, 3))
+_tree = st.recursive(
+    _leaf,
+    lambda kids: st.one_of(st.tuples(st.sampled_from("+-*/"), kids, kids),
+                           st.tuples(st.just("conj"), kids)),
+    max_leaves=6)
+
+
+class _ZeroDivisor(Exception):
+    pass
+
+
+def _both(node):
+    """Evaluate an expression tree as a Scalar and as a sympy oracle."""
+    if len(node) == 3 and not isinstance(node[0], str):
+        re, im, k = node
+        ours = Scalar.from_gauss(re, im) * Scalar.t_power(k)
+        return ours, (sympy.Rational(re) + sympy.I * sympy.Rational(im)) * _t ** k
+    if node[0] == "conj":
+        x, ox = _both(node[1])
+        return x.conj(), sympy.cancel(sympy.conjugate(ox))
+    (x, ox), (y, oy) = _both(node[1]), _both(node[2])
+    op = node[0]
+    if op == "+":
+        return x + y, sympy.cancel(ox + oy)
+    if op == "-":
+        return x - y, sympy.cancel(ox - oy)
+    if op == "*":
+        return x * y, sympy.cancel(ox * oy)
+    assert bool(y) == (oy != 0)
+    if not y:
+        raise _ZeroDivisor
+    return x / y, sympy.cancel(ox / oy)
+
+
+def _poly_sympy(p):
+    return sum((sympy.Rational(c.a, c.d) + sympy.I * sympy.Rational(c.b, c.d)) * _t ** e
+               for e, c in p.items())
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(_tree)
+def test_field_ops_match_sympy(node):
+    try:
+        ours, oracle = _both(node)
+    except _ZeroDivisor:
+        assume(False)
+    assert ours.is_rational_function()
+    num, den = ours.parts[0] if ours else ({}, {0: sc.G_ONE})
+    # Same value as the oracle ...
+    assert sympy.cancel(_poly_sympy(num) / _poly_sympy(den) - oracle) == 0
+    # ... in canonical form: monic denominator, coprime to the numerator.
+    assert den[max(den)] == sc.G_ONE
+    pn = sympy.Poly(_poly_sympy(num), _t, domain="QQ_I")
+    pd = sympy.Poly(_poly_sympy(den), _t, domain="QQ_I")
+    assert sympy.gcd(pn, pd).degree() == 0 or not num
