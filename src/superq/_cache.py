@@ -1,8 +1,10 @@
 """Optional cap for the internal memo tables.
 
-The memo tables are observationally pure; by default they grow without
-bound (desk-scale workloads stay small).  The CLI's --cache-size flag sets
-a limit; a table that outgrows it is simply cleared.
+The memo tables (the module-level *_cache dicts) are observationally pure;
+by default they grow without bound (desk-scale workloads stay small).  The
+CLI's --cache-size flag sets a limit.  Every table calls trim() before each
+insert, and a table that holds more than the limit is cleared, so none ever
+holds more than limit + 1 entries.
 """
 
 from __future__ import annotations

@@ -20,7 +20,7 @@ from __future__ import annotations
 from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 from . import _cache
-from .scalars import MINUS_ONE, ONE, Scalar, T, T_INV, ZERO
+from .scalars import MINUS_ONE, ONE, Scalar, T, T_INV, ZERO, add_term
 
 Monomial = Tuple[int, int, int, int, int]   # exponents of a, b, c, d, sigma
 
@@ -118,11 +118,7 @@ class Element:
         self._same_ring(other)
         out = dict(self.terms)
         for m, c in other.terms.items():
-            s = out.get(m, ZERO) + c
-            if s:
-                out[m] = s
-            elif m in out:
-                del out[m]
+            add_term(out, m, c)
         return Element(self.ring, out)
 
     def __sub__(self, other: "Element") -> "Element":
@@ -149,11 +145,7 @@ class Element:
             for m2, c2 in other.terms.items():
                 c12 = c1 * c2
                 for m, c in _mono_mul(m1, m2, self.ring):
-                    s = out.get(m, ZERO) + c12 * c
-                    if s:
-                        out[m] = s
-                    elif m in out:
-                        del out[m]
+                    add_term(out, m, c12 * c)
         return Element(self.ring, out)
 
     def __rmul__(self, other):
@@ -244,6 +236,7 @@ def _geom_t2inv(l: int) -> Scalar:
         out = ZERO
         for r in range(l):
             out = out + Scalar.t_power(-2 * r)
+        _cache.trim(_geom_cache)
         _geom_cache[l] = out
     return out
 
@@ -252,6 +245,7 @@ def _neg_tinv_pow(l: int) -> Scalar:
     out = _neg_tinv_pow_cache.get(l)
     if out is None:
         out = (MINUS_ONE * T_INV) ** l
+        _cache.trim(_neg_tinv_pow_cache)
         _neg_tinv_pow_cache[l] = out
     return out
 
@@ -302,6 +296,7 @@ def _reduce_ad(m: Monomial):
         c2 = -c2
     for mm, cc in _reduce_ad((i - 1, j + 1, k + 1, l - 1, s)):
         out.append((mm, cc * c2))
+    _cache.trim(_reduce_cache)
     _reduce_cache[m] = out
     return out
 
@@ -319,21 +314,13 @@ def _mono_mul(m1: Monomial, m2: Monomial, ring: str):
             nxt: Dict[Monomial, Scalar] = {}
             for m, c in terms.items():
                 for mm, cc in _times_gen(m, g):
-                    sc = nxt.get(mm, ZERO) + c * cc
-                    if sc:
-                        nxt[mm] = sc
-                    elif mm in nxt:
-                        del nxt[mm]
+                    add_term(nxt, mm, c * cc)
             terms = nxt
     if ring == "Asigma":
         red: Dict[Monomial, Scalar] = {}
         for m, c in terms.items():
             for mm, cc in _reduce_ad(m):
-                sc = red.get(mm, ZERO) + c * cc
-                if sc:
-                    red[mm] = sc
-                elif mm in red:
-                    del red[mm]
+                add_term(red, mm, c * cc)
         terms = red
     out = list(terms.items())
     _cache.trim(_mul_cache)

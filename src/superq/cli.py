@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 verification failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -93,7 +94,9 @@ def _int_at_least(low: int):
     return parse
 
 
+@functools.lru_cache(maxsize=None)
 def build_arg_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process (parsing leaves it unchanged)."""
     ap = argparse.ArgumentParser(
         prog="superq",
         description="Exact symbolic computation in the graded quantum group "

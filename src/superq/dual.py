@@ -30,7 +30,7 @@ from . import _cache, linalg
 from .algebra import Element, Monomial, basis_monomials, mono_parity
 from .hopf import _delta_mono, antipode, counit
 from .report import Report
-from .scalars import MINUS_ONE, ONE, Scalar, T, T_INV, ZERO
+from .scalars import MINUS_ONE, ONE, Scalar, T, T_INV, ZERO, add_term
 
 Word = Tuple[str, ...]
 
@@ -69,11 +69,7 @@ class Functional:
     def __add__(self, other):
         out = dict(self.terms)
         for w, c in other.terms.items():
-            s = out.get(w, ZERO) + c
-            if s:
-                out[w] = s
-            elif w in out:
-                del out[w]
+            add_term(out, w, c)
         return Functional(out)
 
     def __sub__(self, other):
@@ -89,11 +85,7 @@ class Functional:
         for w1, c1 in self.terms.items():
             for w2, c2 in other.terms.items():
                 w = w1 + w2
-                s = out.get(w, ZERO) + c1 * c2
-                if s:
-                    out[w] = s
-                elif w in out:
-                    del out[w]
+                add_term(out, w, c1 * c2)
         return Functional(out)
 
     def __rmul__(self, other):

@@ -23,7 +23,7 @@ from typing import Dict
 from . import _cache, algebra
 from .algebra import Element, Monomial, basis_monomials, mono_parity
 from .report import Report
-from .scalars import ONE, Scalar, T, T_INV, ZERO
+from .scalars import ONE, Scalar, T, T_INV, ZERO, add_term
 from .tensor import AlgSlot, PlaneSlot, Tensor
 
 
@@ -129,6 +129,7 @@ def _fold_anti(x: Element, images: Dict, koszul: bool, conj_coeff: bool) -> Elem
                     img = -img
                 acc = img * acc
                 par = (par + _PARITY[g]) % 2
+            _cache.trim(_anti_cache)
             _anti_cache[key] = acc
         out = out + acc.scale(coeff.conj() if conj_coeff else coeff)
     return out
@@ -280,11 +281,7 @@ class PlaneElement:
     def __add__(self, other):
         out = dict(self.terms)
         for m, c in other.terms.items():
-            s = out.get(m, ZERO) + c
-            if s:
-                out[m] = s
-            elif m in out:
-                del out[m]
+            add_term(out, m, c)
         return PlaneElement(out, self.nilpotent)
 
     def __mul__(self, other):
@@ -293,11 +290,7 @@ class PlaneElement:
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 for m, c in slot.mul(m1, m2).items():
-                    s = out.get(m, ZERO) + c1 * c2 * c
-                    if s:
-                        out[m] = s
-                    elif m in out:
-                        del out[m]
+                    add_term(out, m, c1 * c2 * c)
         return PlaneElement(out, self.nilpotent)
 
     def __str__(self):

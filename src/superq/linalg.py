@@ -10,28 +10,34 @@ from fractions import Fraction
 from math import gcd
 from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
-from .scalars import GaussRat, ONE, Scalar, ScalarPoleError, ZERO, _lift
+from .scalars import GaussRat, ONE, Scalar, ScalarPoleError, ZERO, _lift, add_term
 
 Row = Dict[Hashable, Scalar]
 
 
-def _eliminate(target: Row, pivot_row: Row, col, pivot_inv: Scalar) -> Row:
+def _eliminate(target: Row, pivot_row: Row, col) -> Row:
+    """target minus the multiple of the monic pivot_row that clears col."""
     factor = target.get(col)
     if not factor:
         return target
-    factor = factor * pivot_inv
     out = dict(target)
     for c, v in pivot_row.items():
-        s = out.get(c, ZERO) - factor * v
-        if s:
-            out[c] = s
-        elif c in out:
-            del out[c]
+        add_term(out, c, -(factor * v))
     return out
 
 
-def rref(rows: Sequence[Row]) -> Tuple[List[Row], List[Hashable]]:
-    """Reduced row echelon form; returns (rows without zero rows, pivot cols)."""
+# Augmented column: solve stores -b in it and membership a tag for the
+# tested vector.  It is never chosen as a pivot.
+_RHS = ("#rhs#",)
+
+
+def rref(rows: Sequence[Row]) -> Optional[Tuple[List[Row], List[Hashable]]]:
+    """Reduced row echelon form; returns (rows without zero rows, pivot cols).
+
+    The pivot goes to the shortest row first, then to its smallest column
+    by _col_key.  Returns None when a row reduces to the augmented column
+    _RHS alone, i.e. to 0 = b with b nonzero; rows without _RHS never do.
+    """
     work = [dict(r) for r in rows if r]
     done: List[Row] = []
     pivots: List[Hashable] = []
@@ -39,11 +45,13 @@ def rref(rows: Sequence[Row]) -> Tuple[List[Row], List[Hashable]]:
         # prefer short rows for sparsity
         work.sort(key=len)
         row = work.pop(0)
-        col = sorted(row, key=_col_key)[0]
+        col = min((c for c in row if c != _RHS), key=_col_key, default=_RHS)
+        if col == _RHS:
+            return None
         inv = row[col].inv()
         row = {c: v * inv for c, v in row.items()}
-        done = [_eliminate(r, row, col, ONE) for r in done]
-        work = [r for r in (_eliminate(r, row, col, ONE) for r in work) if r]
+        done = [_eliminate(r, row, col) for r in done]
+        work = [r for r in (_eliminate(r, row, col) for r in work) if r]
         done.append(row)
         pivots.append(col)
     return done, pivots
@@ -83,42 +91,21 @@ def solve(rows: Sequence[Row], rhs: Sequence[Scalar],
 
     Free unknowns are set to zero.
     """
-    mark = ("#rhs#",)
-    work = []
-    for row, b in zip(rows, rhs):
-        r = dict(row)
-        if b:
-            r[mark] = -b
-        if r:
-            work.append(r)
-    done: List[Row] = []
-    pivots: List[Hashable] = []
-    while work:
-        if any(set(r) == {mark} for r in work):
-            return None  # a row reduced to 0 = b with b nonzero
-        work.sort(key=len)
-        row = work.pop(0)
-        col = sorted((c for c in row if c != mark), key=_col_key)[0]
-        inv = row[col].inv()
-        row = {c: v * inv for c, v in row.items()}
-        done = [_eliminate(r, row, col, ONE) for r in done]
-        work = [r for r in (_eliminate(r, row, col, ONE) for r in work) if r]
-        done.append(row)
-        pivots.append(col)
-    sol = {}
-    for row, p in zip(done, pivots):
-        # free unknowns are set to zero, so u_p = -(mark coefficient)
-        sol[p] = -row.get(mark, ZERO)
+    reduced = rref([{**row, _RHS: -b} if b else row for row, b in zip(rows, rhs)])
+    if reduced is None:
+        return None
+    # free unknowns are set to zero, so u_p = -(augmented coefficient)
+    sol = {p: -row.get(_RHS, ZERO) for row, p in zip(*reduced)}
     return {u: sol.get(u, ZERO) for u in unknowns}
 
 
 def membership(span_rows: Sequence[Row], vector: Row) -> bool:
-    """Does vector lie in the row span of span_rows?"""
-    reduced, pivots = rref(span_rows)
-    v = dict(vector)
-    for row, p in zip(reduced, pivots):
-        v = _eliminate(v, row, p, ONE)
-    return not v
+    """Does vector lie in the row span of span_rows?
+
+    Tagged with _RHS, the vector reduces to the tag alone exactly when some
+    combination of span rows cancels it.
+    """
+    return rref([*span_rows, {**vector, _RHS: ONE}]) is None
 
 
 # ---------------------------------------------------------------------------

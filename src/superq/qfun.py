@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Dict
 
 from .report import Report
-from .scalars import ONE, Scalar, T, T_INV, ZERO
+from .scalars import ONE, Scalar, T, T_INV, ZERO, add_term
 
 
 def pochhammer(u: Scalar, v: Scalar, m: int) -> Scalar:
@@ -58,11 +58,7 @@ class QPolynomial:
     def __add__(self, other: "QPolynomial") -> "QPolynomial":
         out = dict(self.coeffs)
         for e, c in other.coeffs.items():
-            s = out.get(e, ZERO) + c
-            if s:
-                out[e] = s
-            elif e in out:
-                del out[e]
+            add_term(out, e, c)
         return QPolynomial(out)
 
     def __neg__(self):
@@ -78,11 +74,7 @@ class QPolynomial:
         for e1, c1 in self.coeffs.items():
             for e2, c2 in other.coeffs.items():
                 e = e1 + e2
-                s = out.get(e, ZERO) + c1 * c2
-                if s:
-                    out[e] = s
-                elif e in out:
-                    del out[e]
+                add_term(out, e, c1 * c2)
         return QPolynomial(out)
 
     def __rmul__(self, other):

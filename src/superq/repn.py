@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
-from . import linalg
+from . import _cache, linalg
 from .algebra import (
     Element, Monomial, basis_monomials, bigrade, mono_bigrade, project_00,
     zeta_power,
@@ -29,7 +29,7 @@ from .algebra import (
 from .hopf import antipode, coproduct, counit, star
 from .qfun import QPolynomial, gauss_binomial, little_jacobi, pochhammer, pochhammer_poly
 from .report import Report
-from .scalars import ONE, Scalar, T, T_INV, ZERO
+from .scalars import ONE, Scalar, T, T_INV, ZERO, add_term
 from .tensor import AlgSlot, Tensor
 
 _V = None  # set lazily: t^-2 as the standing binomial base
@@ -159,11 +159,7 @@ def matrix_coefficients(twoL: int, s: int = 0, bound: int = 6,
             if twoJ is None:
                 raise AssertionError(f"unexpected right leg {m_right}")
             acc = rows[twoJ]
-            prev = acc.get(m_left, ZERO) + coeff
-            if prev:
-                acc[m_left] = prev
-            elif m_left in acc:
-                del acc[m_left]
+            add_term(acc, m_left, coeff)
         for twoJ in idxs:
             entries[(twoI, twoJ)] = Element("Asigma", rows[twoJ])
     mat = CorepMatrix(twoL, s, entries,
@@ -172,6 +168,7 @@ def matrix_coefficients(twoL: int, s: int = 0, bound: int = 6,
         rep = verify_corep_matrix(mat)
         if not rep.ok:
             raise AssertionError(f"corepresentation laws failed:\n{rep}")
+    _cache.trim(_matrix_cache)
     _matrix_cache[key] = mat
     return mat
 
@@ -301,6 +298,7 @@ def haar_zeta(n: int) -> Scalar:
     out = _haar_zeta_cache.get(n)
     if out is None:
         out = (ONE - _v()) / (ONE - Scalar.t_power(-2 * (n + 1)))
+        _cache.trim(_haar_zeta_cache)
         _haar_zeta_cache[n] = out
     return out
 
@@ -313,11 +311,7 @@ def _zeta_coordinates(x: Element) -> Dict[Tuple[int, int], Scalar]:
         zp = zeta_power(r)
         conv = c / zp.terms[(0, r, r, 0, r % 2)]
         key = (r, (u + r) % 2)
-        s = out.get(key, ZERO) + conv
-        if s:
-            out[key] = s
-        elif key in out:
-            del out[key]
+        add_term(out, key, conv)
     return out
 
 
@@ -344,6 +338,7 @@ def haar_zeta_sigma(n: int) -> Scalar:
         return out
     coeffs = _expand_in_m00(zeta_power(n) * Element.generator("sigma"))
     out = coeffs.get((0, 0), ZERO) + coeffs.get((0, 1), ZERO)
+    _cache.trim(_haar_zeta_sigma_cache)
     _haar_zeta_sigma_cache[n] = out
     return out
 

@@ -630,6 +630,24 @@ class Scalar:
 # ---------------------------------------------------------------------------
 
 ZERO = Scalar()
+
+
+def add_term(acc: dict, key, c: Scalar) -> None:
+    """acc[key] += c in a sparse {key: Scalar} sum that stores no zeros.
+
+    An existing key is updated in place, a new key is appended, and a key
+    whose sum cancels is deleted, so equal sums compare equal with ==.
+    """
+    if key in acc:
+        s = acc[key] + c
+        if s:
+            acc[key] = s
+        else:
+            del acc[key]
+    elif c:
+        acc[key] = c
+
+
 ONE = Scalar.from_rational(1)
 MINUS_ONE = Scalar.from_rational(-1)
 I_UNIT = Scalar.from_gauss(0, 1)

@@ -25,7 +25,7 @@ from .hopf import antipode, coproduct, counit, star
 from .report import Report
 from .scalars import (
     I_UNIT, KAPPA, MINUS_ONE, ONE, SQRT_1_PLUS_T2, SQRT_1_PLUS_TM2, Scalar,
-    T_INV, ZERO,
+    T_INV, ZERO, add_term,
 )
 from .tensor import AlgSlot, Tensor
 
@@ -234,7 +234,7 @@ class RelationWitness:
             for idx, v in enumerate(self.witnesses):
                 w = Scalar.from_rational(attempt ** idx)
                 for u, c in v.items():
-                    combo[u] = combo.get(u, ZERO) + w * c
+                    add_term(combo, u, w * c)
             if all(combo.get(u, ZERO) for u in self.unknowns):
                 return combo
         return None

@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import Callable, Dict, Tuple
 
 from . import algebra
-from .scalars import ONE, Scalar, T_INV, ZERO
+from .scalars import ONE, Scalar, T_INV, ZERO, add_term
 
 
 class AlgSlot:
@@ -91,9 +91,7 @@ class Tensor:
             for key, coeff in terms.items():
                 for m, c in e.terms.items():
                     k2 = key + (m,)
-                    s = nxt.get(k2, ZERO) + coeff * c
-                    if s:
-                        nxt[k2] = s
+                    add_term(nxt, k2, coeff * c)
             terms = nxt
         return Tensor(slots, terms)
 
@@ -117,11 +115,7 @@ class Tensor:
         assert self.slots == other.slots
         out = dict(self.terms)
         for k, v in other.terms.items():
-            s = out.get(k, ZERO) + v
-            if s:
-                out[k] = s
-            elif k in out:
-                del out[k]
+            add_term(out, k, v)
         return Tensor(self.slots, out)
 
     def __neg__(self):
@@ -159,20 +153,12 @@ class Tensor:
                     for key, cc in partial.items():
                         for m, cm in prod.items():
                             k2 = key + (m,)
-                            s = nxt.get(k2, ZERO) + cc * cm
-                            if s:
-                                nxt[k2] = s
-                            elif k2 in nxt:
-                                del nxt[k2]
+                            add_term(nxt, k2, cc * cm)
                     partial = nxt
                     if not partial:
                         break
                 for key, cc in partial.items():
-                    s = out.get(key, ZERO) + cc
-                    if s:
-                        out[key] = s
-                    elif key in out:
-                        del out[key]
+                    add_term(out, key, cc)
         return Tensor(self.slots, out)
 
     def __pow__(self, m: int) -> "Tensor":
@@ -195,11 +181,7 @@ class Tensor:
         for key, coeff in self.terms.items():
             for m, c in fn(key[leg]).items():
                 k2 = key[:leg] + (m,) + key[leg + 1:]
-                s = out.get(k2, ZERO) + coeff * c
-                if s:
-                    out[k2] = s
-                elif k2 in out:
-                    del out[k2]
+                add_term(out, k2, coeff * c)
         return Tensor(tuple(slots), out)
 
     def split(self, leg: int, fn: Callable, new_slots) -> "Tensor":
@@ -212,11 +194,7 @@ class Tensor:
         for key, coeff in self.terms.items():
             for ms, c in fn(key[leg]).items():
                 k2 = key[:leg] + tuple(ms) + key[leg + 1:]
-                s = out.get(k2, ZERO) + coeff * c
-                if s:
-                    out[k2] = s
-                elif k2 in out:
-                    del out[k2]
+                add_term(out, k2, coeff * c)
         return Tensor(slots, out)
 
     def contract(self, leg: int, fn: Callable, fn_parity: int = 0) -> "Tensor":
@@ -236,11 +214,7 @@ class Tensor:
                 if psum:
                     val = -val
             k2 = key[:leg] + key[leg + 1:]
-            s = out.get(k2, ZERO) + coeff * val
-            if s:
-                out[k2] = s
-            elif k2 in out:
-                del out[k2]
+            add_term(out, k2, coeff * val)
         return Tensor(slots, out)
 
     def to_scalar(self) -> Scalar:

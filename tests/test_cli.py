@@ -237,3 +237,64 @@ def test_matcoef_closed_form_agrees(capsys):
                              "--json")
     assert code1 == code2 == 0
     assert json.loads(out1)["entries"] == json.loads(out2)["entries"]
+
+
+def test_parser_built_once_gives_fresh_results(capsys):
+    import os
+    import subprocess
+    import sys
+
+    from superq.cli import build_arg_parser
+
+    calls = [["nf", "d*a", "--json"], ["nf"], ["nf", "d*a", "--json"]]
+    in_process = [run_cli(capsys, *argv) for argv in calls]
+    assert build_arg_parser() is build_arg_parser()
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    for argv, (code, out, err) in zip(calls, in_process):
+        fresh = subprocess.run([sys.executable, "-m", "superq", *argv],
+                               capture_output=True, text=True, env=env)
+        assert (code, out) == (fresh.returncode, fresh.stdout)
+        # usage text is wrapped to the terminal width; the message is not
+        assert err.splitlines()[-1:] == fresh.stderr.splitlines()[-1:]
+    assert [c for c, _, _ in in_process] == [0, 2, 0]
+    assert in_process[0] == in_process[2]
+
+
+def _memo_tables():
+    import sys
+    return {f"{name}.{attr}": table
+            for name, mod in list(sys.modules.items()) if name.startswith("superq.")
+            for attr, table in vars(mod).items()
+            if attr.endswith("_cache") and isinstance(table, dict)}
+
+
+def test_cache_size_caps_every_memo_table():
+    from superq import _cache, dual, hopf, repn
+
+    queries = [
+        lambda: repn.haar(eval_text("zeta^3*s + zeta^2*s + zeta*s + zeta^3 + a*d")),
+        lambda: repn.matrix_coefficients(2, 1).entries,
+        lambda: repn.matrix_coefficients(1, 0).entries,
+        lambda: repn.matrix_coefficients(2, 0).entries,
+        lambda: hopf.antipode(eval_text("a^2*b + c*d*s + b*c + a^3")),
+        lambda: dual.eval_functional(dual.Functional.word("e", "f", "k"), eval_text("zeta^2 + a*d")),
+    ]
+    uncapped = [q() for q in queries]
+    tables = _memo_tables()
+    assert len(tables) == 10
+    previous = _cache.LIMIT
+    used = set()
+    try:
+        _cache.set_limit(2)
+        for table in tables.values():
+            table.clear()
+        for q, expected in zip(queries, uncapped):
+            assert q() == expected
+            for name, table in tables.items():
+                assert len(table) <= 3, name
+                if table:
+                    used.add(name)
+    finally:
+        _cache.set_limit(previous)
+    assert used == set(tables)
