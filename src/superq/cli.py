@@ -13,10 +13,11 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import re
 import sys
 from fractions import Fraction
 
-from . import dual, hopf, qfun, repn, spheres
+from . import _cache, dual, hopf, qfun, repn, spheres
 from .algebra import Element, bigrade
 from .parser import ExprError, eval_text
 from .report import Report
@@ -243,17 +244,33 @@ def _spheres_suite(degree: int) -> Report:
     return rep
 
 
+def _attach_alpha(argv: list) -> list:
+    """`sphere --alpha -1,1,2` read as `sphere --alpha=-1,1,2`.
+
+    argparse takes a separate value that starts with '-' for an option.
+    Only the value of sphere's --alpha is attached, and only when it starts
+    like a negative number; every other argument, expressions included, is
+    left as it is.
+    """
+    if "sphere" not in argv:
+        return argv
+    out = list(argv)
+    for i in range(out.index("sphere") + 1, len(out) - 1):
+        if out[i] == "--alpha" and re.match(r"-\.?\d", out[i + 1]):
+            out[i:i + 2] = ["--alpha=" + out[i + 1]]
+            break
+    return out
+
+
 def main(argv=None) -> int:
     ap = build_arg_parser()
     try:
-        args = ap.parse_args(argv)
+        args = ap.parse_args(_attach_alpha(sys.argv[1:] if argv is None else argv))
         if args.command == "sphere" and args.check == "characters" and not args.infinity:
             ap.error("sphere --check characters is only computed for --infinity")
     except SystemExit as exc:
         return USAGE_ERROR if exc.code not in (0, None) else 0
-    if args.cache_size is not None:
-        from . import _cache
-        _cache.set_limit(args.cache_size)
+    _cache.set_limit(args.cache_size)   # None (no cap) unless this call sets one
     try:
         return _dispatch(args)
     except ExprError as exc:

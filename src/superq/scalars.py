@@ -26,6 +26,12 @@ meaning (a + b*i)/d.  The polynomial and rational-function kernels work on
 those ints directly: they put the coefficients of an operand over one common
 denominator, compute with Gaussian-integer numerators, and normalise once per
 output coefficient.  No Fraction is built on the arithmetic path.
+
+Most coefficients the relations produce are Laurent polynomials: their
+canonical denominator is a monomial, always t^k with coefficient 1.  Sums
+and products of such operands (and their conjugates) shift exponents and
+cancel the common t-power directly; they never reach _rf_canon or a gcd.
+Only a non-monomial denominator takes the general route.
 """
 
 from __future__ import annotations
@@ -203,17 +209,19 @@ def _pneg(a):
     return {e: _gr(-c.a, -c.b, c.d) for e, c in a.items()}
 
 
-def _pmul(a, b):
+def _pmul(a, b, shift: int = 0):
+    """a * b * t^shift."""
     if len(b) == 1:
         (m, c), = b.items()
-        return _pscale(a, c, m)
+        return _pscale(a, c, m + shift)
     if len(a) == 1:
         (m, c), = a.items()
-        return _pscale(b, c, m)
+        return _pscale(b, c, m + shift)
     A, da = _lift(a)
     B, db = _lift(b)
     acc = {}
     for ea, (xa, ya) in A.items():
+        ea += shift
         for eb, (xb, yb) in B.items():
             e = ea + eb
             re = xa * xb - ya * yb
@@ -239,6 +247,11 @@ def _pscale(a, c: GaussRat, shift: int = 0):
         return {e + shift: k for e, k in a.items()}
     return {e + shift: _gr(k.a * x - k.b * y, k.a * y + k.b * x, k.d * d)
             for e, k in a.items()}
+
+
+def _pshift(a, shift: int):
+    """t^shift * a (a itself when shift is 0)."""
+    return {e + shift: c for e, c in a.items()} if shift else a
 
 
 def _pdeg(a):
@@ -346,14 +359,33 @@ def _rf_canon(num, den):
     return (num, den)
 
 
+# The Laurent fast paths below take operands whose canonical denominators
+# are monomials {k: G_ONE}.  They give the same dicts, in the same key order,
+# as the general route through _rf_canon.
+
 def _rf_add(x, y):
-    if x[1] == y[1]:
-        return _rf_canon(_padd(x[0], y[0]), x[1])
-    return _rf_canon(_padd(_pmul(x[0], y[1]), _pmul(y[0], x[1])), _pmul(x[1], y[1]))
+    (n1, d1), (n2, d2) = x, y
+    if len(d1) == 1 == len(d2):
+        (e1,), (e2,) = d1, d2
+        e = max(e1, e2)
+        num = _padd(_pshift(n1, e - e1), _pshift(n2, e - e2))
+        if not num:
+            return ({}, dict(P_ONE))
+        k = min(e, min(num))
+        return (_pshift(num, -k), {e - k: G_ONE})
+    if d1 == d2:
+        return _rf_canon(_padd(n1, n2), d1)
+    return _rf_canon(_padd(_pmul(n1, d2), _pmul(n2, d1)), _pmul(d1, d2))
 
 
 def _rf_mul(x, y):
-    return _rf_canon(_pmul(x[0], y[0]), _pmul(x[1], y[1]))
+    (n1, d1), (n2, d2) = x, y
+    if len(d1) == 1 == len(d2) and n1 and n2:
+        (e1,), (e2,) = d1, d2
+        # The lowest terms of a product of nonzero polynomials multiply.
+        k = min(e1 + e2, min(n1) + min(n2))
+        return (_pmul(n1, n2, -k), {e1 + e2 - k: G_ONE})
+    return _rf_canon(_pmul(n1, n2), _pmul(d1, d2))
 
 
 def _rf_neg(x):
@@ -367,6 +399,8 @@ def _rf_inv(x):
 
 
 def _rf_conj(x):
+    if len(x[1]) == 1:
+        return (_pconj(x[0]), x[1])   # t^k is real
     return _rf_canon(_pconj(x[0]), _pconj(x[1]))
 
 
@@ -461,20 +495,27 @@ class Scalar:
                     del out[m]
             else:
                 out[m] = rf
-        return Scalar(out)
+        return _scalar(out)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return Scalar({m: _rf_neg(rf) for m, rf in self.parts.items()})
+        return _scalar({m: _rf_neg(rf) for m, rf in self.parts.items()})
 
     def __mul__(self, other):
         if not isinstance(other, Scalar):
             return NotImplemented
+        a, b = self.parts, other.parts
+        if b == _ONE_PARTS:
+            return self
+        if a == _ONE_PARTS:
+            return other
+        if len(a) == 1 == len(b) and 0 in a and 0 in b:
+            return _scalar({0: _rf_mul(a[0], b[0])})
         out = {}
-        for m1, rf1 in self.parts.items():
-            for m2, rf2 in other.parts.items():
+        for m1, rf1 in a.items():
+            for m2, rf2 in b.items():
                 rf = _rf_mul(rf1, rf2)
                 common = m1 & m2
                 for bit, square in _BIT_SQUARES.items():
@@ -489,14 +530,14 @@ class Scalar:
                         del out[mask]
                 else:
                     out[mask] = rf
-        return Scalar(out)
+        return _scalar(out)
 
     def inv(self) -> "Scalar":
         if not self.parts:
             raise ScalarDivisionError("division by zero scalar")
         masks = set(self.parts)
         if masks == {0}:
-            return Scalar({0: _rf_inv(self.parts[0])})
+            return _scalar({0: _rf_inv(self.parts[0])})
         # Rationalize one radical at a time: x = A + B*r, x * (A - B*r) has
         # one radical fewer, and the extension is a field so the norm is
         # nonzero for nonzero x.
@@ -524,7 +565,7 @@ class Scalar:
 
     def conj(self) -> "Scalar":
         """Anti-linear conjugation: fixes t and the radicals, sends i to -i."""
-        return Scalar({m: _rf_conj(rf) for m, rf in self.parts.items()})
+        return _scalar({m: _rf_conj(rf) for m, rf in self.parts.items()})
 
     # -- numeric evaluation -------------------------------------------------
 
@@ -625,6 +666,13 @@ class Scalar:
         return comps
 
 
+def _scalar(parts: dict) -> Scalar:
+    """The Scalar with these parts, which must hold no zero component."""
+    x = _new(Scalar)
+    x.parts = parts
+    return x
+
+
 # ---------------------------------------------------------------------------
 # Named constants
 # ---------------------------------------------------------------------------
@@ -649,6 +697,7 @@ def add_term(acc: dict, key, c: Scalar) -> None:
 
 
 ONE = Scalar.from_rational(1)
+_ONE_PARTS = ONE.parts
 MINUS_ONE = Scalar.from_rational(-1)
 I_UNIT = Scalar.from_gauss(0, 1)
 T = Scalar.t_power(1)

@@ -182,6 +182,21 @@ def test_sphere_alpha_relations_cli(capsys):
     assert "none exists" in out
 
 
+@pytest.mark.parametrize("alpha", ["-1,1,2", "-1/2,0,1", "-.5,1,1"])
+def test_sphere_negative_alpha_as_separate_value(capsys, alpha):
+    for tail in ([], ["--json"]):
+        attached = run_cli(capsys, "sphere", f"--alpha={alpha}", "--check", "relations", *tail)
+        separate = run_cli(capsys, "sphere", "--alpha", alpha, "--check", "relations", *tail)
+        assert attached[0] == 0
+        assert separate == attached
+
+
+def test_leading_minus_expression_still_a_usage_error(capsys):
+    # Only sphere's --alpha value is attached; expressions parse as before.
+    assert run_cli(capsys, "nf", "-a")[0] == 2
+    assert run_cli(capsys, "inner", "--form", "L", "-d", "a")[0] == 2
+
+
 # ---------------------------------------------------------------------------
 # JSON output against the published schemas
 # ---------------------------------------------------------------------------
@@ -267,6 +282,20 @@ def _memo_tables():
             for name, mod in list(sys.modules.items()) if name.startswith("superq.")
             for attr, table in vars(mod).items()
             if attr.endswith("_cache") and isinstance(table, dict)}
+
+
+def test_cache_size_applies_to_its_own_call_only(capsys):
+    from superq import _cache
+
+    previous = _cache.LIMIT
+    try:
+        assert main(["--cache-size", "2", "nf", "a"]) == 0
+        assert _cache.LIMIT == 2
+        assert main(["nf", "a"]) == 0
+        assert _cache.LIMIT is None
+    finally:
+        _cache.set_limit(previous)
+    capsys.readouterr()
 
 
 def test_cache_size_caps_every_memo_table():

@@ -306,3 +306,132 @@ def test_field_ops_match_sympy(node):
     pn = sympy.Poly(_poly_sympy(num), _t, domain="QQ_I")
     pd = sympy.Poly(_poly_sympy(den), _t, domain="QQ_I")
     assert sympy.gcd(pn, pd).degree() == 0 or not num
+
+
+# ---------------------------------------------------------------------------
+# The Laurent fast paths against the general route through _rf_canon
+# ---------------------------------------------------------------------------
+
+def _generic_mul(x, y):
+    return sc._rf_canon(sc._pmul(x[0], y[0]), sc._pmul(x[1], y[1]))
+
+
+def _generic_add(x, y):
+    if x[1] == y[1]:
+        return sc._rf_canon(sc._padd(x[0], y[0]), x[1])
+    return sc._rf_canon(sc._padd(sc._pmul(x[0], y[1]), sc._pmul(y[0], x[1])),
+                        sc._pmul(x[1], y[1]))
+
+
+def _generic_scalar_mul(x, y):
+    """Scalar.__mul__'s parts, every component through _rf_canon."""
+    out = {}
+    for m1, rf1 in x.parts.items():
+        for m2, rf2 in y.parts.items():
+            rf = _generic_mul(rf1, rf2)
+            for bit, square in sc._BIT_SQUARES.items():
+                if m1 & m2 & bit:
+                    rf = _generic_mul(rf, square)
+            mask = m1 ^ m2
+            if mask in out:
+                rf = _generic_add(out[mask], rf)
+                if not rf[0]:
+                    del out[mask]
+                    continue
+            out[mask] = rf
+    return out
+
+
+def _items(rf):
+    """A rational function with its key order: the order _peval sums in."""
+    return list(rf[0].items()), list(rf[1].items())
+
+
+def _parts_items(parts):
+    return [(m, _items(rf)) for m, rf in parts.items()]
+
+
+_term = st.tuples(st.integers(-4, 6), st.integers(-6, 6), st.integers(-3, 3),
+                  st.integers(1, 4))
+
+
+def _poly_from(terms):
+    # Insertion order as drawn, so the key order of the operands varies.
+    p = {}
+    for e, a, b, d in terms:
+        if a or b:
+            p[e] = sc._gr(a, b, d)
+    return p
+
+
+# Half the denominators are monomials c*t^k (Laurent operands once canonical).
+_rf = st.tuples(st.lists(_term, min_size=1, max_size=4),
+                st.one_of(_term.map(lambda t: [t]),
+                          st.lists(_term, min_size=2, max_size=3)))
+
+
+def _canonical(drawn):
+    num, den = _poly_from(drawn[0]), _poly_from(drawn[1])
+    assume(num and den)
+    return sc._rf_canon(num, den)
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(_rf, _rf)
+def test_laurent_fast_paths_match_rf_canon(drawn_x, drawn_y):
+    x, y = _canonical(drawn_x), _canonical(drawn_y)
+    assert _items(sc._rf_mul(x, y)) == _items(_generic_mul(x, y))
+    assert _items(sc._rf_add(x, y)) == _items(_generic_add(x, y))
+    assert _items(sc._rf_add(x, sc._rf_neg(x))) == _items(_generic_add(x, sc._rf_neg(x)))
+    assert _items(sc._rf_conj(x)) == _items(sc._rf_canon(sc._pconj(x[0]), sc._pconj(x[1])))
+    assert _items(sc._rf_mul(sc.RF_ZERO, y)) == _items(_generic_mul(sc.RF_ZERO, y))
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(st.dictionaries(st.integers(0, 3), _rf, min_size=1, max_size=3),
+       st.dictionaries(st.integers(0, 3), _rf, min_size=1, max_size=2))
+def test_scalar_mul_fast_paths_match_generic(drawn_x, drawn_y):
+    # Masks 1-3 carry the radicals sqrt(1+t^2) and kappa.
+    x = Scalar({m: _canonical(d) for m, d in drawn_x.items()})
+    y = Scalar({m: _canonical(d) for m, d in drawn_y.items()})
+    assert _parts_items((x * y).parts) == _parts_items(_generic_scalar_mul(x, y))
+    assert x * ONE is x and ONE * x is x
+    assert _parts_items((x * MINUS_ONE).parts) == _parts_items(_generic_scalar_mul(x, MINUS_ONE))
+    assert x * MINUS_ONE == -x
+    assert not (x + (-x)).parts
+
+
+def test_laurent_arithmetic_never_reaches_rf_canon_or_gcd(monkeypatch):
+    from superq import algebra
+    from superq.algebra import Element, random_monomial
+
+    rng = random.Random(11)
+
+    def laurent():
+        # t-powers times Gaussian constants, and sums of them
+        out = ZERO
+        for _ in range(rng.randint(1, 3)):
+            out = out + (Scalar.from_gauss(rng.randint(-3, 3), rng.randint(-2, 2))
+                         * Scalar.t_power(rng.randint(-4, 4)))
+        return out
+    xs = [laurent() for _ in range(40)]
+    monos = [[random_monomial(rng, 4) for _ in range(3)] for _ in range(20)]
+    calls = {"_rf_canon": 0, "_pgcd": 0}
+    for name in calls:
+        def counted(*args, _real=getattr(sc, name), _name=name):
+            calls[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(sc, name, counted)
+
+    for x, y in zip(xs, xs[1:]):
+        for z in (x * y, x + y, x - y, x * Q, x.conj(), (x * y) * T_INV + y):
+            assert z == ZERO or z.is_rational_function()
+    # The rewriting itself, from empty memo tables: every coefficient
+    # _mono_mul and _reduce_ad produce is a Laurent polynomial.
+    for table in (algebra._mul_cache, algebra._reduce_cache,
+                  algebra._geom_cache, algebra._neg_tinv_pow_cache):
+        table.clear()
+    for m1, m2, m3 in monos:
+        x1, x2, x3 = (Element.monomial(m) for m in (m1, m2, m3))
+        assert (x1 * x2) * x3 == x1 * (x2 * x3)
+    assert calls == {"_rf_canon": 0, "_pgcd": 0}
