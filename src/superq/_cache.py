@@ -1,17 +1,23 @@
-"""Optional cap for the internal memo tables.
+"""The memo tables and their optional size cap.
 
-The memo tables (the module-level *_cache dicts) are observationally pure;
-by default they grow without bound (desk-scale workloads stay small).  The
-CLI's --cache-size flag sets a limit.  Every table calls trim() before each
-insert, and a table that holds more than the limit is cleared, so none ever
-holds more than limit + 1 entries.
+Every memo table is a module-level dict named *_cache, filled only through
+the memo(table) decorator: the decorated function's positional argument
+tuple is the key, and a miss computes the result and stores it.  memo()
+registers each table in TABLES, and clear() empties them all.
+
+The tables are observationally pure; by default they grow without bound
+(desk-scale workloads stay small).  The CLI's --cache-size flag sets a
+limit (set_limit).  Before each insert a table that holds more than the
+limit is cleared, so none ever holds more than limit + 1 entries.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+import functools
+from typing import Callable, List, Optional
 
 LIMIT: Optional[int] = None
+TABLES: List[dict] = []
 
 
 def set_limit(n: Optional[int]) -> None:
@@ -19,6 +25,24 @@ def set_limit(n: Optional[int]) -> None:
     LIMIT = n
 
 
-def trim(table: dict) -> None:
-    if LIMIT is not None and len(table) > LIMIT:
+def clear() -> None:
+    for table in TABLES:
         table.clear()
+
+
+def memo(table: dict) -> Callable[[Callable], Callable]:
+    """Cache a function's results in table, keyed on its argument tuple."""
+    TABLES.append(table)
+
+    def decorate(fn: Callable) -> Callable:
+        @functools.wraps(fn)
+        def cached(*args):
+            out = table.get(args)
+            if out is None:     # not truthiness: ZERO and {} are results too
+                out = fn(*args)
+                if LIMIT is not None and len(table) > LIMIT:
+                    table.clear()
+                table[args] = out
+            return out
+        return cached
+    return decorate

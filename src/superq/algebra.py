@@ -27,10 +27,6 @@ Monomial = Tuple[int, int, int, int, int]   # exponents of a, b, c, d, sigma
 RINGS = ("B", "Bsigma", "Asigma")
 MIXED = "mixed"
 
-# Sign picked up when b or c moves past sigma; the Hopf verifier's negative
-# control flips this to +1 to confirm the axiom checks can fail.
-SIGMA_COMM_SIGN = -1
-
 _GENS = ("a", "b", "c", "d", "sigma")
 
 
@@ -223,31 +219,24 @@ def _mono_str(m: Monomial) -> str:
 # Monomial multiplication
 # ---------------------------------------------------------------------------
 
-_geom_cache: Dict[int, Scalar] = {}
-_neg_tinv_pow_cache: Dict[int, Scalar] = {}
+_geom_cache: Dict[tuple, Scalar] = {}
+_neg_tinv_pow_cache: Dict[tuple, Scalar] = {}
 _mul_cache: Dict[tuple, list] = {}
-_reduce_cache: Dict[Monomial, list] = {}
+_reduce_cache: Dict[tuple, list] = {}
 
 
+@_cache.memo(_geom_cache)
 def _geom_t2inv(l: int) -> Scalar:
     # 1 + t^-2 + ... + t^-2(l-1)
-    out = _geom_cache.get(l)
-    if out is None:
-        out = ZERO
-        for r in range(l):
-            out = out + Scalar.t_power(-2 * r)
-        _cache.trim(_geom_cache)
-        _geom_cache[l] = out
+    out = ZERO
+    for r in range(l):
+        out = out + Scalar.t_power(-2 * r)
     return out
 
 
+@_cache.memo(_neg_tinv_pow_cache)
 def _neg_tinv_pow(l: int) -> Scalar:
-    out = _neg_tinv_pow_cache.get(l)
-    if out is None:
-        out = (MINUS_ONE * T_INV) ** l
-        _cache.trim(_neg_tinv_pow_cache)
-        _neg_tinv_pow_cache[l] = out
-    return out
+    return (MINUS_ONE * T_INV) ** l
 
 
 def _times_gen(m: Monomial, g: str):
@@ -263,13 +252,13 @@ def _times_gen(m: Monomial, g: str):
             coeff = -coeff
         return [lead, ((i, j + 1, k + 1, l - 1, s), -coeff)]
     if g == "b":
-        sgn = (SIGMA_COMM_SIGN ** s) * ((-1) ** k)
+        # b moves left past sigma^s, d^l and c^k: (-1)^s (-t^-1)^l (-1)^k
         coeff = _neg_tinv_pow(l)
-        return [((i, j + 1, k, l, s), coeff if sgn > 0 else -coeff)]
+        return [((i, j + 1, k, l, s), -coeff if (s + k) % 2 else coeff)]
     if g == "c":
-        sgn = SIGMA_COMM_SIGN ** s
+        # c moves left past sigma^s and d^l: (-1)^s (-t^-1)^l
         coeff = _neg_tinv_pow(l)
-        return [((i, j, k + 1, l, s), coeff if sgn > 0 else -coeff)]
+        return [((i, j, k + 1, l, s), -coeff if s else coeff)]
     if g == "d":
         return [((i, j, k, l + 1, s), ONE)]
     if g == "sigma":
@@ -279,12 +268,14 @@ def _times_gen(m: Monomial, g: str):
 
 def _reduce_ad(m: Monomial):
     """Rewrite coexisting a and d via ad = sigma - t bc (A(sigma) only)."""
-    i, j, k, l, s = m
-    if i == 0 or l == 0:
+    if m[0] == 0 or m[3] == 0:
         return [(m, ONE)]
-    cached = _reduce_cache.get(m)
-    if cached is not None:
-        return cached
+    return _reduce_ad_both(m)
+
+
+@_cache.memo(_reduce_cache)
+def _reduce_ad_both(m: Monomial):
+    i, j, k, l, s = m
     # a^i b^j c^k d^l = t^(j+k) [ a^(i-1) b^j c^k d^(l-1) sigma
     #                             - (-1)^k t a^(i-1) b^(j+1) c^(k+1) d^(l-1) ]
     tf = Scalar.t_power(j + k)
@@ -296,17 +287,12 @@ def _reduce_ad(m: Monomial):
         c2 = -c2
     for mm, cc in _reduce_ad((i - 1, j + 1, k + 1, l - 1, s)):
         out.append((mm, cc * c2))
-    _cache.trim(_reduce_cache)
-    _reduce_cache[m] = out
     return out
 
 
+@_cache.memo(_mul_cache)
 def _mono_mul(m1: Monomial, m2: Monomial, ring: str):
     """Product of two normal monomials as a list of (monomial, Scalar)."""
-    key = (m1, m2, ring, SIGMA_COMM_SIGN)
-    cached = _mul_cache.get(key)
-    if cached is not None:
-        return cached
     terms = {m1: ONE}
     i, j, k, l, s = m2
     for g, e in (("a", i), ("b", j), ("c", k), ("d", l), ("sigma", s)):
@@ -322,10 +308,7 @@ def _mono_mul(m1: Monomial, m2: Monomial, ring: str):
             for mm, cc in _reduce_ad(m):
                 add_term(red, mm, c * cc)
         terms = red
-    out = list(terms.items())
-    _cache.trim(_mul_cache)
-    _mul_cache[key] = out
-    return out
+    return list(terms.items())
 
 
 # ---------------------------------------------------------------------------

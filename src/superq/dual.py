@@ -40,7 +40,7 @@ _LETTER_PARITY = {"k": 0, "K": 0, "e": 1, "f": 1}
 # e(b) as printed, before sign calibration: (t - t^-1)/(q - q^-1).
 _E_VALUE_PRINTED = (T - T_INV) / (Scalar.q_power(1) - Scalar.q_power(-1))
 
-_e_sign_cache: Optional[int] = None
+_e_sign_cache: Dict[tuple, int] = {}
 
 
 def word_parity(word: Word) -> int:
@@ -111,12 +111,10 @@ class Functional:
 # Evaluation
 # ---------------------------------------------------------------------------
 
+@_cache.memo(_e_sign_cache)
 def e_sign() -> int:
     """The calibrated global sign for e(b) (computed once, then fixed)."""
-    global _e_sign_cache
-    if _e_sign_cache is None:
-        _e_sign_cache = calibrate_e_sign_value()
-    return _e_sign_cache
+    return calibrate_e_sign_value()
 
 
 def _letter_value(g: str, m: Monomial, es: int) -> Scalar:
@@ -156,11 +154,11 @@ def _eval_word_mono(word: Word, m: Monomial, ring: str, es: int) -> Scalar:
         return counit(Element.monomial(m, ring))
     if len(word) == 1:
         return _letter_value(word[0], m, es)
-    from . import algebra
-    key = (word, m, ring, es, algebra.SIGMA_COMM_SIGN)
-    cached = _eval_cache.get(key)
-    if cached is not None:
-        return cached
+    return _eval_long_word(word, m, ring, es)
+
+
+@_cache.memo(_eval_cache)
+def _eval_long_word(word: Word, m: Monomial, ring: str, es: int) -> Scalar:
     head, rest = word[0], word[1:]
     rest_par = word_parity(rest)
     total = ZERO
@@ -175,8 +173,6 @@ def _eval_word_mono(word: Word, m: Monomial, ring: str, es: int) -> Scalar:
         if rest_par and mono_parity(m1):
             piece = -piece
         total = total + piece
-    _cache.trim(_eval_cache)
-    _eval_cache[key] = total
     return total
 
 

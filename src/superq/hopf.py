@@ -75,19 +75,14 @@ def _mono_gens(m: Monomial):
 _delta_cache: Dict[tuple, dict] = {}
 
 
+@_cache.memo(_delta_cache)
 def _delta_mono(m: Monomial, ring: str) -> dict:
-    key = (m, ring, algebra.SIGMA_COMM_SIGN)
-    cached = _delta_cache.get(key)
-    if cached is None:
-        slots = (AlgSlot(ring), AlgSlot(ring))
-        acc = Tensor.unit(slots)
-        for g in _mono_gens(m):
-            gt = Tensor(slots, {pair: ONE for pair in DELTA_GEN[g]})
-            acc = acc * gt
-        cached = acc.terms
-        _cache.trim(_delta_cache)
-        _delta_cache[key] = cached
-    return cached
+    slots = (AlgSlot(ring), AlgSlot(ring))
+    acc = Tensor.unit(slots)
+    for g in _mono_gens(m):
+        gt = Tensor(slots, {pair: ONE for pair in DELTA_GEN[g]})
+        acc = acc * gt
+    return acc.terms
 
 
 def coproduct(x: Element) -> Tensor:
@@ -111,33 +106,29 @@ def counit(x: Element) -> Scalar:
 _anti_cache: Dict[tuple, Element] = {}
 
 
-def _fold_anti(x: Element, images: Dict, koszul: bool, conj_coeff: bool) -> Element:
-    """Shared skeleton of antipode (koszul=True) and star (koszul=False)."""
+def _fold_anti(x: Element, koszul: bool) -> Element:
+    """Shared skeleton of antipode (koszul=True) and star (koszul=False,
+    anti-linear on coefficients)."""
     if x.ring != "Asigma":
         raise HopfStructureError(f"ring {x.ring} has no antipode/star")
     out = Element.zero(x.ring)
-    tag = id(images)
     for m, coeff in x.terms.items():
-        key = (m, koszul, tag, algebra.SIGMA_COMM_SIGN)
-        acc = _anti_cache.get(key)
-        if acc is None:
-            acc = Element.one(x.ring)
-            par = 0
-            for g in _mono_gens(m):
-                img = Element.monomial(*_img_args(images[g]))
-                if koszul and (par * _PARITY[g]) % 2:
-                    img = -img
-                acc = img * acc
-                par = (par + _PARITY[g]) % 2
-            _cache.trim(_anti_cache)
-            _anti_cache[key] = acc
-        out = out + acc.scale(coeff.conj() if conj_coeff else coeff)
+        out = out + _anti_mono(m, koszul).scale(coeff if koszul else coeff.conj())
     return out
 
 
-def _img_args(entry):
-    mono, c = entry
-    return mono, "Asigma", c
+@_cache.memo(_anti_cache)
+def _anti_mono(m: Monomial, koszul: bool) -> Element:
+    images = _S_IMG if koszul else _STAR_IMG
+    acc = Element.one("Asigma")
+    par = 0
+    for g in _mono_gens(m):
+        mono, c = images[g]
+        if koszul and (par * _PARITY[g]) % 2:
+            c = -c
+        acc = Element.monomial(mono, coeff=c) * acc
+        par = (par + _PARITY[g]) % 2
+    return acc
 
 
 _PARITY = {"a": 0, "b": 1, "c": 1, "d": 0, "sigma": 0}
@@ -145,12 +136,12 @@ _PARITY = {"a": 0, "b": 1, "c": 1, "d": 0, "sigma": 0}
 
 def antipode(x: Element) -> Element:
     """Graded anti-automorphism with S(a, b; c, d) = (d, -t^-1 b; t c, a) sigma."""
-    return _fold_anti(x, _S_IMG, koszul=True, conj_coeff=False)
+    return _fold_anti(x, koszul=True)
 
 
 def star(x: Element) -> Element:
     """Anti-linear anti-multiplicative involution (defined for q < 0 real)."""
-    return _fold_anti(x, _STAR_IMG, koszul=False, conj_coeff=True)
+    return _fold_anti(x, koszul=False)
 
 
 def tensor_star(t: Tensor) -> Tensor:

@@ -127,11 +127,10 @@ class CorepMatrix:
         }
 
 
-_matrix_cache: Dict[Tuple[int, int], CorepMatrix] = {}
+_matrix_cache: Dict[tuple, CorepMatrix] = {}
 
 
-def matrix_coefficients(twoL: int, s: int = 0, bound: int = 6,
-                        verify: bool = True) -> CorepMatrix:
+def matrix_coefficients(twoL: int, s: int = 0, bound: int = 6) -> CorepMatrix:
     """Entries M'_ij with Delta(xi'_i) = sum_j M'_ij ox xi'_j.
 
     The right tensor legs a^(l-j) c^(l+j) sigma^s are basis monomials, so
@@ -141,10 +140,11 @@ def matrix_coefficients(twoL: int, s: int = 0, bound: int = 6,
     """
     if twoL > 2 * bound:
         raise ValueError(f"twoL={twoL} exceeds the configured bound {2 * bound}")
-    key = (twoL, s)
-    cached = _matrix_cache.get(key)
-    if cached is not None:
-        return cached
+    return _verified_matrix(twoL, s)
+
+
+@_cache.memo(_matrix_cache)
+def _verified_matrix(twoL: int, s: int) -> CorepMatrix:
     idxs = index_range(twoL)
     right_mono = {twoJ: ((twoL - twoJ) // 2, 0, (twoL + twoJ) // 2, 0, s)
                   for twoJ in idxs}
@@ -164,12 +164,9 @@ def matrix_coefficients(twoL: int, s: int = 0, bound: int = 6,
             entries[(twoI, twoJ)] = Element("Asigma", rows[twoJ])
     mat = CorepMatrix(twoL, s, entries,
                       {i: vector_norm_sq(twoL, i) for i in idxs})
-    if verify:
-        rep = verify_corep_matrix(mat)
-        if not rep.ok:
-            raise AssertionError(f"corepresentation laws failed:\n{rep}")
-    _cache.trim(_matrix_cache)
-    _matrix_cache[key] = mat
+    rep = verify_corep_matrix(mat)
+    if not rep.ok:
+        raise AssertionError(f"corepresentation laws failed:\n{rep}")
     return mat
 
 
@@ -289,18 +286,14 @@ def closed_form_matrix(twoL: int, s: int = 0) -> CorepMatrix:
 # Haar functional
 # ---------------------------------------------------------------------------
 
-_haar_zeta_cache: Dict[int, Scalar] = {}
-_haar_zeta_sigma_cache: Dict[int, Scalar] = {}
+_haar_zeta_cache: Dict[tuple, Scalar] = {}
+_haar_zeta_sigma_cache: Dict[tuple, Scalar] = {}
 
 
+@_cache.memo(_haar_zeta_cache)
 def haar_zeta(n: int) -> Scalar:
     """h(zeta^n) = (1 - t^-2)/(1 - t^-2(n+1))."""
-    out = _haar_zeta_cache.get(n)
-    if out is None:
-        out = (ONE - _v()) / (ONE - Scalar.t_power(-2 * (n + 1)))
-        _cache.trim(_haar_zeta_cache)
-        _haar_zeta_cache[n] = out
-    return out
+    return (ONE - _v()) / (ONE - Scalar.t_power(-2 * (n + 1)))
 
 
 def _zeta_coordinates(x: Element) -> Dict[Tuple[int, int], Scalar]:
@@ -327,20 +320,15 @@ def _m00_basis(max_r: int) -> Dict[Tuple[int, int], Dict[Tuple[int, int], Scalar
     return basis
 
 
+@_cache.memo(_haar_zeta_sigma_cache)
 def haar_zeta_sigma(n: int) -> Scalar:
     """h(zeta^n sigma), by exact expansion in the m^(l)_00 sigma^w basis.
 
     The corep entries other than 1 and sigma are annihilated by h; the
     expansion is a triangular solve because deg P_l = l.
     """
-    out = _haar_zeta_sigma_cache.get(n)
-    if out is not None:
-        return out
     coeffs = _expand_in_m00(zeta_power(n) * Element.generator("sigma"))
-    out = coeffs.get((0, 0), ZERO) + coeffs.get((0, 1), ZERO)
-    _cache.trim(_haar_zeta_sigma_cache)
-    _haar_zeta_sigma_cache[n] = out
-    return out
+    return coeffs.get((0, 0), ZERO) + coeffs.get((0, 1), ZERO)
 
 
 def _expand_in_m00(x: Element) -> Dict[Tuple[int, int], Scalar]:

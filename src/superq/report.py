@@ -28,7 +28,8 @@ class Report:
 
     @property
     def ok(self) -> bool:
-        return not self.failures
+        """True when something was checked and nothing failed."""
+        return self.checked > 0 and not self.failures
 
     def to_json(self):
         out = {"checked": self.checked, "failures": self.failures}

@@ -182,13 +182,34 @@ def test_sphere_alpha_relations_cli(capsys):
     assert "none exists" in out
 
 
+# Exit codes: -1,1,2 and -.5,1,1 have no relation of any kind, so nothing
+# is checked and the report is a failure, not a vacuous pass.
+_NEGATIVE_ALPHA_EXIT = {"-1,1,2": 1, "-1/2,0,1": 0, "-.5,1,1": 1}
+
+
 @pytest.mark.parametrize("alpha", ["-1,1,2", "-1/2,0,1", "-.5,1,1"])
 def test_sphere_negative_alpha_as_separate_value(capsys, alpha):
     for tail in ([], ["--json"]):
         attached = run_cli(capsys, "sphere", f"--alpha={alpha}", "--check", "relations", *tail)
         separate = run_cli(capsys, "sphere", "--alpha", alpha, "--check", "relations", *tail)
-        assert attached[0] == 0
+        assert attached[0] == _NEGATIVE_ALPHA_EXIT[alpha]
         assert separate == attached
+
+
+def test_sphere_alpha_without_relations_fails(capsys):
+    # No witness of any kind exists for alpha = (1, 1, 2): 0 checks is a FAIL.
+    code, out, _ = run_cli(capsys, "sphere", "--alpha", "1,1,2", "--check", "relations")
+    assert code == 1
+    lines = out.splitlines()
+    assert lines[0] == "FAIL: 0 checks, 0 failures"
+    assert lines[1:] == [f"  note: kind {kind}: none exists"
+                         for kind in ("unit", "mixed", "lower", "upper")]
+    code, out, _ = run_cli(capsys, "sphere", "--alpha", "1,1,2", "--check", "relations", "--json")
+    assert code == 1
+    doc = json.loads(out)
+    assert (doc["checked"], doc["failures"]) == (0, [])
+    assert len(doc["notes"]) == 4
+    _validator("report.json").validate(doc)
 
 
 def test_leading_minus_expression_still_a_usage_error(capsys):
@@ -284,6 +305,15 @@ def _memo_tables():
             if attr.endswith("_cache") and isinstance(table, dict)}
 
 
+def test_every_memo_table_is_registered():
+    # A *_cache dict filled by hand, outside _cache.memo, would be missing
+    # from TABLES: --cache-size and _cache.clear() would not reach it.
+    from superq import _cache
+
+    found = sorted(map(id, _memo_tables().values()))
+    assert found == sorted(map(id, _cache.TABLES))
+
+
 def test_cache_size_applies_to_its_own_call_only(capsys):
     from superq import _cache
 
@@ -311,7 +341,7 @@ def test_cache_size_caps_every_memo_table():
     ]
     uncapped = [q() for q in queries]
     tables = _memo_tables()
-    assert len(tables) == 10
+    assert len(tables) == 11
     previous = _cache.LIMIT
     used = set()
     try:

@@ -1,6 +1,6 @@
 import pytest
 
-from superq import algebra, hopf
+from superq import _cache, algebra, hopf
 from superq.algebra import Element
 from superq.hopf import (
     HopfStructureError, PlaneElement, antipode, coaction, coproduct, counit,
@@ -126,11 +126,31 @@ def test_verify_hopf_degree_three():
 
 
 def test_verify_hopf_negative_control(monkeypatch):
-    # Breaking sigma b = -b sigma to +b sigma must make the axioms fail.
-    monkeypatch.setattr(algebra, "SIGMA_COMM_SIGN", 1)
-    rep = verify_hopf(1)
+    # Breaking sigma b = -b sigma and sigma c = -c sigma to +b sigma and
+    # +c sigma must make the axioms fail.
+    real_times_gen = algebra._times_gen
+
+    def commuting_sigma(m, g):
+        out = real_times_gen(m, g)
+        if g in ("b", "c") and m[4] == 1:
+            return [(mm, -c) for mm, c in out]
+        return out
+
+    x = gen("b") * gen("sigma") + gen("sigma") * gen("c") + gen("d")
+    before = (coproduct(x), antipode(x))
+    assert verify_hopf(1).ok        # fills the memo tables the check reads
+    _cache.clear()
+    try:
+        with monkeypatch.context() as patch:
+            patch.setattr(algebra, "_times_gen", commuting_sigma)
+            rep = verify_hopf(1)
+    finally:
+        _cache.clear()
     assert not rep.ok
     assert rep.failures[0]["input"]
+    # Nothing computed under the broken rule is left in the memo tables.
+    assert verify_hopf(1).ok
+    assert (coproduct(x), antipode(x)) == before
 
 
 def test_coassociativity_degree_four():
