@@ -278,16 +278,18 @@ def _reduce_ad_both(m: Monomial):
     i, j, k, l, s = m
     # a^i b^j c^k d^l = t^(j+k) [ a^(i-1) b^j c^k d^(l-1) sigma
     #                             - (-1)^k t a^(i-1) b^(j+1) c^(k+1) d^(l-1) ]
+    # Equal monomials from the two branches are merged, so a^n d^n gives
+    # n + 1 terms, not 2^n.
     tf = Scalar.t_power(j + k)
-    out = []
+    out: Dict[Monomial, Scalar] = {}
     for mm, cc in _reduce_ad((i - 1, j, k, l - 1, 1 - s)):
-        out.append((mm, cc * tf))
+        add_term(out, mm, cc * tf)
     c2 = tf * T
     if k % 2 == 0:
         c2 = -c2
     for mm, cc in _reduce_ad((i - 1, j + 1, k + 1, l - 1, s)):
-        out.append((mm, cc * c2))
-    return out
+        add_term(out, mm, cc * c2)
+    return list(out.items())
 
 
 @_cache.memo(_mul_cache)

@@ -132,16 +132,19 @@ def little_jacobi(n: int, alpha: int, beta: int, base: Scalar) -> QPolynomial:
 
     P_n = sum_{r>=0} (q^-n; q)_r (q^(alpha+beta+n+1); q)_r
                      / ((q; q)_r (q^(alpha+1); q)_r) * (q z)^r,
-    which truncates at r = n.
+    which truncates at r = n.  Each coefficient comes from the one before
+    by the series' term ratio (Koekoek-Lesky-Swarttouw 2010, section 14.12)
+    c_r / c_(r-1) = (1 - q^(r-1-n)) (1 - q^(alpha+beta+n+r)) q
+                    / ((1 - q^r) (1 - q^(alpha+r))).
     """
     if n < 0:
         raise ValueError("degree must be nonnegative")
     q = base
-    out: Dict[int, Scalar] = {}
-    for r in range(n + 1):
-        num = pochhammer(q ** (-n), q, r) * pochhammer(q ** (alpha + beta + n + 1), q, r)
-        den = pochhammer(q, q, r) * pochhammer(q ** (alpha + 1), q, r)
-        coeff = (num / den) * q ** r
+    coeff = ONE
+    out: Dict[int, Scalar] = {0: coeff}
+    for r in range(1, n + 1):
+        coeff = coeff * ((ONE - q ** (r - 1 - n)) * (ONE - q ** (alpha + beta + n + r)) * q) \
+            / ((ONE - q ** r) * (ONE - q ** (alpha + r)))
         if coeff:
             out[r] = coeff
     return QPolynomial(out)

@@ -288,6 +288,7 @@ def closed_form_matrix(twoL: int, s: int = 0) -> CorepMatrix:
 
 _haar_zeta_cache: Dict[tuple, Scalar] = {}
 _haar_zeta_sigma_cache: Dict[tuple, Scalar] = {}
+_m00_cache: Dict[tuple, Dict[Tuple[int, int], Scalar]] = {}
 
 
 @_cache.memo(_haar_zeta_cache)
@@ -308,24 +309,22 @@ def _zeta_coordinates(x: Element) -> Dict[Tuple[int, int], Scalar]:
     return out
 
 
-def _m00_basis(max_r: int) -> Dict[Tuple[int, int], Dict[Tuple[int, int], Scalar]]:
-    """zeta-coordinates of the basis m^(l)_00 sigma^w, l = 0..max_r, w = 0,1."""
-    basis = {}
-    sig = Element.generator("sigma")
-    for l in range(max_r + 1):
-        m00 = closed_form(2 * l, 0, 0)
-        for w in (0, 1):
-            el = m00 * sig if w else m00
-            basis[(l, w)] = _zeta_coordinates(el)
-    return basis
+@_cache.memo(_m00_cache)
+def _m00_basis(l: int, w: int) -> Dict[Tuple[int, int], Scalar]:
+    """zeta-coordinates of m^(l)_00 sigma^w, memoised: callers must not mutate
+    them.  Right multiplication by sigma flips the sigma exponent of each
+    monomial, so w = 1 relabels w = 0 and closed_form runs once per l."""
+    if w:
+        return {(r, 1 - u): c for (r, u), c in _m00_basis(l, 0).items()}
+    return _zeta_coordinates(closed_form(2 * l, 0, 0))
 
 
 @_cache.memo(_haar_zeta_sigma_cache)
 def haar_zeta_sigma(n: int) -> Scalar:
     """h(zeta^n sigma), by exact expansion in the m^(l)_00 sigma^w basis.
 
-    The corep entries other than 1 and sigma are annihilated by h; the
-    expansion is a triangular solve because deg P_l = l.
+    The corep entries other than 1 and sigma are annihilated by h; as
+    deg P_l = l, _expand_in_m00 back-substitutes over the memoised basis.
     """
     coeffs = _expand_in_m00(zeta_power(n) * Element.generator("sigma"))
     return coeffs.get((0, 0), ZERO) + coeffs.get((0, 1), ZERO)
@@ -333,24 +332,31 @@ def haar_zeta_sigma(n: int) -> Scalar:
 
 def _expand_in_m00(x: Element) -> Dict[Tuple[int, int], Scalar]:
     """Exact coefficients of x (in the weight-(0,0) subalgebra) over the
-    basis {m^(l)_00 sigma^w}."""
+    basis {m^(l)_00 sigma^w}, keyed (l, w) in sorted order.
+
+    m^(l)_00 sigma^w = P_l(zeta) sigma^(l+w) with deg P_l = l, so its top
+    coordinate zeta^l sigma^((l+w) mod 2) is the pivot of unknown (l, w):
+    back-substitute from the top degree down on a copy of the target.
+    """
     target = _zeta_coordinates(x)
     if project_00(x) != x:
         raise ValueError("element is not in the weight-(0,0) subalgebra")
     max_r = max((r for (r, _w) in target), default=0)
-    basis = _m00_basis(max_r)
-    unknowns = sorted(basis)
-    coords = sorted({c for vec in basis.values() for c in vec} | set(target))
-    rows = []
-    rhs = []
-    for coord in coords:
-        rows.append({u: basis[u].get(coord, ZERO) for u in unknowns
-                     if basis[u].get(coord)})
-        rhs.append(target.get(coord, ZERO))
-    sol = linalg.solve(rows, rhs, unknowns)
-    if sol is None:
+    rest = dict(target)
+    sol = {}
+    for l in range(max_r, -1, -1):
+        for w in (0, 1):
+            vec = _m00_basis(l, w)
+            pivot = (l, (l + w) % 2)
+            c = rest.get(pivot, ZERO)
+            if c:
+                c = c / vec[pivot]
+                for coord, v in vec.items():
+                    add_term(rest, coord, -(c * v))
+            sol[(l, w)] = c
+    if rest:
         raise AssertionError("m00 expansion is inconsistent")
-    return sol
+    return dict(sorted(sol.items()))
 
 
 def haar(x: Element) -> Scalar:

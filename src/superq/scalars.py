@@ -128,9 +128,6 @@ class GaussRat:
     def conj(self):
         return _gr(self.a, -self.b, self.d)
 
-    def to_complex(self):
-        return complex(self.a / self.d, self.b / self.d)
-
     def __repr__(self):
         return f"GaussRat({self.re!r}, {self.im!r})"
 
@@ -156,11 +153,6 @@ def _gr(a: int, b: int, d: int) -> GaussRat:
 G_ZERO = GaussRat(0)
 G_ONE = GaussRat(1)
 G_I = GaussRat(0, 1)
-
-
-def gauss_i_power(n: int) -> GaussRat:
-    n %= 4
-    return (G_ONE, G_I, GaussRat(-1), GaussRat(0, -1))[n]
 
 
 # ---------------------------------------------------------------------------
@@ -923,8 +915,3 @@ def _mask_names(mask):
 
 def _poly_json(p):
     return [[e, _gauss_str(p[e])] for e in sorted(p)]
-
-
-def scalar_from_fraction_string(text: str) -> Scalar:
-    """Parse 'p' or 'p/q' into a rational scalar (CLI helper)."""
-    return Scalar.from_rational(Fraction(text))

@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import Callable, Dict, Tuple
 
 from . import algebra
-from .scalars import ONE, Scalar, T_INV, ZERO, add_term
+from .scalars import ONE, Scalar, T_INV, add_term
 
 
 class AlgSlot:
@@ -216,11 +216,6 @@ class Tensor:
             k2 = key[:leg] + key[leg + 1:]
             add_term(out, k2, coeff * val)
         return Tensor(slots, out)
-
-    def to_scalar(self) -> Scalar:
-        if self.slots:
-            raise ValueError("tensor still has legs")
-        return self.terms.get((), ZERO)
 
     def to_element(self):
         if len(self.slots) != 1 or not isinstance(self.slots[0], AlgSlot):

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -204,6 +205,35 @@ def test_power_identities_ad():
             term = ((c * b) ** k) * (s ** ((m - k) % 2)) * coeff
             rhs = rhs + term
         assert lhs == rhs, f"a^m d^m mismatch at m={m}"
+
+
+def test_reduce_ad_merges_equal_monomials():
+    # a^m d^m has m + 1 normal monomials; the rewrite of one a*d pair
+    # splits in two, so unmerged branches would carry 2^m entries.
+    from superq import _cache
+    from superq.algebra import _reduce_ad
+    from superq.qfun import gauss_binomial
+    a, d, b, c, s = (gen(x) for x in "a d b c sigma".split())
+    v = T_INV * T_INV
+    _cache.clear()
+    for m in range(11):
+        assert len(_reduce_ad((m, 0, 0, m, 0))) == m + 1
+        rhs = Element.zero()
+        for k in range(m + 1):
+            coeff = gauss_binomial(m, k, v) * Scalar.t_power(2 * k * m - k * k)
+            rhs = rhs + ((c * b) ** k) * (s ** ((m - k) % 2)) * coeff
+        assert a ** m * d ** m == rhs, f"a^m d^m mismatch at m={m}"
+
+
+def test_reduce_ad_scaling():
+    from superq import _cache
+    a, d = gen("a"), gen("d")
+    _cache.clear()
+    t0 = time.perf_counter()
+    x = a ** 24 * d ** 24
+    took = time.perf_counter() - t0
+    assert len(x.terms) == 25
+    assert took < 1.0, f"a^24 d^24 took {took:.2f}s"
 
 
 def test_power_identities_da():

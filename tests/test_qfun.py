@@ -1,3 +1,5 @@
+import pytest
+
 from superq.qfun import (
     QPolynomial, binomial_collapse_check, gauss_binomial, little_jacobi,
     pascal_rule_check, pochhammer, pochhammer_poly, qbinomial_theorem_check,
@@ -110,3 +112,34 @@ def test_qpolynomial_arithmetic():
     assert (p * q) == QPolynomial({1: T_INV, 2: ONE})
     assert (p + (-p)) == QPolynomial()
     assert p.eval_scalar(ONE) == ONE + T
+
+
+def _little_jacobi_by_pochhammer_quotients(n, alpha, beta, q):
+    """The former little_jacobi: whole q-Pochhammer products per term,
+    then one division."""
+    out = {}
+    for r in range(n + 1):
+        num = pochhammer(q ** (-n), q, r) * pochhammer(q ** (alpha + beta + n + 1), q, r)
+        den = pochhammer(q, q, r) * pochhammer(q ** (alpha + 1), q, r)
+        coeff = (num / den) * q ** r
+        if coeff:
+            out[r] = coeff
+    return QPolynomial(out)
+
+
+def _layout(p):
+    """Every coefficient's numerator and denominator in dict order, which
+    fixes the float summation order of --numeric output."""
+    return [(e, [(mask, list(num.items()), list(den.items()))
+                 for mask, (num, den) in c.parts.items()])
+            for e, c in p.coeffs.items()]
+
+
+@pytest.mark.parametrize("n", range(11))
+def test_little_jacobi_term_ratio_matches_pochhammer_quotients(n):
+    for alpha in range(5):
+        for beta in range(-4, 5):
+            got = little_jacobi(n, alpha, beta, v())
+            expected = _little_jacobi_by_pochhammer_quotients(n, alpha, beta, v())
+            assert got == expected, (n, alpha, beta)
+            assert _layout(got) == _layout(expected), (n, alpha, beta)

@@ -1,5 +1,8 @@
+import random
+
 import pytest
 
+from superq import _cache, linalg, repn
 from superq.algebra import Element, bigrade, zeta, zeta_power
 from superq.hopf import star
 from superq.repn import (
@@ -10,7 +13,7 @@ from superq.repn import (
     sigma_component, vector_norm_sq, verify_integral, verify_peter_weyl,
     verify_weight_norms,
 )
-from superq.scalars import ONE, Scalar, T, T_INV
+from superq.scalars import ONE, Scalar, T, T_INV, ZERO
 
 
 def gen(name):
@@ -226,3 +229,65 @@ def test_integral_law_on_a_vanishes():
     left = da.contract(1, lambda mm: haar(Element.monomial(mm, "Asigma"))).to_element()
     assert left.is_zero()
     assert haar(a).is_zero()
+
+
+def _expand_by_solve(x):
+    """The former _expand_in_m00: generic elimination over the same rows."""
+    target = repn._zeta_coordinates(x)
+    max_r = max((r for (r, _w) in target), default=0)
+    basis = {(l, w): repn._m00_basis(l, w) for l in range(max_r + 1) for w in (0, 1)}
+    unknowns = sorted(basis)
+    coords = sorted({c for vec in basis.values() for c in vec} | set(target))
+    rows = [{u: basis[u][coord] for u in unknowns if coord in basis[u]}
+            for coord in coords]
+    rhs = [target.get(coord, ZERO) for coord in coords]
+    return linalg.solve(rows, rhs, unknowns)
+
+
+@pytest.mark.parametrize("with_sigma", [False, True])
+def test_expand_in_m00_matches_generic_solve(with_sigma):
+    rng = random.Random(20061)
+    pool = [ONE, -ONE, T, T_INV, ONE + T * T, Scalar.from_rational(3) * T_INV]
+    sig = gen("sigma")
+    for _ in range(8):
+        x = Element.zero()
+        for r in range(rng.randint(0, 6) + 1):
+            if rng.random() < 0.7:
+                x = x + zeta_power(r).scale(rng.choice(pool))
+            if with_sigma and rng.random() < 0.7:
+                x = x + (zeta_power(r) * sig).scale(rng.choice(pool))
+        got = repn._expand_in_m00(x)
+        expected = _expand_by_solve(x)
+        assert got == expected
+        assert list(got) == list(expected)
+
+
+def test_corep_route_builds_each_basis_vector_once(monkeypatch):
+    closed_forms = []
+    solves = []
+    real_closed_form, real_solve = repn.closed_form, linalg.solve
+
+    def counting_closed_form(*args):
+        closed_forms.append(args)
+        return real_closed_form(*args)
+
+    def counting_solve(*args):
+        solves.append(args)
+        return real_solve(*args)
+
+    monkeypatch.setattr(repn, "closed_form", counting_closed_form)
+    monkeypatch.setattr(linalg, "solve", counting_solve)
+    _cache.clear()
+    for n in range(1, 7):
+        for _ in range(2):
+            haar_via_corep_expansion(zeta_power(n) * gen("sigma"))
+    assert sorted(closed_forms) == [(2 * l, 0, 0) for l in range(7)]
+    assert solves == []
+
+
+def test_m00_basis_sigma_is_a_relabelling():
+    # w = 1 is read off w = 0 without multiplying by sigma
+    for l in range(5):
+        via_product = repn._zeta_coordinates(closed_form(2 * l, 0, 0) * gen("sigma"))
+        assert repn._m00_basis(l, 1) == via_product
+        assert list(repn._m00_basis(l, 1)) == list(via_product)
