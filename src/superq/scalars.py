@@ -31,7 +31,22 @@ Most coefficients the relations produce are Laurent polynomials: their
 canonical denominator is a monomial, always t^k with coefficient 1.  Sums
 and products of such operands (and their conjugates) shift exponents and
 cancel the common t-power directly; they never reach _rf_canon or a gcd.
-Only a non-monomial denominator takes the general route.
+
+A non-monomial denominator takes Henrici's route (Knuth, TAOCP vol. 2,
+4.5.1), which cancels before it combines.  A product cancels gcd(n1, d2)
+and gcd(n2, d1), then multiplies.  A sum takes g = gcd(d1, d2) and
+s = n1*(d2/g) + n2*(d1/g); then only gcd(s, g) can cancel, and nothing can
+when g = 1.  A square, an inverse and a conjugate of a coprime pair stay
+coprime and need no gcd.  A gcd with a monomial denominator t^k is the
+t-power the two share; every other gcd is _pgcd, Euclid over Q(i).
+
+The key order of a result's dicts fixes the float summation order of
+_peval, so every route gives the dicts of the generic route
+_rf_canon(_padd/_pmul ...), key order included: keyed from the highest
+exponent down when a factor of positive degree was cancelled (the order of
+a _pdivmod quotient), in _pmul/_padd order otherwise, and through
+_rf_canon's own monomial branches when the generic numerator is a single
+term.
 """
 
 from __future__ import annotations
@@ -339,10 +354,13 @@ def _rf_canon(num, den):
         k = min(e, min(den))
         w = _plead(den).inv()
         return ({e - k: c * w}, _pscale(den, w, -k))
+    # Clear negative exponents first: Euclid needs polynomials.
+    v = min(min(num), min(den))
+    if v < 0:
+        num, den = _pshift(num, -v), _pshift(den, -v)
     g = _pgcd(num, den)
     if _pdeg(g) > 0:
-        num, _ = _pdivmod(num, g)
-        den, _ = _pdivmod(den, g)
+        num, den = _pdiv(num, g), _pdiv(den, g)
     lc = _plead(den)
     if lc != G_ONE:
         w = lc.inv()
@@ -351,9 +369,33 @@ def _rf_canon(num, den):
     return (num, den)
 
 
-# The Laurent fast paths below take operands whose canonical denominators
-# are monomials {k: G_ONE}.  They give the same dicts, in the same key order,
-# as the general route through _rf_canon.
+def _pdiv(a, b):
+    """a / b, for b dividing a: keyed from the highest exponent down."""
+    return _pdivmod(a, b)[0]
+
+
+def _pdesc(p):
+    """p keyed from the highest exponent down, as a _pdiv quotient is."""
+    return {e: p[e] for e in sorted(p, reverse=True)}
+
+
+def _cancel(a, b):
+    """(a/g, b/g) for g = gcd(a, b), or None when g is 1.  b is monic."""
+    if len(b) == 1:
+        # b = t^k: g is the t-power a and b share, and dividing is a shift.
+        (k,) = b
+        j = min(k, min(a))
+        return (_pshift(a, -j), {k - j: G_ONE}) if j else None
+    g = _pgcd(a, b)
+    if _pdeg(g) > 0:
+        return _pdiv(a, g), _pdiv(b, g)
+    return None
+
+
+# The operands of _rf_add and _rf_mul are canonical.  The Laurent fast paths
+# take those whose denominators are monomials {k: G_ONE}; the Henrici routes
+# take the rest.  Both give the same dicts, in the same key order, as the
+# generic route _rf_canon(_padd/_pmul ...).
 
 def _rf_add(x, y):
     (n1, d1), (n2, d2) = x, y
@@ -367,17 +409,43 @@ def _rf_add(x, y):
         return (_pshift(num, -k), {e - k: G_ONE})
     if d1 == d2:
         return _rf_canon(_padd(n1, n2), d1)
-    return _rf_canon(_padd(_pmul(n1, d2), _pmul(n2, d1)), _pmul(d1, d2))
+    # Henrici: with g = gcd(d1, d2) and s = n1*(d2/g) + n2*(d1/g), the sum is
+    # s/(d1*d2/g), and only h = gcd(s, g) can still cancel.  As d1 != d2,
+    # s is not zero.
+    g = _pgcd(d1, d2)
+    if _pdeg(g) == 0:
+        return (_padd(_pmul(n1, d2), _pmul(n2, d1)), _pmul(d1, d2))
+    e1, e2 = _pdiv(d1, g), _pdiv(d2, g)
+    s = _padd(_pmul(n1, e2), _pmul(n2, e1))
+    if len(s) == 1 == len(g):
+        # The generic numerator g*s is a monomial: no gcd there.
+        return _rf_canon(_pshift(s, min(g)), _pmul(d1, d2))
+    h = _pgcd(s, g)
+    if _pdeg(h) > 0:
+        s, d2 = _pdiv(s, h), _pdiv(d2, h)
+    return (_pdesc(s), _pdesc(_pmul(e1, d2)))
 
 
 def _rf_mul(x, y):
     (n1, d1), (n2, d2) = x, y
-    if len(d1) == 1 == len(d2) and n1 and n2:
+    if not (n1 and n2):
+        return ({}, dict(P_ONE))
+    if len(d1) == 1 == len(d2):
         (e1,), (e2,) = d1, d2
         # The lowest terms of a product of nonzero polynomials multiply.
         k = min(e1 + e2, min(n1) + min(n2))
         return (_pmul(n1, n2, -k), {e1 + e2 - k: G_ONE})
-    return _rf_canon(_pmul(n1, n2), _pmul(d1, d2))
+    if x is y:
+        return (_pmul(n1, n1), _pmul(d1, d1))   # a coprime pair squared
+    if len(n1) == 1 == len(n2):
+        return _rf_canon(_pmul(n1, n2), _pmul(d1, d2))   # no gcd there
+    # Henrici: only gcd(n1, d2) and gcd(n2, d1) can cancel.
+    cut1, cut2 = _cancel(n1, d2), _cancel(n2, d1)
+    if not (cut1 or cut2):
+        return (_pmul(n1, n2), _pmul(d1, d2))
+    n1, d2 = cut1 or (n1, d2)
+    n2, d1 = cut2 or (n2, d1)
+    return (_pdesc(_pmul(n1, n2)), _pdesc(_pmul(d1, d2)))
 
 
 def _rf_neg(x):
@@ -385,15 +453,18 @@ def _rf_neg(x):
 
 
 def _rf_inv(x):
-    if not x[0]:
+    # Swapping a canonical pair leaves it coprime: only the lead rescales.
+    num, den = x
+    if not num:
         raise ScalarDivisionError("division by zero")
-    return _rf_canon(x[1], x[0])
+    w = _plead(num).inv()
+    return (_pscale(den, w), _pscale(num, w))
 
 
 def _rf_conj(x):
     if len(x[1]) == 1:
         return (_pconj(x[0]), x[1])   # t^k is real
-    return _rf_canon(_pconj(x[0]), _pconj(x[1]))
+    return (_pconj(x[0]), _pconj(x[1]))   # still coprime, still monic
 
 
 RF_ZERO = ({}, dict(P_ONE))
@@ -551,8 +622,9 @@ class Scalar:
         while n:
             if n & 1:
                 out = out * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return out
 
     def conj(self) -> "Scalar":

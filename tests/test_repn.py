@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -121,6 +122,17 @@ def test_haar_two_routes():
     for n in range(6):
         zs = zeta_power(n) * gen("sigma")
         assert haar(zs) == haar_via_corep_expansion(zs), n
+
+
+def test_haar_sweep_scaling():
+    # Both routes on zeta^n * sigma for n = 1..10, from empty memo tables.
+    _cache.clear()
+    t0 = time.perf_counter()
+    for n in range(1, 11):
+        zs = zeta_power(n) * gen("sigma")
+        assert haar(zs) == haar_via_corep_expansion(zs), n
+    took = time.perf_counter() - t0
+    assert took < 8.0, f"the N = 10 Haar sweep took {took:.2f}s"
 
 
 def test_haar_zeta_sigma_agrees_with_zeta():

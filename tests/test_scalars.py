@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -399,6 +400,81 @@ def test_scalar_mul_fast_paths_match_generic(drawn_x, drawn_y):
     assert _parts_items((x * MINUS_ONE).parts) == _parts_items(_generic_scalar_mul(x, MINUS_ONE))
     assert x * MINUS_ONE == -x
     assert not (x + (-x)).parts
+
+
+# Small factors, drawn into a pool that both operands share, so that the
+# cross gcds of the Henrici routes are mostly nontrivial.
+@st.composite
+def _factor(draw):
+    """t^e + c1*t + c0 with e = 1 or 2 and c0 != 0, keys in a drawn order."""
+    e, c1, a, b = draw(st.tuples(st.integers(1, 2), st.integers(-2, 2),
+                                 st.integers(-3, 3), st.integers(-2, 2)))
+    terms = [(e, 1, 0, 1), (1, c1 * (e - 1), 0, 1), (0, a + (a >= 0), b, 1)]
+    return _poly_from(draw(st.permutations(terms)))
+
+
+@st.composite
+def _shared_factor_pair(draw):
+    pool = draw(st.lists(_factor(), min_size=2, max_size=3,
+                         unique_by=lambda p: frozenset(p.items())))
+    # t itself joins the pool at times, for the t-adic valuation.
+    if draw(st.booleans()):
+        pool.append({1: sc.G_ONE})
+
+    def operand():
+        # 1-3 factors above the line and 1-2 below
+        num, den = {0: sc._gr(draw(st.integers(1, 5)), draw(st.integers(-2, 2)), 1)}, sc.P_ONE
+        for f in draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3)):
+            num = sc._pmul(num, f)
+        for f in draw(st.lists(st.sampled_from(pool), min_size=1, max_size=2)):
+            den = sc._pmul(den, f)
+        return sc._rf_canon(num, den)
+    return operand(), operand()
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(_shared_factor_pair())
+def test_henrici_routes_match_rf_canon(pair):
+    x, y = pair
+    assert _items(sc._rf_mul(x, y)) == _items(_generic_mul(x, y))
+    assert _items(sc._rf_mul(x, x)) == _items(_generic_mul(x, x))
+    assert _items(sc._rf_add(x, y)) == _items(_generic_add(x, y))
+    assert _items(sc._rf_add(x, sc._rf_neg(y))) == _items(_generic_add(x, sc._rf_neg(y)))
+    # x + (y - x): the denominators share the factors of x's, and the sum
+    # cancels down to y, so gcd(s, g) is nontrivial.
+    z = _generic_add(y, sc._rf_neg(x))
+    assert _items(sc._rf_add(x, z)) == _items(_generic_add(x, z))
+    assert sc._rf_add(x, z) == y
+    assert _items(sc._rf_mul(z, x)) == _items(_generic_mul(z, x))
+    assert _items(sc._rf_inv(x)) == _items(sc._rf_canon(x[1], x[0]))
+    assert _items(sc._rf_conj(x)) == _items(sc._rf_canon(sc._pconj(x[0]), sc._pconj(x[1])))
+
+
+def test_rf_canon_clears_negative_exponents():
+    i = sc.G_I
+    x = sc._rf_canon({-1: sc.G_ONE, 0: i}, {0: sc.G_ONE, 2: sc.G_ONE})
+    y = sc._rf_canon({0: sc.G_ONE, 1: i}, {1: sc.G_ONE, 3: sc.G_ONE})
+    assert x == y
+    assert str(Scalar({0: x})) == str(Scalar({0: y})) == "i/(t^2 + i*t)"
+
+
+def test_dense_square_scaling():
+    # Numerator degree 30, denominator degree 24, 7-9 digit Gaussian
+    # coefficients.  A square is coprime already, so no gcd is needed.
+    rng = random.Random(30)
+
+    def dense(deg):
+        def coeff():
+            return rng.choice([-1, 1]) * rng.randint(10**6, 10**9 - 1)
+        return {e: sc._gr(coeff(), coeff(), 1) for e in range(deg + 1)}
+    x = Scalar({0: sc._rf_canon(dense(30), dense(24))})
+    assert (sc._pdeg(x.parts[0][0]), sc._pdeg(x.parts[0][1])) == (30, 24)
+    t0 = time.perf_counter()
+    y = x ** 2
+    took = time.perf_counter() - t0
+    assert took < 1.0, f"squaring took {took:.2f}s"
+    v = x.specialize_t(Fraction(3, 2))
+    assert y.specialize_t(Fraction(3, 2)) == v * v
 
 
 def test_laurent_arithmetic_never_reaches_rf_canon_or_gcd(monkeypatch):
