@@ -2,8 +2,10 @@
 
 Every memo table is a module-level dict named *_cache, filled only through
 the memo(table) decorator: the decorated function's positional argument
-tuple is the key, and a miss computes the result and stores it.  memo()
-registers each table in TABLES, and clear() empties them all.
+tuple is the key, and a miss computes the result and stores it.  A
+decorated function may also store(), under the same key convention, the
+results of later calls that it builds on the way (prefixes of a product).
+memo() registers each table in TABLES, and clear() empties them all.
 
 The tables are observationally pure; by default they grow without bound
 (desk-scale workloads stay small).  The CLI's --cache-size flag sets a
@@ -30,6 +32,13 @@ def clear() -> None:
         table.clear()
 
 
+def store(table: dict, key: tuple, value) -> None:
+    """table[key] = value, clearing table first when it holds over LIMIT."""
+    if LIMIT is not None and len(table) > LIMIT:
+        table.clear()
+    table[key] = value
+
+
 def memo(table: dict) -> Callable[[Callable], Callable]:
     """Cache a function's results in table, keyed on its argument tuple."""
     TABLES.append(table)
@@ -40,9 +49,7 @@ def memo(table: dict) -> Callable[[Callable], Callable]:
             out = table.get(args)
             if out is None:     # not truthiness: ZERO and {} are results too
                 out = fn(*args)
-                if LIMIT is not None and len(table) > LIMIT:
-                    table.clear()
-                table[args] = out
+                store(table, args, out)
             return out
         return cached
     return decorate

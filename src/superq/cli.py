@@ -21,7 +21,7 @@ from . import _cache, dual, hopf, qfun, repn, spheres
 from .algebra import Element, bigrade
 from .parser import ExprError, eval_text
 from .report import Report
-from .scalars import Scalar, T_INV
+from .scalars import Scalar
 
 USAGE_ERROR = 2
 VERIFY_FAIL = 1
@@ -316,7 +316,7 @@ def _dispatch(args) -> int:
         _emit_scalar(repn.inner(args.form, x, y), args)
         return 0
     if cmd == "jacobi":
-        poly = qfun.little_jacobi(args.n, args.alpha, args.beta, T_INV * T_INV)
+        poly = qfun.little_jacobi(args.n, args.alpha, args.beta, qfun.TM2)
         print(json.dumps(poly.to_json()) if args.json else poly)
         return 0
     if cmd == "matcoef":

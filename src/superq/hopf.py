@@ -24,7 +24,7 @@ from . import _cache, algebra
 from .algebra import Element, Monomial, basis_monomials, mono_parity
 from .report import Report
 from .scalars import ONE, Scalar, T, T_INV, ZERO, add_term
-from .tensor import AlgSlot, PlaneSlot, Tensor
+from .tensor import AlgSlot, PlaneSlot, Tensor, _tensor
 
 
 class HopfStructureError(ValueError):
@@ -72,26 +72,61 @@ def _mono_gens(m: Monomial):
             yield name
 
 
+def _prefix_product(table: dict, key, m: tuple, slots, gens) -> dict:
+    """Terms of the product of the generators of monomial m, taken left to
+    right in the order of m's exponents, built on memoised prefixes.
+
+    gens[i] is the Tensor image of the generator whose exponent is m[i],
+    and key(p) is table's key for the monomial p.  The prefix of p is p
+    with the exponent of its last generator lowered by one, so
+    p = prefix * gens[i] is exactly one acc * gen step of the left-to-right
+    product: the result is that product's dict, in its key order.  Prefixes
+    missing from table are built shortest first, without recursion, and
+    stored in it; the caller's memo stores m itself.
+    """
+    chain = []
+    acc = None
+    p = m
+    while any(p):
+        i = max(j for j, e in enumerate(p) if e)
+        chain.append((p, i))
+        p = p[:i] + (p[i] - 1,) + p[i + 1:]
+        acc = table.get(key(p))
+        if acc is not None:
+            break
+    acc = Tensor.unit(slots) if acc is None else _tensor(slots, acc)
+    for p, i in reversed(chain):
+        acc = acc * gens[i]
+        if p is not m:
+            _cache.store(table, key(p), acc.terms)
+    return acc.terms
+
+
 _delta_cache: Dict[tuple, dict] = {}
 
 
 @_cache.memo(_delta_cache)
 def _delta_mono(m: Monomial, ring: str) -> dict:
+    """Terms of Delta(m) = Delta(prefix) Delta(g), where g is the last
+    generator of m in a, b, c, d, sigma order and prefix is m with that
+    exponent lowered by one (a normal-form prefix stays in the basis).
+
+    Each entry is one step of the product Delta(g_1) ... Delta(g_n) over the
+    generators of m from the left, so the dict and its key order are those
+    of that product.  The returned dict is shared: read it, do not mutate.
+    """
     slots = (AlgSlot(ring), AlgSlot(ring))
-    acc = Tensor.unit(slots)
-    for g in _mono_gens(m):
-        gt = Tensor(slots, {pair: ONE for pair in DELTA_GEN[g]})
-        acc = acc * gt
-    return acc.terms
+    gens = [Tensor(slots, dict.fromkeys(DELTA_GEN[g], ONE)) for g in _GEN_ORDER]
+    return _prefix_product(_delta_cache, lambda p: (p, ring), m, slots, gens)
 
 
 def coproduct(x: Element) -> Tensor:
     """Graded-multiplicative extension of the matrix coproduct."""
-    slots = (AlgSlot(x.ring), AlgSlot(x.ring))
-    out = Tensor(slots)
+    out: dict = {}
     for m, coeff in x.terms.items():
-        out = out + Tensor(slots, _delta_mono(m, x.ring)).scale(coeff)
-    return out
+        for k, v in _delta_mono(m, x.ring).items():
+            add_term(out, k, v * coeff)
+    return _tensor((AlgSlot(x.ring), AlgSlot(x.ring)), out)
 
 
 def counit(x: Element) -> Scalar:
@@ -111,10 +146,12 @@ def _fold_anti(x: Element, koszul: bool) -> Element:
     anti-linear on coefficients)."""
     if x.ring != "Asigma":
         raise HopfStructureError(f"ring {x.ring} has no antipode/star")
-    out = Element.zero(x.ring)
+    out: dict = {}
     for m, coeff in x.terms.items():
-        out = out + _anti_mono(m, koszul).scale(coeff if koszul else coeff.conj())
-    return out
+        c = coeff if koszul else coeff.conj()
+        for k, v in _anti_mono(m, koszul).terms.items():
+            add_term(out, k, v * c)
+    return Element(x.ring, out)
 
 
 @_cache.memo(_anti_cache)
@@ -147,22 +184,20 @@ def star(x: Element) -> Element:
 def tensor_star(t: Tensor) -> Tensor:
     """(u ox v)* = (-1)^(p(u)p(v)) u* ox v*, coefficients conjugated."""
     assert len(t.slots) == 2
-    out = Tensor(t.slots)
+    out: dict = {}
     for (m1, m2), coeff in t.terms.items():
         e1 = star(Element.monomial(m1, "Asigma"))
         e2 = star(Element.monomial(m2, "Asigma"))
-        piece = Tensor.from_elements([e1, e2]).scale(coeff.conj())
-        if mono_parity(m1) and mono_parity(m2):
-            piece = -piece
-        out = out + piece
-    return out
+        c = coeff.conj()
+        odd = mono_parity(m1) and mono_parity(m2)
+        for k, v in Tensor.from_elements([e1, e2]).terms.items():
+            v = v * c
+            add_term(out, k, -v if odd else v)
+    return _tensor(t.slots, out)
 
 
 def _delta_terms_fn(ring: str):
-    def fn(m: Monomial):
-        d = coproduct(Element.monomial(m, ring))
-        return dict(d.terms)
-    return fn
+    return lambda m: _delta_mono(m, ring)
 
 
 def _mono_elem_fn(op):
@@ -234,10 +269,11 @@ def verify_hopf(max_degree: int, delta=None, rng_seed: int = 0) -> Report:
 def _convolve(dx: Tensor, apply_left: bool) -> Element:
     leg = 0 if apply_left else 1
     applied = dx.apply(leg, _mono_elem_fn(antipode))
-    out = Element.zero("Asigma")
+    out: dict = {}
     for (m1, m2), coeff in applied.terms.items():
-        out = out + (Element.monomial(m1, "Asigma") * Element.monomial(m2, "Asigma")).scale(coeff)
-    return out
+        for m, c in algebra._mono_mul(m1, m2, "Asigma"):
+            add_term(out, m, c * coeff)
+    return Element("Asigma", out)
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +309,9 @@ class PlaneElement:
         out = dict(self.terms)
         for m, c in other.terms.items():
             add_term(out, m, c)
-        return PlaneElement(out, self.nilpotent)
+        if self.nilpotent and not other.nilpotent:     # drop other's y^2 terms
+            return PlaneElement(out, True)
+        return _plane(out, self.nilpotent)
 
     def __mul__(self, other):
         slot = PlaneSlot(self.nilpotent)
@@ -282,7 +320,7 @@ class PlaneElement:
             for m2, c2 in other.terms.items():
                 for m, c in slot.mul(m1, m2).items():
                     add_term(out, m, c1 * c2 * c)
-        return PlaneElement(out, self.nilpotent)
+        return _plane(out, self.nilpotent)
 
     def __str__(self):
         if not self.terms:
@@ -297,29 +335,57 @@ class PlaneElement:
         return " + ".join(bits)
 
 
+def _plane(terms: dict, nilpotent: bool) -> PlaneElement:
+    """The PlaneElement with these terms, which must hold no zero
+    coefficient (and no y^2 when nilpotent)."""
+    x = object.__new__(PlaneElement)
+    x.terms = terms
+    x.nilpotent = nilpotent
+    return x
+
+
 # psi_L(x) = a ox x + b ox y;  psi_L(y) = c ox x + d ox y
-_COACT_L = {"x": ((_A, (1, 0)), (_B, (0, 1))), "y": ((_C, (1, 0)), (_D, (0, 1)))}
+_COACT_L = (((_A, (1, 0)), (_B, (0, 1))), ((_C, (1, 0)), (_D, (0, 1))))
 # psi_R(x) = x ox a + y ox c;  psi_R(y) = x ox b + y ox d
-_COACT_R = {"x": (((1, 0), _A), ((0, 1), _C)), "y": (((1, 0), _B), ((0, 1), _D))}
+_COACT_R = ((((1, 0), _A), ((0, 1), _C)), (((1, 0), _B), ((0, 1), _D)))
+
+
+def _coact_slots(which: str, nilpotent: bool) -> tuple:
+    plane_slot = PlaneSlot(nilpotent)
+    return (AlgSlot("B"), plane_slot) if which == "left" else (plane_slot, AlgSlot("B"))
+
+
+_coact_cache: Dict[tuple, dict] = {}
+
+
+@_cache.memo(_coact_cache)
+def _coact_mono(which: str, mx: int, my: int, nilpotent: bool) -> dict:
+    """Terms of psi(x^mx y^my) = psi(prefix) psi(g), g = y when my > 0 and x
+    otherwise, prefix the monomial with that exponent lowered by one; the
+    dict and key order of psi(x)^mx psi(y)^my multiplied from the left, as
+    in _delta_mono.  The returned dict is shared: read it, do not mutate."""
+    slots = _coact_slots(which, nilpotent)
+    gens = [Tensor(slots, dict.fromkeys(g, ONE))
+            for g in (_COACT_L if which == "left" else _COACT_R)]
+    return _prefix_product(_coact_cache, lambda p: (which,) + p + (nilpotent,),
+                           (mx, my), slots, gens)
 
 
 def coaction(which: str, p: PlaneElement) -> Tensor:
     """Left coaction (algebra ox plane) or right coaction (plane ox algebra),
-    extended as a graded algebra morphism."""
+    extended as a graded algebra morphism.
+
+    Each monomial's image is read from a table built on memoised prefixes
+    (_coact_mono); the terms are summed into one dict in the order of
+    p.terms and of each image's keys, the order of the term-by-term sum.
+    """
     if which not in ("left", "right"):
         raise ValueError("which must be 'left' or 'right'")
-    plane_slot = PlaneSlot(p.nilpotent)
-    slots = (AlgSlot("B"), plane_slot) if which == "left" else (plane_slot, AlgSlot("B"))
-    table = _COACT_L if which == "left" else _COACT_R
-    out = Tensor(slots)
+    out: dict = {}
     for (mx, my), coeff in p.terms.items():
-        acc = Tensor.unit(slots)
-        for g, e in (("x", mx), ("y", my)):
-            gt = Tensor(slots, {pair: ONE for pair in table[g]})
-            for _ in range(e):
-                acc = acc * gt
-        out = out + acc.scale(coeff)
-    return out
+        for k, v in _coact_mono(which, mx, my, p.nilpotent).items():
+            add_term(out, k, v * coeff)
+    return _tensor(_coact_slots(which, p.nilpotent), out)
 
 
 def verify_coaction(max_total_degree: int = 5) -> Report:
@@ -341,11 +407,11 @@ def verify_coaction(max_total_degree: int = 5) -> Report:
                 rep.check(f"counit law {label}", ce == expect, ce, expect)
 
                 if which == "left":
-                    lhs = psi.split(1, lambda mm: dict(coaction("left", PlaneElement.monomial(*mm)).terms),
+                    lhs = psi.split(1, lambda mm: _coact_mono("left", *mm, False),
                                     (ring_slot, PlaneSlot()))
                     rhs = psi.split(0, _delta_terms_fn("B"), (ring_slot, ring_slot))
                 else:
-                    lhs = psi.split(0, lambda mm: dict(coaction("right", PlaneElement.monomial(*mm)).terms),
+                    lhs = psi.split(0, lambda mm: _coact_mono("right", *mm, False),
                                     (PlaneSlot(), ring_slot))
                     rhs = psi.split(1, _delta_terms_fn("B"), (ring_slot, ring_slot))
                 rep.check(f"coassociativity {label}", lhs == rhs, lhs, rhs)

@@ -10,8 +10,11 @@ from __future__ import annotations
 
 from typing import Dict
 
+from . import _cache
 from .report import Report
 from .scalars import ONE, Scalar, T, T_INV, ZERO, add_term
+
+TM2 = T_INV * T_INV     # t^-2, the standing base of the binomials and Jacobi polynomials
 
 
 def pochhammer(u: Scalar, v: Scalar, m: int) -> Scalar:
@@ -24,8 +27,18 @@ def pochhammer(u: Scalar, v: Scalar, m: int) -> Scalar:
     return out
 
 
+_binom_cache: Dict[tuple, Scalar] = {}
+
+
+@_cache.memo(_binom_cache)
 def gauss_binomial(m: int, n: int, v: Scalar) -> Scalar:
-    """Gauss binomial (m over n)_v; 0 when n is out of range."""
+    """Gauss binomial (m over n)_v; 0 when n is out of range.
+
+    Each value is the Pochhammer quotient (v; v)_m / ((v; v)_n (v; v)_(m-n)),
+    computed once per (m, n, v) and memoised.  It is not derived from other
+    binomials, so the Pascal-rule and collapse checks below still compare
+    independently built values.
+    """
     if n < 0 or n > m:
         return ZERO
     num = pochhammer(v, v, m)
@@ -152,7 +165,7 @@ def little_jacobi(n: int, alpha: int, beta: int, base: Scalar) -> QPolynomial:
 
 def pascal_rule_check(max_m: int) -> Report:
     """Gauss-binomial Pascal rule with a formal v, checked exactly."""
-    v = T_INV * T_INV
+    v = TM2
     rep = Report()
     for m in range(max_m):
         for n in range(m + 1):
@@ -176,7 +189,7 @@ def qbinomial_theorem_check(max_m: int) -> Report:
         y = Tensor.from_elements([Element.generator(g, ring) for g in right])
         pairs.append((x, y))
     v = T * T
-    vinv = T_INV * T_INV
+    vinv = TM2
     for x, y in pairs:
         rep.check("xy = v yx", x * y == (y * x).scale(v), x * y, (y * x).scale(v))
         for m in range(1, max_m + 1):
@@ -195,7 +208,7 @@ def binomial_collapse_check(twoL_max: int) -> Report:
     binom(2l, l+i) binom(l+i, i-j) binom(l-j, i-j) / binom(2l, l+j)
         = binom(l-j, i-j)^2        (all at base t^-2, i >= j)
     """
-    v = T_INV * T_INV
+    v = TM2
     rep = Report()
     for twoL in range(twoL_max + 1):
         for twoI in range(-twoL, twoL + 1, 2):

@@ -27,20 +27,10 @@ from .algebra import (
     zeta_power,
 )
 from .hopf import antipode, coproduct, counit, star
-from .qfun import QPolynomial, gauss_binomial, little_jacobi, pochhammer, pochhammer_poly
+from .qfun import TM2, QPolynomial, gauss_binomial, little_jacobi, pochhammer, pochhammer_poly
 from .report import Report
 from .scalars import ONE, Scalar, T, T_INV, ZERO, add_term
 from .tensor import AlgSlot, Tensor
-
-_V = None  # set lazily: t^-2 as the standing binomial base
-
-
-def _v() -> Scalar:
-    global _V
-    if _V is None:
-        _V = T_INV * T_INV
-    return _V
-
 
 @dataclass(frozen=True)
 class CorepIndex:
@@ -67,7 +57,7 @@ def index_range(twoL: int) -> List[int]:
 def vector_norm_sq(twoL: int, twoI: int) -> Scalar:
     """Square of the i^[(l+i)/2] binom(2l, l+i)^(1/2) prefactor."""
     li = (twoL + twoI) // 2
-    out = gauss_binomial(twoL, li, _v())
+    out = gauss_binomial(twoL, li, TM2)
     return -out if (li // 2) % 2 else out
 
 
@@ -215,7 +205,7 @@ def _qpoly_to_element(p: QPolynomial) -> Element:
 
 
 def _jacobi_element(n: int, alpha: int, beta: int) -> Element:
-    return _qpoly_to_element(little_jacobi(n, alpha, beta, _v()))
+    return _qpoly_to_element(little_jacobi(n, alpha, beta, TM2))
 
 
 def closed_form(twoL: int, twoI: int, twoJ: int) -> Element:
@@ -247,19 +237,19 @@ def closed_form(twoL: int, twoI: int, twoJ: int) -> Element:
     bsign = -ONE if ((-dij) // 2) % 2 else ONE
     results = []
     if ij <= 0 and dij >= 0:
-        coeff = Scalar.t_power(lj * dij) * gauss_binomial(li, dij, _v())
+        coeff = Scalar.t_power(lj * dij) * gauss_binomial(li, dij, TM2)
         mono = Element.monomial((-ij, 0, dij, 0, lj % 2), "Asigma", coeff)
         results.append(mono * _jacobi_element(lj, dij, -ij))
     if ij <= 0 and dij <= 0:
-        coeff = bsign * Scalar.t_power(li * (-dij)) * gauss_binomial(mi, -dij, _v())
+        coeff = bsign * Scalar.t_power(li * (-dij)) * gauss_binomial(mi, -dij, TM2)
         mono = Element.monomial((-ij, -dij, 0, 0, li % 2), "Asigma", coeff)
         results.append(mono * _jacobi_element(li, -dij, -ij))
     if ij >= 0 and dij <= 0:
-        coeff = bsign * Scalar.t_power(mj * (-dij)) * gauss_binomial(mi, -dij, _v())
+        coeff = bsign * Scalar.t_power(mj * (-dij)) * gauss_binomial(mi, -dij, TM2)
         mono = Element.monomial((0, -dij, 0, ij, mj % 2), "Asigma", ONE)
         results.append((_jacobi_element(mj, -dij, ij) * mono).scale(coeff))
     if ij >= 0 and dij >= 0:
-        coeff = Scalar.t_power(mi * dij) * gauss_binomial(li, dij, _v())
+        coeff = Scalar.t_power(mi * dij) * gauss_binomial(li, dij, TM2)
         mono = Element.monomial((0, 0, dij, ij, mi % 2), "Asigma", ONE)
         results.append((_jacobi_element(mi, dij, ij) * mono).scale(coeff))
     first = results[0]
@@ -294,7 +284,7 @@ _m00_cache: Dict[tuple, Dict[Tuple[int, int], Scalar]] = {}
 @_cache.memo(_haar_zeta_cache)
 def haar_zeta(n: int) -> Scalar:
     """h(zeta^n) = (1 - t^-2)/(1 - t^-2(n+1))."""
-    return (ONE - _v()) / (ONE - Scalar.t_power(-2 * (n + 1)))
+    return (ONE - TM2) / (ONE - Scalar.t_power(-2 * (n + 1)))
 
 
 def _zeta_coordinates(x: Element) -> Dict[Tuple[int, int], Scalar]:
@@ -454,7 +444,7 @@ def moments(r: int, s: int, variant: str) -> MomentResult:
     """
     if variant not in ("ascending", "descending"):
         raise ValueError("variant must be 'ascending' or 'descending'")
-    v = _v()
+    v = TM2
     if variant == "ascending":
         poly = pochhammer_poly(T * T, s)
     else:
@@ -605,10 +595,10 @@ def verify_weight_norms(max_mn: int = 3) -> Report:
                     if printed != got:
                         printed_deviations.append((m, n))
             elif m + n <= 0 and m >= n:
-                poly = pochhammer_poly(_v(), (-m - n) // 2, scale=_v())
+                poly = pochhammer_poly(TM2, (-m - n) // 2, scale=TM2)
                 lead = zeta_power((m - n) // 2)
             else:
-                poly = pochhammer_poly(_v(), (-m - n) // 2, scale=_v())
+                poly = pochhammer_poly(TM2, (-m - n) // 2, scale=TM2)
                 lead = zeta_power((n - m) // 2).scale(Scalar.t_power(m - n))
             expected = lead * _qpoly_to_element(poly)
             rep.check(f"e_mn e_mn* at ({m},{n})", got == expected, got, expected)
@@ -625,7 +615,7 @@ def delta_power_formula_check(max_m: int = 6) -> Report:
     """Delta(a^m) and Delta(c^m) against the explicit q-binomial sums."""
     rep = Report()
     slots = (AlgSlot("Asigma"), AlgSlot("Asigma"))
-    v = _v()
+    v = TM2
     for m in range(max_m + 1):
         lhs_a = coproduct(Element.generator("a") ** m)
         lhs_c = coproduct(Element.generator("c") ** m)
@@ -650,7 +640,7 @@ def projection_formula_check(max_n: int = 5) -> Report:
     """(id ox P)Delta(zeta^n) as an explicit sum of Pochhammer products."""
     rep = Report()
     slots = (AlgSlot("Asigma"), AlgSlot("Asigma"))
-    v = _v()
+    v = TM2
     for n in range(max_n + 1):
         dz = coproduct(zeta_power(n))
         lhs = dz.apply(1, lambda mm: {mm: ONE} if mono_bigrade(mm) == (0, 0) else {})

@@ -73,6 +73,10 @@ class PlaneSlot:
 
 
 class Tensor:
+    """Sparse {tuple of slot monomials: Scalar} sum; no stored coefficient
+    is zero.  The constructor drops zeros; results that are zero-free by
+    construction (add_term sums, negations) skip that pass (_tensor)."""
+
     __slots__ = ("slots", "terms")
 
     def __init__(self, slots: Tuple, terms: Dict[Tuple, Scalar] | None = None):
@@ -93,7 +97,7 @@ class Tensor:
                     k2 = key + (m,)
                     add_term(nxt, k2, coeff * c)
             terms = nxt
-        return Tensor(slots, terms)
+        return _tensor(slots, terms)
 
     @staticmethod
     def unit(slots) -> "Tensor":
@@ -116,10 +120,10 @@ class Tensor:
         out = dict(self.terms)
         for k, v in other.terms.items():
             add_term(out, k, v)
-        return Tensor(self.slots, out)
+        return _tensor(self.slots, out)
 
     def __neg__(self):
-        return Tensor(self.slots, {k: -v for k, v in self.terms.items()})
+        return _tensor(self.slots, {k: -v for k, v in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
@@ -159,7 +163,7 @@ class Tensor:
                         break
                 for key, cc in partial.items():
                     add_term(out, key, cc)
-        return Tensor(self.slots, out)
+        return _tensor(self.slots, out)
 
     def __pow__(self, m: int) -> "Tensor":
         out = Tensor.unit(self.slots)
@@ -182,7 +186,7 @@ class Tensor:
             for m, c in fn(key[leg]).items():
                 k2 = key[:leg] + (m,) + key[leg + 1:]
                 add_term(out, k2, coeff * c)
-        return Tensor(tuple(slots), out)
+        return _tensor(tuple(slots), out)
 
     def split(self, leg: int, fn: Callable, new_slots) -> "Tensor":
         """Replace one leg by several via a linear map to a tensor.
@@ -195,7 +199,7 @@ class Tensor:
             for ms, c in fn(key[leg]).items():
                 k2 = key[:leg] + tuple(ms) + key[leg + 1:]
                 add_term(out, k2, coeff * c)
-        return Tensor(slots, out)
+        return _tensor(slots, out)
 
     def contract(self, leg: int, fn: Callable, fn_parity: int = 0) -> "Tensor":
         """Contract one leg with a functional (monomial -> Scalar).
@@ -215,7 +219,7 @@ class Tensor:
                     val = -val
             k2 = key[:leg] + key[leg + 1:]
             add_term(out, k2, coeff * val)
-        return Tensor(slots, out)
+        return _tensor(slots, out)
 
     def to_element(self):
         if len(self.slots) != 1 or not isinstance(self.slots[0], AlgSlot):
@@ -265,3 +269,11 @@ class Tensor:
                        "coeff": self.terms[key].to_json()}
                       for key in sorted(self.terms)],
         }
+
+
+def _tensor(slots: Tuple, terms: dict) -> Tensor:
+    """The Tensor with these terms, which must hold no zero coefficient."""
+    x = object.__new__(Tensor)
+    x.slots = slots
+    x.terms = terms
+    return x

@@ -339,10 +339,11 @@ def test_cache_size_caps_every_memo_table():
         lambda: hopf.antipode(eval_text("a^2*b + c*d*s + b*c + a^3")),
         lambda: dual.eval_functional(dual.Functional.word("e", "f", "k"), eval_text("zeta^2 + a*d")),
         lambda: repn.haar_via_corep_expansion(eval_text("zeta^4*s + zeta^2 + s")),
+        lambda: hopf.coaction("right", hopf.PlaneElement.monomial(3, 2)),
     ]
     uncapped = [q() for q in queries]
     tables = _memo_tables()
-    assert len(tables) == 12
+    assert len(tables) == 14
     previous = _cache.LIMIT
     used = set()
     try:

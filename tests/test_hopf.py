@@ -8,7 +8,7 @@ from superq.hopf import (
     verify_coaction_morphism, verify_hopf,
 )
 from superq.scalars import ONE, Scalar, T, T_INV
-from superq.tensor import AlgSlot, Tensor
+from superq.tensor import AlgSlot, PlaneSlot, Tensor
 
 
 def gen(name, ring="Asigma"):
@@ -209,3 +209,108 @@ def test_nilpotent_plane_is_not_comodule_algebra():
     assert not sq.is_zero()
     # its plane part contains x^2 and xy but no y^2
     assert all(key[1][1] < 2 for key in sq.terms)
+
+
+# -- memoised prefixes and one-dict sums, against builders that start from 1 --
+
+def _delta_mono_from_unit(m, ring):
+    """Delta(m) as Delta(g_1) ... Delta(g_n) multiplied from the unit."""
+    slots = (AlgSlot(ring), AlgSlot(ring))
+    acc = Tensor.unit(slots)
+    for g in hopf._mono_gens(m):
+        acc = acc * Tensor(slots, {pair: ONE for pair in hopf.DELTA_GEN[g]})
+    return acc.terms
+
+
+def _coact_mono_from_unit(which, mx, my, nilpotent):
+    """psi(x)^mx psi(y)^my multiplied from the unit."""
+    plane = PlaneSlot(nilpotent)
+    slots = (AlgSlot("B"), plane) if which == "left" else (plane, AlgSlot("B"))
+    gx, gy = hopf._COACT_L if which == "left" else hopf._COACT_R
+    acc = Tensor.unit(slots)
+    for g, e in ((gx, mx), (gy, my)):
+        for _ in range(e):
+            acc = acc * Tensor(slots, {pair: ONE for pair in g})
+    return acc.terms
+
+
+def _same(got, want):
+    return got == want and list(got.items()) == list(want.items())
+
+
+def test_prefix_built_monomials_match_products_from_the_unit():
+    _cache.clear()
+    for ring in algebra.RINGS:
+        # highest degree first: long prefix chains fill, later calls hit them
+        for m in reversed(list(algebra.basis_monomials(5, ring))):
+            assert _same(hopf._delta_mono(m, ring), _delta_mono_from_unit(m, ring)), (ring, m)
+    monos = [(mx, my) for mx in range(8) for my in range(8 - mx)]
+    for which in ("left", "right"):
+        for nilpotent in (False, True):
+            for mx, my in reversed(monos):
+                got = hopf._coact_mono(which, mx, my, nilpotent)
+                want = _coact_mono_from_unit(which, mx, my, nilpotent)
+                assert _same(got, want), (which, mx, my, nilpotent)
+
+
+def test_one_dict_sums_keep_the_term_by_term_order():
+    # The sums term by term, each piece copied into the growing result.
+    x = Element("Asigma", {(2, 1, 0, 0, 1): T, (0, 1, 1, 2, 0): ONE + T,
+                           (1, 0, 2, 0, 0): -T_INV, (0, 0, 0, 0, 0): ONE})
+    slots = (AlgSlot("Asigma"), AlgSlot("Asigma"))
+    old = Tensor(slots)
+    for m, c in x.terms.items():
+        old = old + Tensor(slots, _delta_mono_from_unit(m, "Asigma")).scale(c)
+    assert _same(coproduct(x).terms, old.terms)
+
+    for op, koszul in ((antipode, True), (star, False)):
+        old = Element.zero()
+        for m, c in x.terms.items():
+            old = old + hopf._anti_mono(m, koszul).scale(c if koszul else c.conj())
+        assert _same(op(x).terms, old.terms)
+
+    dx = coproduct(x)
+    old = Tensor(slots)
+    for (m1, m2), c in dx.terms.items():
+        piece = tens(star(Element.monomial(m1)), star(Element.monomial(m2))).scale(c.conj())
+        old = old + (-piece if algebra.mono_parity(m1) and algebra.mono_parity(m2) else piece)
+    assert _same(tensor_star(dx).terms, old.terms)
+
+    p = PlaneElement({(3, 1): T, (0, 2): ONE + T, (2, 0): -ONE})
+    for which in ("left", "right"):
+        pslots = hopf._coact_slots(which, False)
+        old = Tensor(pslots)
+        for (mx, my), c in p.terms.items():
+            old = old + Tensor(pslots, _coact_mono_from_unit(which, mx, my, False)).scale(c)
+        assert _same(coaction(which, p).terms, old.terms)
+
+
+def _count_products(monkeypatch):
+    calls = [0]
+    mul = Tensor.__mul__
+
+    def counted(self, other):
+        calls[0] += 1
+        return mul(self, other)
+    monkeypatch.setattr(Tensor, "__mul__", counted)
+    return calls
+
+
+def test_each_coproduct_and_coaction_is_built_once(monkeypatch):
+    calls = _count_products(monkeypatch)
+    _cache.clear()
+    assert verify_hopf(4).ok
+    # one product per non-unit basis monomial (395 when every call rebuilt it)
+    assert calls[0] == len(list(algebra.basis_monomials(4, "Asigma"))) - 1 == 109
+    for verifier, degree, bound in ((verify_coaction, 5, 169),            # 1660 rebuilt per call
+                                    (verify_coaction_morphism, 3, 254)):  # 1800 rebuilt per call
+        _cache.clear()
+        calls[0] = 0
+        assert verifier(degree).ok
+        assert calls[0] <= bound, verifier.__name__
+
+
+def test_deep_coaction_fills_prefixes_without_recursion():
+    _cache.clear()
+    psi = coaction("left", PlaneElement.monomial(1500, 0, nilpotent=True))
+    assert len(psi.terms) == 2

@@ -106,6 +106,22 @@ def test_binomial_collapse_identity():
     assert rep.ok, str(rep)
 
 
+def test_each_gauss_binomial_is_built_once(monkeypatch):
+    from superq import _cache, qfun
+
+    calls = [0]
+
+    def counted(*args):
+        calls[0] += 1
+        return pochhammer(*args)
+    monkeypatch.setattr(qfun, "pochhammer", counted)
+    _cache.clear()
+    assert binomial_collapse_check(6).ok
+    # three per distinct binomial, 0 <= n <= m <= 6 (1260 with no memo)
+    assert calls[0] <= 84
+    assert gauss_binomial(6, 2, T_INV * T_INV) is gauss_binomial(6, 2, qfun.TM2)
+
+
 def test_qpolynomial_arithmetic():
     p = QPolynomial({0: ONE, 1: T})
     q = QPolynomial({1: T_INV})

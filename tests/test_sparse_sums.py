@@ -86,3 +86,31 @@ def test_sums_and_products_store_no_zero(pair):
     for r in results:
         assert all(_stored(r)), r
     assert not _stored(x + _neg(x))
+
+
+# Tensor and PlaneElement results accumulated through add_term skip their
+# constructor's zero filter, so an add_term that kept a zero shows here.
+
+_UNIT = (0, 0, 0, 0, 0)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(_tensor, _tensor)
+def test_tensor_results_store_no_zero(x, y):
+    # the leg maps send every monomial to the unit, so distinct keys merge
+    results = [x + y, x - y, x * y, y * x, -x, (x - y).apply(0, lambda m: {_UNIT: ONE}),
+               (x + y).split(1, lambda m: {(_UNIT, _UNIT): ONE}, (AlgSlot("Asigma"),) * 2),
+               (x - y).contract(0, lambda m: ONE)]
+    for r in results:
+        assert all(_stored(r)), r
+    assert not _stored(x + (-x))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(_plane, _plane)
+def test_plane_results_store_no_zero(x, y):
+    results = [x + y, x + _neg(y), x * y, y * x]   # either may be nilpotent
+    for r in results:
+        assert all(_stored(r)), r
+        assert not r.nilpotent or all(my < 2 for _, my in r.terms), r
+    assert not _stored(x + _neg(x))
