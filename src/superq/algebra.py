@@ -53,7 +53,10 @@ def _check_ring(ring: str):
 
 
 class Element:
-    """Linear combination of normal-form monomials over Scalars."""
+    """Linear combination of normal-form monomials over Scalars; no stored
+    coefficient is zero.  The constructor checks the ring and drops zeros;
+    results that are zero-free by construction (add_term sums, negations)
+    skip both (_element)."""
 
     __slots__ = ("ring", "terms")
 
@@ -115,13 +118,13 @@ class Element:
         out = dict(self.terms)
         for m, c in other.terms.items():
             add_term(out, m, c)
-        return Element(self.ring, out)
+        return _element(self.ring, out)
 
     def __sub__(self, other: "Element") -> "Element":
         return self + (-other)
 
     def __neg__(self) -> "Element":
-        return Element(self.ring, {m: -c for m, c in self.terms.items()})
+        return _element(self.ring, {m: -c for m, c in self.terms.items()})
 
     def scale(self, c: Scalar) -> "Element":
         if not c:
@@ -142,7 +145,7 @@ class Element:
                 c12 = c1 * c2
                 for m, c in _mono_mul(m1, m2, self.ring):
                     add_term(out, m, c12 * c)
-        return Element(self.ring, out)
+        return _element(self.ring, out)
 
     def __rmul__(self, other):
         if isinstance(other, (Scalar, int)):
@@ -196,6 +199,15 @@ class Element:
                 for m in sorted(self.terms, key=lambda m: (mono_degree(m),) + m)
             ],
         }
+
+
+def _element(ring: str, terms: dict) -> Element:
+    """The Element of this ring with these terms, which must hold no zero
+    coefficient."""
+    x = object.__new__(Element)
+    x.ring = ring
+    x.terms = terms
+    return x
 
 
 def _is_atomic(s: str) -> bool:

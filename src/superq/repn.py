@@ -18,6 +18,7 @@ binomial square roots in the closed forms collapse to a single binomial).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
@@ -227,7 +228,9 @@ def closed_form(twoL: int, twoI: int, twoJ: int) -> Element:
                             P_(l-i)^(i-j, i+j) c^(i-j) d^(i+j) s^(l-i)
 
     with all Jacobi polynomials at base t^-2 in zeta.  At an index where
-    two cases apply they are evaluated and asserted equal.
+    two cases apply they are evaluated and asserted equal.  The cases share
+    each distinct Jacobi element within the call: at i = j = 0 all four
+    apply with P_l^(0,0), which is built once and multiplied four times.
     """
     CorepIndex(twoL, twoI, twoJ)
     li, lj = (twoL + twoI) // 2, (twoL + twoJ) // 2   # l+i, l+j
@@ -235,23 +238,24 @@ def closed_form(twoL: int, twoI: int, twoJ: int) -> Element:
     ij = (twoI + twoJ) // 2                           # i+j
     dij = (twoI - twoJ) // 2                          # i-j
     bsign = -ONE if ((-dij) // 2) % 2 else ONE
+    jacobi = functools.lru_cache(maxsize=None)(_jacobi_element)
     results = []
     if ij <= 0 and dij >= 0:
         coeff = Scalar.t_power(lj * dij) * gauss_binomial(li, dij, TM2)
         mono = Element.monomial((-ij, 0, dij, 0, lj % 2), "Asigma", coeff)
-        results.append(mono * _jacobi_element(lj, dij, -ij))
+        results.append(mono * jacobi(lj, dij, -ij))
     if ij <= 0 and dij <= 0:
         coeff = bsign * Scalar.t_power(li * (-dij)) * gauss_binomial(mi, -dij, TM2)
         mono = Element.monomial((-ij, -dij, 0, 0, li % 2), "Asigma", coeff)
-        results.append(mono * _jacobi_element(li, -dij, -ij))
+        results.append(mono * jacobi(li, -dij, -ij))
     if ij >= 0 and dij <= 0:
         coeff = bsign * Scalar.t_power(mj * (-dij)) * gauss_binomial(mi, -dij, TM2)
         mono = Element.monomial((0, -dij, 0, ij, mj % 2), "Asigma", ONE)
-        results.append((_jacobi_element(mj, -dij, ij) * mono).scale(coeff))
+        results.append((jacobi(mj, -dij, ij) * mono).scale(coeff))
     if ij >= 0 and dij >= 0:
         coeff = Scalar.t_power(mi * dij) * gauss_binomial(li, dij, TM2)
         mono = Element.monomial((0, 0, dij, ij, mi % 2), "Asigma", ONE)
-        results.append((_jacobi_element(mi, dij, ij) * mono).scale(coeff))
+        results.append((jacobi(mi, dij, ij) * mono).scale(coeff))
     first = results[0]
     for other in results[1:]:
         if other != first:
@@ -279,6 +283,7 @@ def closed_form_matrix(twoL: int, s: int = 0) -> CorepMatrix:
 _haar_zeta_cache: Dict[tuple, Scalar] = {}
 _haar_zeta_sigma_cache: Dict[tuple, Scalar] = {}
 _m00_cache: Dict[tuple, Dict[Tuple[int, int], Scalar]] = {}
+_coord_cache: Dict[tuple, Dict[Tuple[int, int], Scalar]] = {}
 
 
 @_cache.memo(_haar_zeta_cache)
@@ -313,40 +318,63 @@ def _m00_basis(l: int, w: int) -> Dict[Tuple[int, int], Scalar]:
 def haar_zeta_sigma(n: int) -> Scalar:
     """h(zeta^n sigma), by exact expansion in the m^(l)_00 sigma^w basis.
 
-    The corep entries other than 1 and sigma are annihilated by h; as
-    deg P_l = l, _expand_in_m00 back-substitutes over the memoised basis.
+    The corep entries other than 1 and sigma are annihilated by h.  The
+    target is the single coordinate zeta^n sigma, so this reads the l = 0
+    entries of its memoised row (_coord_expansion), which is back-substituted
+    once over the memoised basis, as deg P_l = l.
     """
     coeffs = _expand_in_m00(zeta_power(n) * Element.generator("sigma"))
     return coeffs.get((0, 0), ZERO) + coeffs.get((0, 1), ZERO)
 
 
-def _expand_in_m00(x: Element) -> Dict[Tuple[int, int], Scalar]:
-    """Exact coefficients of x (in the weight-(0,0) subalgebra) over the
-    basis {m^(l)_00 sigma^w}, keyed (l, w) in sorted order.
+@_cache.memo(_coord_cache)
+def _coord_expansion(r: int, u: int) -> Dict[Tuple[int, int], Scalar]:
+    """Coefficients of the coordinate zeta^r sigma^u over {m^(l)_00 sigma^w},
+    memoised: callers must not mutate them.
 
     m^(l)_00 sigma^w = P_l(zeta) sigma^(l+w) with deg P_l = l, so its top
     coordinate zeta^l sigma^((l+w) mod 2) is the pivot of unknown (l, w):
-    back-substitute from the top degree down on a copy of the target.
+    back-substitute the unit target from l = r down.  As _m00_basis(l, 1)
+    relabels _m00_basis(l, 0), u = 1 relabels w -> 1 - w of the u = 0 row,
+    and one solve serves both.
     """
-    target = _zeta_coordinates(x)
-    if project_00(x) != x:
-        raise ValueError("element is not in the weight-(0,0) subalgebra")
-    max_r = max((r for (r, _w) in target), default=0)
-    rest = dict(target)
-    sol = {}
-    for l in range(max_r, -1, -1):
+    if u:
+        return {(l, 1 - w): c for (l, w), c in _coord_expansion(r, 0).items()}
+    rest = {(r, 0): ONE}
+    row = {}
+    for l in range(r, -1, -1):
         for w in (0, 1):
             vec = _m00_basis(l, w)
             pivot = (l, (l + w) % 2)
-            c = rest.get(pivot, ZERO)
+            c = rest.get(pivot)
             if c:
                 c = c / vec[pivot]
                 for coord, v in vec.items():
                     add_term(rest, coord, -(c * v))
-            sol[(l, w)] = c
+                row[(l, w)] = c
     if rest:
         raise AssertionError("m00 expansion is inconsistent")
-    return dict(sorted(sol.items()))
+    return row
+
+
+def _expand_in_m00(x: Element) -> Dict[Tuple[int, int], Scalar]:
+    """Exact coefficients of x (in the weight-(0,0) subalgebra) over the
+    basis {m^(l)_00 sigma^w}, keyed (l, w) in sorted order: every l up to
+    x's top zeta-degree, with ZERO where the coefficient vanishes.
+
+    The sum over x's zeta-coordinates zeta^r sigma^u of c times the
+    memoised row _coord_expansion(r, u), so each coordinate is solved once
+    per table lifetime, however many targets hold it.
+    """
+    target = _zeta_coordinates(x)
+    if project_00(x) != x:
+        raise ValueError("element is not in the weight-(0,0) subalgebra")
+    sol: Dict[Tuple[int, int], Scalar] = {}
+    for coord, c in target.items():
+        for key, v in _coord_expansion(*coord).items():
+            add_term(sol, key, c * v)
+    max_r = max((r for (r, _u) in target), default=0)
+    return {(l, w): sol.get((l, w), ZERO) for l in range(max_r + 1) for w in (0, 1)}
 
 
 def haar(x: Element) -> Scalar:
@@ -364,7 +392,10 @@ def haar(x: Element) -> Scalar:
 
 def haar_via_corep_expansion(x: Element) -> Scalar:
     """Independent route: expand the (0,0) part in the m^(l)_00 sigma^w basis
-    and read off the l = 0 coefficients."""
+    and read off the l = 0 coefficients.  The expansion sums the memoised
+    rows of its zeta-coordinates (_expand_in_m00), while haar uses the closed
+    form for h(zeta^n), so the two routes still meet on every sigma-even
+    coordinate."""
     coeffs = _expand_in_m00(project_00(x))
     return coeffs.get((0, 0), ZERO) + coeffs.get((0, 1), ZERO)
 

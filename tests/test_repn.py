@@ -14,7 +14,7 @@ from superq.repn import (
     sigma_component, vector_norm_sq, verify_integral, verify_peter_weyl,
     verify_weight_norms,
 )
-from superq.scalars import ONE, Scalar, T, T_INV, ZERO
+from superq.scalars import ONE, Scalar, T, T_INV, ZERO, add_term
 
 
 def gen(name):
@@ -303,3 +303,104 @@ def test_m00_basis_sigma_is_a_relabelling():
         via_product = repn._zeta_coordinates(closed_form(2 * l, 0, 0) * gen("sigma"))
         assert repn._m00_basis(l, 1) == via_product
         assert list(repn._m00_basis(l, 1)) == list(via_product)
+
+
+def _expand_by_back_substitution(x):
+    """The former _expand_in_m00: one back-substitution over the whole
+    target, from its top degree down."""
+    target = repn._zeta_coordinates(x)
+    max_r = max((r for (r, _w) in target), default=0)
+    rest = dict(target)
+    sol = {}
+    for l in range(max_r, -1, -1):
+        for w in (0, 1):
+            vec = repn._m00_basis(l, w)
+            pivot = (l, (l + w) % 2)
+            c = rest.get(pivot, ZERO)
+            if c:
+                c = c / vec[pivot]
+                for coord, v in vec.items():
+                    add_term(rest, coord, -(c * v))
+            sol[(l, w)] = c
+    assert not rest
+    return dict(sorted(sol.items()))
+
+
+def _scalar_items(s):
+    return [(mask, list(num.items()), list(den.items()))
+            for mask, (num, den) in s.parts.items()]
+
+
+def _random_m00_target(rng, with_sigma):
+    pool = [ONE, -ONE, T, T_INV, ONE + T * T, Scalar.from_rational(3) * T_INV]
+    sig = gen("sigma")
+    x = Element.zero()
+    for r in range(rng.randint(0, 6) + 1):
+        if rng.random() < 0.7:
+            x = x + zeta_power(r).scale(rng.choice(pool))
+        if with_sigma and rng.random() < 0.7:
+            x = x + (zeta_power(r) * sig).scale(rng.choice(pool))
+    return x
+
+
+@pytest.mark.parametrize("with_sigma", [False, True])
+def test_expand_in_m00_sums_memoised_rows(with_sigma):
+    rng = random.Random(90061 + with_sigma)
+    _cache.clear()
+    for _ in range(16):
+        x = _random_m00_target(rng, with_sigma)
+        got = repn._expand_in_m00(x)
+        expected = _expand_by_back_substitution(x)
+        assert got == expected
+        assert list(got) == list(expected)
+
+
+def test_unit_coordinate_rows_keep_the_old_arithmetic():
+    # a unit target, as in haar_zeta_sigma, gives the same dicts in the
+    # same key order, so the printed scalars are unchanged
+    _cache.clear()
+    for r in range(7):
+        for u in (0, 1):
+            x = zeta_power(r) * gen("sigma") ** u
+            assert repn._zeta_coordinates(x) == {(r, u): ONE}
+            got = repn._expand_in_m00(x)
+            expected = _expand_by_back_substitution(x)
+            assert list(got) == list(expected)
+            for key, c in expected.items():
+                assert _scalar_items(got[key]) == _scalar_items(c), (r, u, key)
+
+
+def test_corep_route_solves_each_coordinate_once(monkeypatch):
+    stored = []
+    real_store = _cache.store
+
+    def counting_store(table, key, value):
+        if table is repn._coord_cache:
+            stored.append(key)
+        real_store(table, key, value)
+
+    monkeypatch.setattr(_cache, "store", counting_store)
+    rng = random.Random(7)
+    targets = {}
+    while len(targets) < 30:
+        x = _random_m00_target(rng, True)
+        targets.setdefault(str(x), x)
+    assert max(r for x in targets.values() for r, _u in repn._zeta_coordinates(x)) == 6
+    _cache.clear()
+    for x in targets.values():
+        haar_via_corep_expansion(x)
+    assert sorted(k for k in stored if k[1] == 0) == [(r, 0) for r in range(7)]
+
+
+def test_closed_form_builds_one_jacobi_polynomial_per_m00(monkeypatch):
+    calls = []
+    real_little_jacobi = repn.little_jacobi
+
+    def counting_little_jacobi(*args):
+        calls.append(args[:3])
+        return real_little_jacobi(*args)
+
+    monkeypatch.setattr(repn, "little_jacobi", counting_little_jacobi)
+    for l in range(7):
+        closed_form(2 * l, 0, 0)
+    assert calls == [(l, 0, 0) for l in range(7)]

@@ -88,10 +88,19 @@ def test_sums_and_products_store_no_zero(pair):
     assert not _stored(x + _neg(x))
 
 
-# Tensor and PlaneElement results accumulated through add_term skip their
-# constructor's zero filter, so an add_term that kept a zero shows here.
+# Element, Tensor and PlaneElement results accumulated through add_term skip
+# their constructor's zero filter, so an add_term that kept a zero shows here.
 
 _UNIT = (0, 0, 0, 0, 0)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(_element, _element)
+def test_element_results_store_no_zero(x, y):
+    results = [x + y, x - y, x * y, y * x, -x]
+    for r in results:
+        assert all(_stored(r)), r
+    assert not _stored(x + (-x))
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
