@@ -20,7 +20,7 @@ from __future__ import annotations
 from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 from . import _cache
-from .scalars import MINUS_ONE, ONE, Scalar, T, T_INV, ZERO, add_term
+from .scalars import MINUS_ONE, ONE, Scalar, T, T_INV, ZERO, _Combination, _signed_join, add_term
 
 Monomial = Tuple[int, int, int, int, int]   # exponents of a, b, c, d, sigma
 
@@ -52,13 +52,14 @@ def _check_ring(ring: str):
         raise ValueError(f"unknown ring {ring!r}")
 
 
-class Element:
-    """Linear combination of normal-form monomials over Scalars; no stored
-    coefficient is zero.  The constructor checks the ring and drops zeros;
-    results that are zero-free by construction (add_term sums, negations)
-    skip both (_element)."""
+class Element(_Combination):
+    """Zero-free linear combination of normal-form monomials over Scalars.
+    The constructor checks the ring and drops zeros; the vector-space
+    operations are _Combination's."""
 
-    __slots__ = ("ring", "terms")
+    __slots__ = ("ring",)
+    _TAG = ("ring",)
+    _MISMATCH = RingMismatchError
 
     def __init__(self, ring: str, terms: Optional[Dict[Monomial, Scalar]] = None):
         _check_ring(ring)
@@ -100,57 +101,22 @@ class Element:
 
     # -- structure ----------------------------------------------------------
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        return (isinstance(other, Element) and self.ring == other.ring
-                and self.terms == other.terms)
-
     def __hash__(self):
         return hash((self.ring, tuple(sorted(self.terms))))
 
-    def __add__(self, other: "Element") -> "Element":
-        self._same_ring(other)
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            add_term(out, m, c)
-        return _element(self.ring, out)
-
-    def __sub__(self, other: "Element") -> "Element":
-        return self + (-other)
-
-    def __neg__(self) -> "Element":
-        return _element(self.ring, {m: -c for m, c in self.terms.items()})
-
-    def scale(self, c: Scalar) -> "Element":
-        if not c:
-            return Element(self.ring)
-        return Element(self.ring, {m: k * c for m, k in self.terms.items()})
-
     def __mul__(self, other):
-        if isinstance(other, Scalar):
-            return self.scale(other)
-        if isinstance(other, int):
-            return self.scale(Scalar.from_rational(other))
+        if isinstance(other, (Scalar, int)):
+            return self.__rmul__(other)     # scalars commute
         if not isinstance(other, Element):
             return NotImplemented
-        self._same_ring(other)
+        self._check(other)
         out: Dict[Monomial, Scalar] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 c12 = c1 * c2
                 for m, c in _mono_mul(m1, m2, self.ring):
                     add_term(out, m, c12 * c)
-        return _element(self.ring, out)
-
-    def __rmul__(self, other):
-        if isinstance(other, (Scalar, int)):
-            return self.__mul__(other)
-        return NotImplemented
+        return self._like(out)
 
     def __pow__(self, n: int) -> "Element":
         if n < 0:
@@ -159,10 +125,6 @@ class Element:
         for _ in range(n):
             out = out * self
         return out
-
-    def _same_ring(self, other: "Element"):
-        if self.ring != other.ring:
-            raise RingMismatchError(f"ring mismatch: {self.ring} vs {other.ring}")
 
     # -- rendering -----------------------------------------------------------
 
@@ -183,10 +145,7 @@ class Element:
             else:
                 piece = f"{cs}*{mono}" if _is_atomic(cs) else f"({cs})*{mono}"
             pieces.append(piece)
-        out = pieces[0]
-        for p in pieces[1:]:
-            out += " - " + p[1:] if p.startswith("-") else " + " + p
-        return out
+        return _signed_join(pieces)
 
     def __repr__(self):
         return f"Element[{self.ring}]<{self}>"
@@ -199,15 +158,6 @@ class Element:
                 for m in sorted(self.terms, key=lambda m: (mono_degree(m),) + m)
             ],
         }
-
-
-def _element(ring: str, terms: dict) -> Element:
-    """The Element of this ring with these terms, which must hold no zero
-    coefficient."""
-    x = object.__new__(Element)
-    x.ring = ring
-    x.terms = terms
-    return x
 
 
 def _is_atomic(s: str) -> bool:

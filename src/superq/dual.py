@@ -30,7 +30,7 @@ from . import _cache, linalg
 from .algebra import Element, Monomial, basis_monomials, mono_parity
 from .hopf import _delta_mono, antipode, counit
 from .report import Report
-from .scalars import MINUS_ONE, ONE, Scalar, T, T_INV, ZERO, add_term
+from .scalars import MINUS_ONE, ONE, Scalar, T, T_INV, ZERO, _Combination, add_term
 
 Word = Tuple[str, ...]
 
@@ -47,10 +47,11 @@ def word_parity(word: Word) -> int:
     return sum(_LETTER_PARITY[g] for g in word) % 2
 
 
-class Functional:
-    """Scalar-linear combination of words in k, K, e, f."""
+class Functional(_Combination):
+    """Zero-free Scalar-linear combination of words in k, K, e, f; the
+    vector-space operations are _Combination's."""
 
-    __slots__ = ("terms",)
+    __slots__ = ()
 
     def __init__(self, terms: Dict[Word, Scalar] | None = None):
         self.terms = {w: c for w, c in (terms or {}).items() if c}
@@ -66,32 +67,15 @@ class Functional:
     def counit() -> "Functional":
         return Functional({(): ONE})
 
-    def __add__(self, other):
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            add_term(out, w, c)
-        return Functional(out)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return Functional({w: -c for w, c in self.terms.items()})
-
     def __mul__(self, other):
         if isinstance(other, Scalar):
-            return Functional({w: c * other for w, c in self.terms.items()})
+            return self.scale(other)
+        self._check(other)
         out: Dict[Word, Scalar] = {}
         for w1, c1 in self.terms.items():
             for w2, c2 in other.terms.items():
-                w = w1 + w2
-                add_term(out, w, c1 * c2)
-        return Functional(out)
-
-    def __rmul__(self, other):
-        if isinstance(other, Scalar):
-            return self.__mul__(other)
-        return NotImplemented
+                add_term(out, w1 + w2, c1 * c2)
+        return self._like(out)
 
     def __call__(self, x: Element, e_sign: Optional[int] = None) -> Scalar:
         return eval_functional(self, x, e_sign)

@@ -23,7 +23,7 @@ from typing import Dict
 from . import _cache, algebra
 from .algebra import Element, Monomial, basis_monomials, mono_parity
 from .report import Report
-from .scalars import ONE, Scalar, T, T_INV, ZERO, add_term
+from .scalars import ONE, Scalar, T, T_INV, ZERO, _Combination, add_term
 from .tensor import AlgSlot, PlaneSlot, Tensor, _tensor
 
 
@@ -280,10 +280,13 @@ def _convolve(dx: Tensor, apply_left: bool) -> Element:
 # Quantum plane and coactions
 # ---------------------------------------------------------------------------
 
-class PlaneElement:
-    """Linear combination of plane monomials x^m y^n (xy = t yx, p(y) = 1)."""
+class PlaneElement(_Combination):
+    """Zero-free combination of plane monomials x^m y^n (xy = t yx,
+    p(y) = 1), with no y^2 term when nilpotent.  Negation, scaling and
+    equality are _Combination's; a sum keeps the left summand's flag."""
 
-    __slots__ = ("terms", "nilpotent")
+    __slots__ = ("nilpotent",)
+    _TAG = ("nilpotent",)
 
     def __init__(self, terms=None, nilpotent: bool = False):
         self.nilpotent = nilpotent
@@ -301,17 +304,13 @@ class PlaneElement:
     def one(nilpotent: bool = False) -> "PlaneElement":
         return PlaneElement.monomial(0, 0, nilpotent=nilpotent)
 
-    def __eq__(self, other):
-        return (isinstance(other, PlaneElement) and self.terms == other.terms
-                and self.nilpotent == other.nilpotent)
-
     def __add__(self, other):
         out = dict(self.terms)
         for m, c in other.terms.items():
             add_term(out, m, c)
         if self.nilpotent and not other.nilpotent:     # drop other's y^2 terms
             return PlaneElement(out, True)
-        return _plane(out, self.nilpotent)
+        return self._like(out)
 
     def __mul__(self, other):
         slot = PlaneSlot(self.nilpotent)
@@ -320,7 +319,7 @@ class PlaneElement:
             for m2, c2 in other.terms.items():
                 for m, c in slot.mul(m1, m2).items():
                     add_term(out, m, c1 * c2 * c)
-        return _plane(out, self.nilpotent)
+        return self._like(out)
 
     def __str__(self):
         if not self.terms:
@@ -333,15 +332,6 @@ class PlaneElement:
                 ("y" if my == 1 else f"y^{my}" if my else "")) if p) or "1"
             bits.append(mono if c == "1" else f"({c})*{mono}")
         return " + ".join(bits)
-
-
-def _plane(terms: dict, nilpotent: bool) -> PlaneElement:
-    """The PlaneElement with these terms, which must hold no zero
-    coefficient (and no y^2 when nilpotent)."""
-    x = object.__new__(PlaneElement)
-    x.terms = terms
-    x.nilpotent = nilpotent
-    return x
 
 
 # psi_L(x) = a ox x + b ox y;  psi_L(y) = c ox x + d ox y

@@ -12,7 +12,7 @@ from typing import Dict
 
 from . import _cache
 from .report import Report
-from .scalars import ONE, Scalar, T, T_INV, ZERO, add_term
+from .scalars import ONE, Scalar, T, T_INV, ZERO, _Combination, _signed_join, add_term
 
 TM2 = T_INV * T_INV     # t^-2, the standing base of the binomials and Jacobi polynomials
 
@@ -46,13 +46,14 @@ def gauss_binomial(m: int, n: int, v: Scalar) -> Scalar:
     return num / den
 
 
-class QPolynomial:
-    """Sparse polynomial in one commuting variable z over Scalars."""
+class QPolynomial(_Combination):
+    """Zero-free sparse polynomial {exponent: Scalar} in one commuting
+    variable z; the vector-space operations are _Combination's."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ()
 
-    def __init__(self, coeffs: Dict[int, Scalar] | None = None):
-        self.coeffs = {e: c for e, c in (coeffs or {}).items() if c}
+    def __init__(self, terms: Dict[int, Scalar] | None = None):
+        self.terms = {e: c for e, c in (terms or {}).items() if c}
 
     @staticmethod
     def constant(c: Scalar) -> "QPolynomial":
@@ -63,50 +64,30 @@ class QPolynomial:
         return QPolynomial({1: ONE})
 
     def degree(self) -> int:
-        return max(self.coeffs) if self.coeffs else -1
-
-    def __eq__(self, other):
-        return isinstance(other, QPolynomial) and self.coeffs == other.coeffs
-
-    def __add__(self, other: "QPolynomial") -> "QPolynomial":
-        out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            add_term(out, e, c)
-        return QPolynomial(out)
-
-    def __neg__(self):
-        return QPolynomial({e: -c for e, c in self.coeffs.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
+        return max(self.terms) if self.terms else -1
 
     def __mul__(self, other):
         if isinstance(other, Scalar):
-            return QPolynomial({e: c * other for e, c in self.coeffs.items()})
+            return self.scale(other)
+        self._check(other)
         out: Dict[int, Scalar] = {}
-        for e1, c1 in self.coeffs.items():
-            for e2, c2 in other.coeffs.items():
-                e = e1 + e2
-                add_term(out, e, c1 * c2)
-        return QPolynomial(out)
-
-    def __rmul__(self, other):
-        if isinstance(other, Scalar):
-            return self.__mul__(other)
-        return NotImplemented
+        for e1, c1 in self.terms.items():
+            for e2, c2 in other.terms.items():
+                add_term(out, e1 + e2, c1 * c2)
+        return self._like(out)
 
     def eval_scalar(self, z: Scalar) -> Scalar:
         out = ZERO
-        for e, c in self.coeffs.items():
+        for e, c in self.terms.items():
             out = out + c * z ** e
         return out
 
     def __str__(self):
-        if not self.coeffs:
+        if not self.terms:
             return "0"
         pieces = []
-        for e in sorted(self.coeffs):
-            c = str(self.coeffs[e])
+        for e in sorted(self.terms):
+            c = str(self.terms[e])
             zs = "1" if e == 0 else ("z" if e == 1 else f"z^{e}")
             if zs == "1":
                 pieces.append(f"({c})" if any(ch in c for ch in " +-") else c)
@@ -117,17 +98,14 @@ class QPolynomial:
             else:
                 cc = f"({c})" if any(ch in c for ch in " +-/") else c
                 pieces.append(f"{cc}*{zs}")
-        out = pieces[0]
-        for p in pieces[1:]:
-            out += " - " + p[1:] if p.startswith("-") else " + " + p
-        return out
+        return _signed_join(pieces)
 
     def __repr__(self):
         return f"QPolynomial<{self}>"
 
     def to_json(self):
-        return [{"power": e, "coeff": self.coeffs[e].to_json()}
-                for e in sorted(self.coeffs)]
+        return [{"power": e, "coeff": self.terms[e].to_json()}
+                for e in sorted(self.terms)]
 
 
 def pochhammer_poly(v: Scalar, m: int, scale: Scalar = ONE) -> QPolynomial:

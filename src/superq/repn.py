@@ -200,7 +200,7 @@ def verify_corep_matrix(mat: CorepMatrix) -> Report:
 
 def _qpoly_to_element(p: QPolynomial) -> Element:
     out = Element.zero("Asigma")
-    for r, c in p.coeffs.items():
+    for r, c in p.terms.items():
         out = out + zeta_power(r).scale(c)
     return out
 
@@ -481,7 +481,7 @@ def moments(r: int, s: int, variant: str) -> MomentResult:
     else:
         poly = pochhammer_poly(v, s, scale=v)
     oracle = ZERO
-    for k, c in poly.coeffs.items():
+    for k, c in poly.terms.items():
         oracle = oracle + c * haar_zeta(r + k)
     common = (pochhammer(v, v, r) * pochhammer(v, v, s) * pochhammer(v, v, 1)) \
         / pochhammer(v, v, r + s + 1)

@@ -47,6 +47,9 @@ exponent down when a factor of positive degree was cancelled (the order of
 a _pdivmod quotient), in _pmul/_padd order otherwise, and through
 _rf_canon's own monomial branches when the generic numerator is a single
 term.
+
+add_term and _Combination hold the zero-free sparse {key: Scalar} sums of
+Element, Tensor, Functional, QPolynomial and PlaneElement.
 """
 
 from __future__ import annotations
@@ -760,6 +763,77 @@ def add_term(acc: dict, key, c: Scalar) -> None:
         acc[key] = c
 
 
+class _Combination:
+    """A sparse {key: Scalar} sum that stores no zero coefficient: the
+    vector-space part of the classes that add their constructor, product
+    and printer.  _TAG names the fields two summands must share.  Subclass
+    constructors drop zeros from outside input; sums, negations and nonzero
+    multiples (the field has no zero divisors) are zero-free already and
+    skip that pass through _like."""
+
+    __slots__ = ("terms",)
+    _TAG: tuple = ()
+    _MISMATCH = ValueError
+
+    def _like(self, terms: dict):
+        """A value of self's class and tag holding terms, which must store
+        no zero coefficient."""
+        x = _new(type(self))
+        for f in self._TAG:
+            setattr(x, f, getattr(self, f))
+        x.terms = terms
+        return x
+
+    def _check(self, other) -> None:
+        if type(other) is not type(self):
+            raise TypeError(f"cannot combine {type(self).__name__} with {type(other).__name__}")
+        for f in self._TAG:
+            a, b = getattr(self, f), getattr(other, f)
+            if a != b:
+                raise self._MISMATCH(f"{f} mismatch: {a} vs {b}")
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def __eq__(self, other):
+        return (type(other) is type(self) and self.terms == other.terms
+                and all(getattr(self, f) == getattr(other, f) for f in self._TAG))
+
+    def __add__(self, other):
+        self._check(other)
+        out = dict(self.terms)
+        for k, c in other.terms.items():
+            add_term(out, k, c)
+        return self._like(out)
+
+    def __neg__(self):
+        return self._like({k: -c for k, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def scale(self, c: Scalar):
+        if not c:
+            return self._like({})
+        return self._like({k: v * c for k, v in self.terms.items()})
+
+    def __rmul__(self, c):
+        if isinstance(c, int):
+            c = Scalar.from_rational(c)
+        return self.scale(c) if isinstance(c, Scalar) else NotImplemented
+
+
+def _signed_join(pieces) -> str:
+    """Printed terms joined by + and -; a leading minus becomes the operator."""
+    out = pieces[0]
+    for p in pieces[1:]:
+        out += " - " + p[1:] if p.startswith("-") else " + " + p
+    return out
+
+
 ONE = Scalar.from_rational(1)
 _ONE_PARTS = ONE.parts
 MINUS_ONE = Scalar.from_rational(-1)
@@ -950,10 +1024,7 @@ def _poly_str(p) -> str:
             else:
                 piece = f"{cs}*{tpow}"
         pieces.append(piece)
-    out = pieces[0]
-    for piece in pieces[1:]:
-        out += " - " + piece[1:] if piece.startswith("-") else " + " + piece
-    return out
+    return _signed_join(pieces)
 
 
 def _parenthesize(s: str) -> str:

@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import Callable, Dict, Tuple
 
 from . import algebra
-from .scalars import ONE, Scalar, T_INV, add_term
+from .scalars import ONE, Scalar, T_INV, _Combination, _signed_join, add_term
 
 
 class AlgSlot:
@@ -72,12 +72,13 @@ class PlaneSlot:
         return f"PlaneSlot(nilpotent={self.nilpotent})"
 
 
-class Tensor:
-    """Sparse {tuple of slot monomials: Scalar} sum; no stored coefficient
-    is zero.  The constructor drops zeros; results that are zero-free by
-    construction (add_term sums, negations) skip that pass (_tensor)."""
+class Tensor(_Combination):
+    """Zero-free sparse {tuple of slot monomials: Scalar} sum.  The vector-
+    space operations are _Combination's; zero-free results on new slots
+    skip the constructor's filter through _tensor."""
 
-    __slots__ = ("slots", "terms")
+    __slots__ = ("slots",)
+    _TAG = ("slots",)
 
     def __init__(self, slots: Tuple, terms: Dict[Tuple, Scalar] | None = None):
         self.slots = tuple(slots)
@@ -103,38 +104,10 @@ class Tensor:
     def unit(slots) -> "Tensor":
         return Tensor(slots, {tuple(s.unit() for s in slots): ONE})
 
-    # -- basics --------------------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        return (isinstance(other, Tensor) and self.slots == other.slots
-                and self.terms == other.terms)
-
-    def __add__(self, other: "Tensor") -> "Tensor":
-        assert self.slots == other.slots
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            add_term(out, k, v)
-        return _tensor(self.slots, out)
-
-    def __neg__(self):
-        return _tensor(self.slots, {k: -v for k, v in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c: Scalar) -> "Tensor":
-        if not c:
-            return Tensor(self.slots)
-        return Tensor(self.slots, {k: v * c for k, v in self.terms.items()})
+    # -- product -------------------------------------------------------------
 
     def __mul__(self, other: "Tensor") -> "Tensor":
-        assert self.slots == other.slots
+        self._check(other)
         n = len(self.slots)
         out: Dict[Tuple, Scalar] = {}
         for xs, cx in self.terms.items():
@@ -163,7 +136,7 @@ class Tensor:
                         break
                 for key, cc in partial.items():
                     add_term(out, key, cc)
-        return _tensor(self.slots, out)
+        return self._like(out)
 
     def __pow__(self, m: int) -> "Tensor":
         out = Tensor.unit(self.slots)
@@ -254,10 +227,7 @@ class Tensor:
             else:
                 cc = f"({c})" if any(ch in c for ch in " +-/") else c
                 pieces.append(f"{cc}*{body}")
-        out = pieces[0]
-        for p in pieces[1:]:
-            out += " - " + p[1:] if p.startswith("-") else " + " + p
-        return out
+        return _signed_join(pieces)
 
     def __repr__(self):
         return f"Tensor<{self}>"

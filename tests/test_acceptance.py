@@ -125,10 +125,10 @@ def test_criterion_08_power_formulas():
         dn = qfun.pochhammer_poly(v, m, scale=v)
         sig = s ** (m % 2)
         ok = ok and lhs == sum(
-            (zeta_power(r).scale(cf) for r, cf in up.coeffs.items()),
+            (zeta_power(r).scale(cf) for r, cf in up.terms.items()),
             Element.zero()) * sig
         ok = ok and lhs2 == sum(
-            (zeta_power(r).scale(cf) for r, cf in dn.coeffs.items()),
+            (zeta_power(r).scale(cf) for r, cf in dn.terms.items()),
             Element.zero()) * sig
     proj = repn.projection_formula_check(5)
     _verdict(8, "power formulas", ok and proj.ok,

@@ -262,11 +262,11 @@ def test_pochhammer_power_identity():
         dn = pochhammer_poly(v_dn, n, scale=v_dn)
         sig = s ** (n % 2)
         lhs_up = Element.zero()
-        for r, cf in up.coeffs.items():
+        for r, cf in up.terms.items():
             lhs_up = lhs_up + zeta_power(r) * cf
         assert a ** n * d ** n == lhs_up * sig
         lhs_dn = Element.zero()
-        for r, cf in dn.coeffs.items():
+        for r, cf in dn.terms.items():
             lhs_dn = lhs_dn + zeta_power(r) * cf
         assert d ** n * a ** n == lhs_dn * sig
 

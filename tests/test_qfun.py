@@ -148,7 +148,7 @@ def _layout(p):
     fixes the float summation order of --numeric output."""
     return [(e, [(mask, list(num.items()), list(den.items()))
                  for mask, (num, den) in c.parts.items()])
-            for e, c in p.coeffs.items()]
+            for e, c in p.terms.items()]
 
 
 @pytest.mark.parametrize("n", range(11))

@@ -1,11 +1,13 @@
 """The zero-free invariant of the sparse Scalar sums.
 
-Element, Tensor, Functional, QPolynomial and PlaneElement compare their term
-dicts with ==, so no stored coefficient may be zero.  Their sums and
-products, and the linalg rows, accumulate through add_term, which deletes a
-key whose sum cancels.
+Element, Tensor, Functional, QPolynomial and PlaneElement share the base
+scalars._Combination, whose == compares term dicts, so no stored coefficient
+may be zero.  Their sums and products, and the linalg rows, accumulate
+through add_term, which deletes a key whose sum cancels; the results skip
+the constructors' zero filter, so an add_term that kept a zero shows here.
 """
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from superq.algebra import Element
@@ -13,7 +15,7 @@ from superq.dual import Functional
 from superq.hopf import PlaneElement
 from superq.qfun import QPolynomial
 from superq.scalars import ONE, T, T_INV, ZERO, Scalar, add_term
-from superq.tensor import AlgSlot, Tensor
+from superq.tensor import AlgSlot, PlaneSlot, Tensor
 
 
 def test_add_term_cancellation_update_and_append():
@@ -62,14 +64,8 @@ _plane = st.tuples(_terms([(0, 0), (1, 0), (0, 1), (1, 1), (0, 2)]), st.booleans
     lambda dn: PlaneElement(*dn))
 
 
-def _neg(x):
-    if isinstance(x, PlaneElement):   # the plane has no negation of its own
-        return PlaneElement({m: -c for m, c in x.terms.items()}, x.nilpotent)
-    return -x
-
-
 def _stored(x):
-    return list((x.coeffs if isinstance(x, QPolynomial) else x.terms).values())
+    return list(x.terms.values())
 
 
 _pairs = st.one_of(*(st.tuples(s, s) for s in (_element, _tensor, _functional, _qpoly)),
@@ -80,23 +76,21 @@ _pairs = st.one_of(*(st.tuples(s, s) for s in (_element, _tensor, _functional, _
 @given(_pairs)
 def test_sums_and_products_store_no_zero(pair):
     x, y = pair
-    results = [x + y, x + _neg(y), x * y, y * x]
-    if not isinstance(x, PlaneElement):
-        results.append(x - y)
+    results = [x + y, x - y, x * y, y * x]
     for r in results:
         assert all(_stored(r)), r
-    assert not _stored(x + _neg(x))
+    assert not _stored(x + (-x))
 
-
-# Element, Tensor and PlaneElement results accumulated through add_term skip
-# their constructor's zero filter, so an add_term that kept a zero shows here.
 
 _UNIT = (0, 0, 0, 0, 0)
 
 
+@pytest.mark.parametrize("values", [_element, _functional, _qpoly],
+                         ids=["Element", "Functional", "QPolynomial"])
 @settings(derandomize=True, max_examples=200, deadline=None)
-@given(_element, _element)
-def test_element_results_store_no_zero(x, y):
+@given(data=st.data())
+def test_results_store_no_zero(values, data):
+    x, y = data.draw(values), data.draw(values)
     results = [x + y, x - y, x * y, y * x, -x]
     for r in results:
         assert all(_stored(r)), r
@@ -118,8 +112,27 @@ def test_tensor_results_store_no_zero(x, y):
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(_plane, _plane)
 def test_plane_results_store_no_zero(x, y):
-    results = [x + y, x + _neg(y), x * y, y * x]   # either may be nilpotent
+    results = [x + y, x - y, x * y, y * x]   # either may be nilpotent
     for r in results:
         assert all(_stored(r)), r
         assert not r.nilpotent or all(my < 2 for _, my in r.terms), r
-    assert not _stored(x + _neg(x))
+    assert not _stored(x + (-x))
+
+
+def test_mismatched_summands_raise():
+    one = Tensor((AlgSlot("Asigma"),), {(_UNIT,): ONE})
+    with pytest.raises(ValueError, match="slots mismatch"):
+        one + Tensor((PlaneSlot(),), {((0, 0),): ONE})
+    a = (1, 0, 0, 0, 0)
+    with pytest.raises(ValueError, match="slots mismatch"):
+        Tensor((AlgSlot("Asigma"),), {(a,): ONE}) * Tensor((AlgSlot("B"),), {(_UNIT,): ONE})
+    with pytest.raises(TypeError):
+        Functional.counit() + QPolynomial.constant(ONE)
+
+
+def test_functional_equality_compares_terms():
+    assert Functional.word("k") == Functional.word("k")
+    assert Functional.word("k") != Functional.word("K")
+    ef, fe = Functional.word("e", "f"), Functional.word("f", "e")
+    assert ef + fe == fe + ef
+    assert ef - ef == Functional()
