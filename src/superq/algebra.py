@@ -13,6 +13,19 @@ Normal form: monomials a^i b^j c^k d^l sigma^s, ordered a < b < c < d < sigma,
 with i = 0 or l = 0 in A(sigma).  Elements are finite Scalar-linear
 combinations of normal monomials; equality of elements is equality of
 these canonical expansions.
+
+Products reduce to _mono_mul, the product of two normal monomials, in
+closed form.  Every swap it needs is a sign and a t-power, except d past a:
+d^l a^I = sum_r C_r a^(I-r) b^r c^r d^(l-r) (r <= l, I), with C_r from
+da = ad - (t^-1 - t) bc, memoised by (l, I).  As sigma commutes with a and
+d, in B(sigma) a^i b^j c^k d^l s^u * a^I b^J c^K d^L s^U is one term per r,
+
+    C_r (-1)^eps t^p a^(i+I-r) b^(j+J+r) c^(k+K+r) d^(l+L-r) s^(u+U mod 2),
+    eps = k r + J (k + r) + (l - r)(J + K) + (J + K) u,
+    p = -(j + k)(I - r) - (l - r)(J + K),
+
+as a^(I-r) passes b^j c^k, b^r passes c^k, and b^J c^K pass sigma^u,
+d^(l-r) and (b^J only) c^(k+r).  A(sigma) then applies ad = sigma - t bc.
 """
 
 from __future__ import annotations
@@ -20,7 +33,7 @@ from __future__ import annotations
 from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 from . import _cache
-from .scalars import MINUS_ONE, ONE, Scalar, T, T_INV, ZERO, _Combination, _signed_join, add_term
+from .scalars import ONE, Scalar, T, T_INV, ZERO, _Combination, _signed_join, add_term, signed_t_power
 
 Monomial = Tuple[int, int, int, int, int]   # exponents of a, b, c, d, sigma
 
@@ -58,7 +71,7 @@ class Element(_Combination):
     operations are _Combination's."""
 
     __slots__ = ("ring",)
-    _TAG = ("ring",)
+    _TAG = "ring"
     _MISMATCH = RingMismatchError
 
     def __init__(self, ring: str, terms: Optional[Dict[Monomial, Scalar]] = None):
@@ -166,15 +179,8 @@ def _is_atomic(s: str) -> bool:
 
 
 def _mono_str(m: Monomial) -> str:
-    if not any(m):
-        return "1"
-    parts = []
-    for name, e in zip(_GENS, m):
-        if not e:
-            continue
-        sym = "s" if name == "sigma" else name
-        parts.append(sym if e == 1 else f"{sym}^{e}")
-    return "*".join(parts)
+    parts = [sym if e == 1 else f"{sym}^{e}" for sym, e in zip("abcds", m) if e]
+    return "*".join(parts) or "1"
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +188,7 @@ def _mono_str(m: Monomial) -> str:
 # ---------------------------------------------------------------------------
 
 _geom_cache: Dict[tuple, Scalar] = {}
-_neg_tinv_pow_cache: Dict[tuple, Scalar] = {}
+_dla_cache: Dict[tuple, list] = {}
 _mul_cache: Dict[tuple, list] = {}
 _reduce_cache: Dict[tuple, list] = {}
 
@@ -190,42 +196,38 @@ _reduce_cache: Dict[tuple, list] = {}
 @_cache.memo(_geom_cache)
 def _geom_t2inv(l: int) -> Scalar:
     # 1 + t^-2 + ... + t^-2(l-1)
-    out = ZERO
-    for r in range(l):
-        out = out + Scalar.t_power(-2 * r)
-    return out
+    return sum((Scalar.t_power(-2 * r) for r in range(l)), ZERO)
 
 
-@_cache.memo(_neg_tinv_pow_cache)
-def _neg_tinv_pow(l: int) -> Scalar:
-    return (MINUS_ONE * T_INV) ** l
-
-
-def _times_gen(m: Monomial, g: str):
-    """Right-multiply a B(sigma)-normal monomial by one generator."""
+def _times_gen(m: Monomial):
+    """Right-multiply a B(sigma)-normal monomial by the generator a."""
     i, j, k, l, s = m
-    if g == "a":
-        lead = ((i + 1, j, k, l, s), Scalar.t_power(-(j + k)))
-        if l == 0:
-            return [lead]
-        # d^l a = a d^l - (t^-1 - t) (1 + ... + t^-2(l-1)) bc d^(l-1)
-        coeff = (T_INV - T) * _geom_t2inv(l)
-        if k % 2:
-            coeff = -coeff
-        return [lead, ((i, j + 1, k + 1, l - 1, s), -coeff)]
-    if g == "b":
-        # b moves left past sigma^s, d^l and c^k: (-1)^s (-t^-1)^l (-1)^k
-        coeff = _neg_tinv_pow(l)
-        return [((i, j + 1, k, l, s), -coeff if (s + k) % 2 else coeff)]
-    if g == "c":
-        # c moves left past sigma^s and d^l: (-1)^s (-t^-1)^l
-        coeff = _neg_tinv_pow(l)
-        return [((i, j, k + 1, l, s), -coeff if s else coeff)]
-    if g == "d":
-        return [((i, j, k, l + 1, s), ONE)]
-    if g == "sigma":
-        return [((i, j, k, l, 1 - s), ONE)]
-    raise ValueError(f"unknown generator {g!r}")
+    lead = ((i + 1, j, k, l, s), Scalar.t_power(-(j + k)))
+    if l == 0:
+        return [lead]
+    # d^l a = a d^l - (t^-1 - t) (1 + ... + t^-2(l-1)) bc d^(l-1)
+    coeff = (T_INV - T) * _geom_t2inv(l)
+    if k % 2:
+        coeff = -coeff
+    return [lead, ((i, j + 1, k + 1, l - 1, s), -coeff)]
+
+
+@_cache.memo(_dla_cache)
+def _d_power_a_power(l: int, I: int):
+    """d^l a^I = sum_r C_r a^(I-r) b^r c^r d^(l-r), as the list of (r, C_r)."""
+    terms = {(0, 0, 0, l, 0): ONE}
+    for _ in range(I):
+        nxt: Dict[Monomial, Scalar] = {}
+        for m, c in terms.items():
+            for mm, cc in _times_gen(m):
+                add_term(nxt, mm, c * cc)
+        terms = nxt
+    return [(m[1], c) for m, c in terms.items()]
+
+
+def _sigma_exchange(u: int, J: int, K: int) -> int:
+    """Sign exponent of b^J c^K passing sigma^u: sigma b = -b sigma, sigma c = -c sigma."""
+    return (J + K) * u
 
 
 def _reduce_ad(m: Monomial):
@@ -246,9 +248,7 @@ def _reduce_ad_both(m: Monomial):
     out: Dict[Monomial, Scalar] = {}
     for mm, cc in _reduce_ad((i - 1, j, k, l - 1, 1 - s)):
         add_term(out, mm, cc * tf)
-    c2 = tf * T
-    if k % 2 == 0:
-        c2 = -c2
+    c2 = signed_t_power(k + 1, j + k + 1)
     for mm, cc in _reduce_ad((i - 1, j + 1, k + 1, l - 1, s)):
         add_term(out, mm, cc * c2)
     return list(out.items())
@@ -256,23 +256,28 @@ def _reduce_ad_both(m: Monomial):
 
 @_cache.memo(_mul_cache)
 def _mono_mul(m1: Monomial, m2: Monomial, ring: str):
-    """Product of two normal monomials as a list of (monomial, Scalar)."""
-    terms = {m1: ONE}
-    i, j, k, l, s = m2
-    for g, e in (("a", i), ("b", j), ("c", k), ("d", l), ("sigma", s)):
-        for _ in range(e):
-            nxt: Dict[Monomial, Scalar] = {}
-            for m, c in terms.items():
-                for mm, cc in _times_gen(m, g):
-                    add_term(nxt, mm, c * cc)
-            terms = nxt
+    """Product of two normal monomials as a list of (monomial, Scalar).
+
+    In B(sigma), the term C_r (-1)^eps t^p of each r, with eps and p of the
+    module docstring: only d^l a^I is more than a sign and a t-power, so
+    only its C_r need a table.  A(sigma) then reduces each term's ad.
+    """
+    i, j, k, l, u = m1
+    I, J, K, L, U = m2
+    eps0 = _sigma_exchange(u, J, K)
+    terms = []
+    for r, c in _d_power_a_power(l, I) if l and I else ((0, ONE),):
+        eps = eps0 + k * r + J * (k + r) + (l - r) * (J + K)
+        p = -(j + k) * (I - r) - (l - r) * (J + K)
+        terms.append(((i + I - r, j + J + r, k + K + r, l + L - r, (u + U) % 2),
+                      c * signed_t_power(eps, p)))
     if ring == "Asigma":
         red: Dict[Monomial, Scalar] = {}
-        for m, c in terms.items():
+        for m, c in terms:
             for mm, cc in _reduce_ad(m):
                 add_term(red, mm, c * cc)
-        terms = red
-    return list(terms.items())
+        return list(red.items())
+    return terms
 
 
 # ---------------------------------------------------------------------------
@@ -294,24 +299,21 @@ def multiply(x: Element, y: Element) -> Element:
     return x * y
 
 
+def _common(values: set, empty):
+    """The one value in values, empty when there is none, else MIXED."""
+    if len(values) > 1:
+        return MIXED
+    return values.pop() if values else empty
+
+
 def parity(x: Element):
     """0 or 1 for homogeneous elements, MIXED otherwise."""
-    ps = {mono_parity(m) for m in x.terms}
-    if not ps:
-        return 0
-    if len(ps) > 1:
-        return MIXED
-    return ps.pop()
+    return _common({mono_parity(m) for m in x.terms}, 0)
 
 
 def bigrade(x: Element):
     """Common (m, n) bidegree of all terms, or MIXED."""
-    gs = {mono_bigrade(m) for m in x.terms}
-    if not gs:
-        return (0, 0)
-    if len(gs) > 1:
-        return MIXED
-    return gs.pop()
+    return _common({mono_bigrade(m) for m in x.terms}, (0, 0))
 
 
 def e_basis(m: int, n: int, ring: str = "Asigma") -> Element:
@@ -342,10 +344,7 @@ def zeta(ring: str = "Asigma") -> Element:
 
 def zeta_power(n: int, ring: str = "Asigma") -> Element:
     """zeta^n = (-1)^(n(n-1)/2) t^n b^n c^n sigma^(n mod 2) in closed form."""
-    coeff = Scalar.t_power(n)
-    if (n * (n - 1) // 2) % 2:
-        coeff = -coeff
-    return Element.monomial((0, n, n, 0, n % 2), ring, coeff)
+    return Element.monomial((0, n, n, 0, n % 2), ring, signed_t_power(n * (n - 1) // 2, n))
 
 
 def basis_monomials(max_degree: int, ring: str = "Asigma",

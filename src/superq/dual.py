@@ -30,7 +30,7 @@ from . import _cache, linalg
 from .algebra import Element, Monomial, basis_monomials, mono_parity
 from .hopf import _delta_mono, antipode, counit
 from .report import Report
-from .scalars import MINUS_ONE, ONE, Scalar, T, T_INV, ZERO, _Combination, add_term
+from .scalars import ONE, Scalar, T, T_INV, ZERO, _Combination, add_term, signed_t_power
 
 Word = Tuple[str, ...]
 
@@ -106,13 +106,9 @@ def _letter_value(g: str, m: Monomial, es: int) -> Scalar:
     if g in ("k", "K"):
         if j or k:
             return ZERO
+        # k(a) = t, k(d) = -t^-1, k(sigma) = -1, and K = k^-1
         pm = 1 if g == "k" else -1
-        out = Scalar.t_power(pm * i)
-        if l:
-            out = out * (MINUS_ONE * Scalar.t_power(-pm)) ** l
-        if s:
-            out = -out
-        return out
+        return signed_t_power(l + s, pm * (i - l))
     if g == "e":
         # nonzero only on a^i b d^l sigma^s (derivation property), value t^i e(b)
         if j == 1 and k == 0:
@@ -122,10 +118,7 @@ def _letter_value(g: str, m: Monomial, es: int) -> Scalar:
     if g == "f":
         # nonzero only on a^i c d^l sigma^s, value f(c) k^-1(d)^l k^-1(sigma)^s
         if j == 0 and k == 1:
-            out = (MINUS_ONE * T) ** l if l else ONE
-            if s:
-                out = -out
-            return out
+            return signed_t_power(l + s, l)
         return ZERO
     raise ValueError(f"unknown letter {g!r}")
 

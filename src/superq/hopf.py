@@ -286,7 +286,7 @@ class PlaneElement(_Combination):
     equality are _Combination's; a sum keeps the left summand's flag."""
 
     __slots__ = ("nilpotent",)
-    _TAG = ("nilpotent",)
+    _TAG = "nilpotent"
 
     def __init__(self, terms=None, nilpotent: bool = False):
         self.nilpotent = nilpotent

@@ -170,6 +170,7 @@ def _gr(a: int, b: int, d: int) -> GaussRat:
 
 G_ZERO = GaussRat(0)
 G_ONE = GaussRat(1)
+G_MINUS_ONE = GaussRat(-1)
 G_I = GaussRat(0, 1)
 
 
@@ -519,15 +520,12 @@ class Scalar:
 
     @staticmethod
     def t_power(n: int) -> "Scalar":
-        if n >= 0:
-            return Scalar({0: ({n: G_ONE}, dict(P_ONE))})
-        return Scalar({0: ({0: G_ONE}, {-n: G_ONE})})
+        return signed_t_power(0, n)
 
     @staticmethod
     def q_power(n: int) -> "Scalar":
         """q = -t^2, so q^n = (-1)^n t^(2n)."""
-        s = Scalar.t_power(2 * n)
-        return -s if n % 2 else s
+        return signed_t_power(n, 2 * n)
 
     # -- basic queries -----------------------------------------------------
 
@@ -740,6 +738,14 @@ def _scalar(parts: dict) -> Scalar:
     return x
 
 
+def signed_t_power(eps: int, p: int) -> Scalar:
+    """(-1)^eps * t^p, built in canonical form with no arithmetic."""
+    c = G_MINUS_ONE if eps % 2 else G_ONE
+    if p >= 0:
+        return _scalar({0: ({p: c}, dict(P_ONE))})
+    return _scalar({0: ({0: c}, {-p: G_ONE})})
+
+
 # ---------------------------------------------------------------------------
 # Named constants
 # ---------------------------------------------------------------------------
@@ -766,20 +772,21 @@ def add_term(acc: dict, key, c: Scalar) -> None:
 class _Combination:
     """A sparse {key: Scalar} sum that stores no zero coefficient: the
     vector-space part of the classes that add their constructor, product
-    and printer.  _TAG names the fields two summands must share.  Subclass
-    constructors drop zeros from outside input; sums, negations and nonzero
-    multiples (the field has no zero divisors) are zero-free already and
-    skip that pass through _like."""
+    and printer.  _TAG names the one field two summands must share, or is
+    None.  Subclass constructors drop zeros from outside input; sums,
+    negations and nonzero multiples (the field has no zero divisors) are
+    zero-free already and skip that pass through _like."""
 
     __slots__ = ("terms",)
-    _TAG: tuple = ()
+    _TAG: Optional[str] = None
     _MISMATCH = ValueError
 
     def _like(self, terms: dict):
         """A value of self's class and tag holding terms, which must store
         no zero coefficient."""
         x = _new(type(self))
-        for f in self._TAG:
+        f = self._TAG
+        if f:
             setattr(x, f, getattr(self, f))
         x.terms = terms
         return x
@@ -787,7 +794,8 @@ class _Combination:
     def _check(self, other) -> None:
         if type(other) is not type(self):
             raise TypeError(f"cannot combine {type(self).__name__} with {type(other).__name__}")
-        for f in self._TAG:
+        f = self._TAG
+        if f:
             a, b = getattr(self, f), getattr(other, f)
             if a != b:
                 raise self._MISMATCH(f"{f} mismatch: {a} vs {b}")
@@ -799,8 +807,9 @@ class _Combination:
         return bool(self.terms)
 
     def __eq__(self, other):
+        f = self._TAG
         return (type(other) is type(self) and self.terms == other.terms
-                and all(getattr(self, f) == getattr(other, f) for f in self._TAG))
+                and (not f or getattr(self, f) == getattr(other, f)))
 
     def __add__(self, other):
         self._check(other)

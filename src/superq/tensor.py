@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import Callable, Dict, Tuple
 
 from . import algebra
-from .scalars import ONE, Scalar, T_INV, _Combination, _signed_join, add_term
+from .scalars import ONE, Scalar, _Combination, _signed_join, add_term, signed_t_power
 
 
 class AlgSlot:
@@ -59,7 +59,7 @@ class PlaneSlot:
         if self.nilpotent and my1 + my2 >= 2:
             return {}
         # y^n1 x^m2 = t^(-n1*m2) x^m2 y^n1
-        coeff = ONE if my1 * mx2 == 0 else (T_INV ** (my1 * mx2))
+        coeff = ONE if my1 * mx2 == 0 else signed_t_power(0, -my1 * mx2)
         return {(mx1 + mx2, my1 + my2): coeff}
 
     def unit(self):
@@ -78,7 +78,7 @@ class Tensor(_Combination):
     skip the constructor's filter through _tensor."""
 
     __slots__ = ("slots",)
-    _TAG = ("slots",)
+    _TAG = "slots"
 
     def __init__(self, slots: Tuple, terms: Dict[Tuple, Scalar] | None = None):
         self.slots = tuple(slots)

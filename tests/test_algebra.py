@@ -3,12 +3,13 @@ import time
 
 import pytest
 
+from superq import _cache, algebra
 from superq.algebra import (
     MIXED, Element, RingMismatchError, basis_monomials, bigrade, e_basis,
     mono_bigrade, multiply, normal_form, parity, project_00, random_monomial,
     zeta, zeta_power,
 )
-from superq.scalars import ONE, Scalar, T, T_INV
+from superq.scalars import MINUS_ONE, ONE, Scalar, T, T_INV, add_term
 
 
 def gen(name, ring="Asigma"):
@@ -285,3 +286,92 @@ def test_element_str():
     # d*a = a*d - (t^-1 - t) b*c; in A(sigma) a*d collapses further
     assert "s" in str(x) or "b*c" in str(x)
     assert str(Element.zero()) == "0"
+
+
+# ---------------------------------------------------------------------------
+# The closed-form monomial product against the generator-step kernel
+# ---------------------------------------------------------------------------
+
+def _step_times_gen(m, g):
+    """Right-multiply a B(sigma)-normal monomial by one generator."""
+    i, j, k, l, s = m
+    if g == "a":
+        lead = ((i + 1, j, k, l, s), Scalar.t_power(-(j + k)))
+        if l == 0:
+            return [lead]
+        coeff = (T_INV - T) * algebra._geom_t2inv(l)
+        if k % 2:
+            coeff = -coeff
+        return [lead, ((i, j + 1, k + 1, l - 1, s), -coeff)]
+    if g == "b":
+        # b moves left past sigma^s, d^l and c^k: (-1)^s (-t^-1)^l (-1)^k
+        coeff = (MINUS_ONE * T_INV) ** l
+        return [((i, j + 1, k, l, s), -coeff if (s + k) % 2 else coeff)]
+    if g == "c":
+        # c moves left past sigma^s and d^l: (-1)^s (-t^-1)^l
+        coeff = (MINUS_ONE * T_INV) ** l
+        return [((i, j, k + 1, l, s), -coeff if s else coeff)]
+    if g == "d":
+        return [((i, j, k, l + 1, s), ONE)]
+    return [((i, j, k, l, 1 - s), ONE)]     # sigma
+
+
+def _step_mono_mul(m1, m2, ring):
+    """The former _mono_mul: m2's generators applied to m1 one at a time,
+    kept as the oracle of the closed form."""
+    terms = {m1: ONE}
+    for g, e in zip(("a", "b", "c", "d", "sigma"), m2):
+        for _ in range(e):
+            nxt = {}
+            for m, c in terms.items():
+                for mm, cc in _step_times_gen(m, g):
+                    add_term(nxt, mm, c * cc)
+            terms = nxt
+    if ring == "Asigma":
+        red = {}
+        for m, c in terms.items():
+            for mm, cc in algebra._reduce_ad(m):
+                add_term(red, mm, c * cc)
+        terms = red
+    return list(terms.items())
+
+
+def _layout(product):
+    """A product's terms in order, each coefficient as its masks and the
+    key order of every numerator and denominator."""
+    return [(m, [(mask, list(num.items()), list(den.items()))
+                 for mask, (num, den) in c.parts.items()])
+            for m, c in product]
+
+
+@pytest.mark.parametrize("ring", ["B", "Bsigma", "Asigma"])
+def test_mono_mul_matches_generator_steps(ring):
+    basis = list(basis_monomials(4, ring))
+    pairs = [(m1, m2) for m1 in basis for m2 in basis]
+    rng = random.Random(11)
+    pairs += [(random_monomial(rng, 10, ring), random_monomial(rng, 10, ring))
+              for _ in range(2000)]
+    for m1, m2 in pairs:
+        assert _layout(algebra._mono_mul(m1, m2, ring)) == \
+            _layout(_step_mono_mul(m1, m2, ring)), (m1, m2)
+
+
+def test_mono_mul_times_gen_count(monkeypatch):
+    # Only d^l a^I is rewritten step by step, once per (l, I): the products
+    # of all degree <= 2 basis pairs in the three rings make 8 steps, 1 for
+    # each of d a and d^2 a and 1 + 2 for each of d a^2 and d^2 a^2.
+    calls = []
+    real = algebra._times_gen
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    _cache.clear()
+    monkeypatch.setattr(algebra, "_times_gen", counting)
+    for ring in ("B", "Bsigma", "Asigma"):
+        basis = list(basis_monomials(2, ring))
+        for m1 in basis:
+            for m2 in basis:
+                algebra._mono_mul(m1, m2, ring)
+    assert len(calls) == 8

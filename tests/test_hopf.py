@@ -128,21 +128,20 @@ def test_verify_hopf_degree_three():
 def test_verify_hopf_negative_control(monkeypatch):
     # Breaking sigma b = -b sigma and sigma c = -c sigma to +b sigma and
     # +c sigma must make the axioms fail.
-    real_times_gen = algebra._times_gen
-
-    def commuting_sigma(m, g):
-        out = real_times_gen(m, g)
-        if g in ("b", "c") and m[4] == 1:
-            return [(mm, -c) for mm, c in out]
-        return out
-
     x = gen("b") * gen("sigma") + gen("sigma") * gen("c") + gen("d")
     before = (coproduct(x), antipode(x))
     assert verify_hopf(1).ok        # fills the memo tables the check reads
     _cache.clear()
     try:
         with monkeypatch.context() as patch:
-            patch.setattr(algebra, "_times_gen", commuting_sigma)
+            patch.setattr(algebra, "_sigma_exchange", lambda u, J, K: 0)
+            # The break flips the two sigma relations and no other.
+            s = gen("sigma", "Bsigma")
+            for g in ("a", "b", "c", "d"):
+                y = gen(g, "Bsigma")
+                assert s * y == y * s, g
+            b, c, d = gen("b", "Bsigma"), gen("c", "Bsigma"), gen("d", "Bsigma")
+            assert b * c == -(c * b) and b * d == -(d * b) * T
             rep = verify_hopf(1)
     finally:
         _cache.clear()
