@@ -132,6 +132,15 @@ class Element(_Combination):
         return self._like(out)
 
     def __pow__(self, n: int) -> "Element":
+        """self^n by n products with self, not by repeated squaring.
+
+        A product costs about (terms of one side) x (terms of the other),
+        and the terms of self^k grow polynomially in k, so squaring's
+        large-by-large products cost more than n large-by-small ones.
+        From empty memo tables (CPython 3.11) squaring took 2-3x as long:
+        25 ms against 9 ms for (a + d)^13, and 67 ms against 31 ms for
+        (a + b + c + d)^8.
+        """
         if n < 0:
             raise ValueError("negative powers are not defined in the algebra")
         out = Element.one(self.ring)

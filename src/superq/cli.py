@@ -95,6 +95,11 @@ def _int_at_least(low: int):
     return parse
 
 
+# The largest --degree each capped suite runs.  Above it, `verify --suite
+# NAME` exits 2; `verify --suite all` runs the suite at its cap and says so.
+VERIFY_CAPS = {"qfun": 8, "peterweyl": 3}
+
+
 @functools.lru_cache(maxsize=None)
 def build_arg_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process (parsing leaves it unchanged)."""
@@ -160,7 +165,10 @@ def build_arg_parser() -> argparse.ArgumentParser:
                    choices=["rewrite", "hopf", "coaction", "qfun", "dual",
                             "pairing", "matcoef", "integral", "moments",
                             "peterweyl", "spheres", "completeness", "all"])
-    p.add_argument("--degree", type=_int_at_least(1), default=None)
+    p.add_argument("--degree", type=_int_at_least(1), default=None,
+                   help="degree bound of the suites (" + ", ".join(
+                       f"{name} runs to {cap} at most"
+                       for name, cap in VERIFY_CAPS.items()) + ")")
     p.add_argument("--json", action="store_true")
     return ap
 
@@ -176,13 +184,19 @@ def _sphere_params(args):
 
 def _run_verify(args) -> int:
     deg = args.degree
+    capped = {name: cap for name, cap in VERIFY_CAPS.items()
+              if deg is not None and deg > cap}
+    if args.suite in capped:
+        print(f"error: suite {args.suite} runs --degree {capped[args.suite]} "
+              f"at most, got {deg}", file=sys.stderr)
+        return USAGE_ERROR
     suites = {
         "rewrite": lambda: _rewrite_suite(deg or 4),
         "hopf": lambda: hopf.verify_hopf(deg or 4),
         "coaction": lambda: hopf.verify_coaction(deg or 5).merge(
             hopf.verify_coaction_morphism(3)),
         "qfun": lambda: qfun.pascal_rule_check(deg or 8).merge(
-            qfun.qbinomial_theorem_check(min(deg or 6, 8))).merge(
+            qfun.qbinomial_theorem_check(min(deg or 6, VERIFY_CAPS["qfun"]))).merge(
             qfun.binomial_collapse_check(6)),
         "dual": lambda: dual.verify_uq_relations(deg or 4).merge(
             dual.verify_dual_hopf()),
@@ -190,12 +204,16 @@ def _run_verify(args) -> int:
         "matcoef": lambda: _matcoef_suite(deg or 4),
         "integral": lambda: repn.verify_integral(deg or 4),
         "moments": lambda: repn.moments_report(),
-        "peterweyl": lambda: repn.verify_peter_weyl(min(deg or 2, 3)).merge(
+        "peterweyl": lambda: repn.verify_peter_weyl(
+            min(deg or 2, VERIFY_CAPS["peterweyl"])).merge(
             repn.verify_weight_norms(3)),
         "spheres": lambda: _spheres_suite(deg or 2),
         "completeness": lambda: repn.completeness_witness(deg or 3, deg or 3),
     }
     if args.suite == "all":
+        for name, cap in capped.items():
+            print(f"note: suite {name} runs at its cap --degree {cap}, not {deg}",
+                  file=sys.stderr)
         total = Report()
         for name, fn in suites.items():
             rep = fn()

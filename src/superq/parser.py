@@ -14,13 +14,28 @@ Grammar (full EBNF shipped in docs/grammar.ebnf):
 Juxtaposition is not multiplication; "*" is required.  Negative exponents
 are only meaningful on t and q.  The letter q is eliminated at parse time
 through q = -t^2, so no AST node ever carries it.
+
+An expression tree is a tagged tuple; the first item names the node:
+
+    ("num", value)          value: Fraction
+    ("i",)                  the imaginary unit
+    ("t", k)                t^k, k: int (q^n arrives as ("t", 2n), negated
+                            for odd n)
+    ("gen", name)           name: "a", "b", "c", "d" or "s"
+    ("zeta",)               zeta
+    ("add", left, right)    left + right
+    ("sub", left, right)    left - right
+    ("mul", left, right)    left * right
+    ("neg", x)              -x
+    ("pow", base, n)        base^n, n: int >= 0
+
+Trees compare and hash as tuples, so equal trees are equal values.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Tuple, Union
+from typing import List, Optional, Tuple
 
 from .algebra import Element, zeta as zeta_element
 from .scalars import Scalar
@@ -36,61 +51,7 @@ class ExprError(ValueError):
 
 # -- AST ---------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Num:
-    value: Fraction
-
-
-@dataclass(frozen=True)
-class ImagUnit:
-    pass
-
-
-@dataclass(frozen=True)
-class TPow:
-    exp: int
-
-
-@dataclass(frozen=True)
-class Gen:
-    name: str  # a, b, c, d, s
-
-
-@dataclass(frozen=True)
-class Zeta:
-    pass
-
-
-@dataclass(frozen=True)
-class Add:
-    left: "Expr"
-    right: "Expr"
-
-
-@dataclass(frozen=True)
-class Sub:
-    left: "Expr"
-    right: "Expr"
-
-
-@dataclass(frozen=True)
-class Mul:
-    left: "Expr"
-    right: "Expr"
-
-
-@dataclass(frozen=True)
-class Neg:
-    arg: "Expr"
-
-
-@dataclass(frozen=True)
-class Pow:
-    base: "Expr"
-    exp: int
-
-
-Expr = Union[Num, ImagUnit, TPow, Gen, Zeta, Add, Sub, Mul, Neg, Pow]
+Expr = tuple   # a tagged tuple; the tags are listed in the module docstring
 
 _WORDS = {"i", "t", "q", "a", "b", "c", "d", "s", "zeta"}
 
@@ -158,21 +119,20 @@ class _Parser:
         e = self.term()
         while self.peek()[0] in ("+", "-"):
             op = self.next()[0]
-            rhs = self.term()
-            e = Add(e, rhs) if op == "+" else Sub(e, rhs)
+            e = ("add" if op == "+" else "sub", e, self.term())
         return e
 
     def term(self) -> Expr:
         e = self.factor()
         while self.peek()[0] == "*":
             self.next()
-            e = Mul(e, self.factor())
+            e = ("mul", e, self.factor())
         return e
 
     def factor(self) -> Expr:
         if self.peek()[0] == "-":
             self.next()
-            return Neg(self.factor())
+            return ("neg", self.factor())
         return self.power()
 
     def power(self) -> Expr:
@@ -182,18 +142,18 @@ class _Parser:
             self.next()
             exp = self.exponent()
         if kind == "t":
-            return TPow(exp if exp is not None else 1)
+            return ("t", exp if exp is not None else 1)
         if kind == "q":
             n = exp if exp is not None else 1
-            node: Expr = TPow(2 * n)
-            return Neg(node) if n % 2 else node
+            node = ("t", 2 * n)
+            return ("neg", node) if n % 2 else node
         if exp is None:
             return base
         if exp < 0:
             tok = self.peek()
             raise ExprError("negative exponents are only defined for t and q",
                             tok[2])
-        return Pow(base, exp)
+        return ("pow", base, exp)
 
     def exponent(self) -> int:
         sign = 1
@@ -212,18 +172,18 @@ class _Parser:
                 den = self.expect("INT")
                 if int(den[1]) == 0:
                     raise ExprError("zero denominator", den[2])
-                return Num(Fraction(int(val), int(den[1]))), ""
-            return Num(Fraction(int(val))), ""
+                return ("num", Fraction(int(val), int(den[1]))), ""
+            return ("num", Fraction(int(val))), ""
         if kind == "WORD":
             if val == "i":
-                return ImagUnit(), ""
+                return ("i",), ""
             if val == "t":
-                return TPow(1), "t"
+                return ("t", 1), "t"
             if val == "q":
-                return TPow(2), "q"
+                return ("t", 2), "q"
             if val == "zeta":
-                return Zeta(), ""
-            return Gen(val), ""
+                return ("zeta",), ""
+            return ("gen", val), ""
         if kind == "(":
             e = self.expr()
             self.expect(")")
@@ -238,20 +198,18 @@ def parse(text: str) -> Expr:
 # -- printing ------------------------------------------------------------------
 
 _PREC_ADD, _PREC_MUL, _PREC_NEG, _PREC_POW, _PREC_ATOM = 1, 2, 3, 4, 5
+_PREC = {"add": _PREC_ADD, "sub": _PREC_ADD, "mul": _PREC_MUL,
+         "neg": _PREC_NEG, "pow": _PREC_POW}
+_INFIX = {"add": " + ", "sub": " - ", "mul": "*"}
 
 
 def _prec(e: Expr) -> int:
-    if isinstance(e, (Add, Sub)):
-        return _PREC_ADD
-    if isinstance(e, Mul):
-        return _PREC_MUL
-    if isinstance(e, Neg):
-        return _PREC_NEG
-    if isinstance(e, Pow):
-        return _PREC_POW
-    if isinstance(e, Num) and e.value.denominator != 1:
+    tag = e[0]
+    if tag in _PREC:
+        return _PREC[tag]
+    if tag == "num" and e[1].denominator != 1:
         return _PREC_POW  # fractions bind like powers (contain '/')
-    if isinstance(e, TPow) and e.exp != 1:
+    if tag == "t" and e[1] != 1:
         return _PREC_POW
     return _PREC_ATOM
 
@@ -264,56 +222,52 @@ def _wrap(e: Expr, parent_prec: int) -> str:
 
 
 def to_text(e: Expr) -> str:
-    if isinstance(e, Num):
-        v = e.value
+    tag = e[0]
+    if tag in _INFIX:
+        prec = _PREC[tag]
+        return f"{_wrap(e[1], prec)}{_INFIX[tag]}{_wrap(e[2], prec + 1)}"
+    if tag == "num":
+        v = e[1]
         return str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
-    if isinstance(e, ImagUnit):
-        return "i"
-    if isinstance(e, TPow):
-        return "t" if e.exp == 1 else f"t^{e.exp}"
-    if isinstance(e, Gen):
-        return e.name
-    if isinstance(e, Zeta):
-        return "zeta"
-    if isinstance(e, Add):
-        return f"{_wrap(e.left, _PREC_ADD)} + {_wrap(e.right, _PREC_ADD + 1)}"
-    if isinstance(e, Sub):
-        return f"{_wrap(e.left, _PREC_ADD)} - {_wrap(e.right, _PREC_ADD + 1)}"
-    if isinstance(e, Mul):
-        return f"{_wrap(e.left, _PREC_MUL)}*{_wrap(e.right, _PREC_MUL + 1)}"
-    if isinstance(e, Neg):
-        return f"-{_wrap(e.arg, _PREC_NEG + 1)}"
-    if isinstance(e, Pow):
-        return f"{_wrap(e.base, _PREC_ATOM)}^{e.exp}"
+    if tag == "i" or tag == "zeta":
+        return tag
+    if tag == "t":
+        return "t" if e[1] == 1 else f"t^{e[1]}"
+    if tag == "gen":
+        return e[1]
+    if tag == "neg":
+        return f"-{_wrap(e[1], _PREC_NEG + 1)}"
+    if tag == "pow":
+        return f"{_wrap(e[1], _PREC_ATOM)}^{e[2]}"
     raise TypeError(f"not an expression: {e!r}")
 
 
 # -- evaluation ------------------------------------------------------------------
 
 def to_element(e: Expr, ring: str = "Asigma") -> Element:
-    if isinstance(e, Num):
-        return Element.scalar(Scalar.from_rational(e.value), ring)
-    if isinstance(e, ImagUnit):
+    tag = e[0]
+    if tag == "num":
+        return Element.scalar(Scalar.from_rational(e[1]), ring)
+    if tag == "i":
         return Element.scalar(Scalar.from_gauss(0, 1), ring)
-    if isinstance(e, TPow):
-        return Element.scalar(Scalar.t_power(e.exp), ring)
-    if isinstance(e, Gen):
-        name = "sigma" if e.name == "s" else e.name
-        return Element.generator(name, ring)
-    if isinstance(e, Zeta):
+    if tag == "t":
+        return Element.scalar(Scalar.t_power(e[1]), ring)
+    if tag == "gen":
+        return Element.generator("sigma" if e[1] == "s" else e[1], ring)
+    if tag == "zeta":
         if ring == "B":
             raise ValueError("zeta needs sigma: use ring Bsigma or Asigma")
         return zeta_element(ring)
-    if isinstance(e, Add):
-        return to_element(e.left, ring) + to_element(e.right, ring)
-    if isinstance(e, Sub):
-        return to_element(e.left, ring) - to_element(e.right, ring)
-    if isinstance(e, Mul):
-        return to_element(e.left, ring) * to_element(e.right, ring)
-    if isinstance(e, Neg):
-        return -to_element(e.arg, ring)
-    if isinstance(e, Pow):
-        return to_element(e.base, ring) ** e.exp
+    if tag == "add":
+        return to_element(e[1], ring) + to_element(e[2], ring)
+    if tag == "sub":
+        return to_element(e[1], ring) - to_element(e[2], ring)
+    if tag == "mul":
+        return to_element(e[1], ring) * to_element(e[2], ring)
+    if tag == "neg":
+        return -to_element(e[1], ring)
+    if tag == "pow":
+        return to_element(e[1], ring) ** e[2]
     raise TypeError(f"not an expression: {e!r}")
 
 
@@ -324,29 +278,29 @@ def eval_text(text: str, ring: str = "Asigma") -> Element:
 def random_ast(rng, depth: int = 3) -> Expr:
     """Random expression tree for the round-trip property."""
     leaves = [
-        lambda: Num(Fraction(rng.randint(0, 9))),
-        lambda: Num(Fraction(rng.randint(1, 9), rng.randint(2, 9))),
-        lambda: ImagUnit(),
-        lambda: TPow(rng.randint(-4, 4) or 1),
-        lambda: Gen(rng.choice("abcds")),
-        lambda: Zeta(),
+        lambda: ("num", Fraction(rng.randint(0, 9))),
+        lambda: ("num", Fraction(rng.randint(1, 9), rng.randint(2, 9))),
+        lambda: ("i",),
+        lambda: ("t", rng.randint(-4, 4) or 1),
+        lambda: ("gen", rng.choice("abcds")),
+        lambda: ("zeta",),
     ]
     if depth <= 0:
         return rng.choice(leaves)()
     roll = rng.random()
     if roll < 0.25:
-        return Add(random_ast(rng, depth - 1), random_ast(rng, depth - 1))
+        return ("add", random_ast(rng, depth - 1), random_ast(rng, depth - 1))
     if roll < 0.45:
-        return Sub(random_ast(rng, depth - 1), random_ast(rng, depth - 1))
+        return ("sub", random_ast(rng, depth - 1), random_ast(rng, depth - 1))
     if roll < 0.7:
-        return Mul(random_ast(rng, depth - 1), random_ast(rng, depth - 1))
+        return ("mul", random_ast(rng, depth - 1), random_ast(rng, depth - 1))
     if roll < 0.8:
-        return Neg(random_ast(rng, depth - 1))
+        return ("neg", random_ast(rng, depth - 1))
     if roll < 0.9:
         base = random_ast(rng, depth - 1)
-        if isinstance(base, TPow):
+        if base[0] == "t":
             # the parser folds t^k into one node, so a power of bare t
-            # would not round-trip as a Pow node
-            base = Gen(rng.choice("abcds"))
-        return Pow(base, rng.randint(0, 4))
+            # would not round-trip as a "pow" node
+            base = ("gen", rng.choice("abcds"))
+        return ("pow", base, rng.randint(0, 4))
     return rng.choice(leaves)()

@@ -19,7 +19,6 @@ binomial square roots in the closed forms collapse to a single binomial).
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 from . import _cache, linalg
@@ -33,22 +32,43 @@ from .report import Report
 from .scalars import ONE, Scalar, T, T_INV, ZERO, add_term
 from .tensor import AlgSlot, Tensor
 
-@dataclass(frozen=True)
-class CorepIndex:
-    twoL: int
-    twoI: int
-    twoJ: int
-    s: int = 0
 
-    def __post_init__(self):
-        if self.twoL < 0:
+class CorepIndex:
+    """Spin 2l, labels 2i and 2j, and sigma flag s of one matrix coefficient,
+    validated on construction; immutable, equal and hashed field-wise."""
+
+    __slots__ = ("twoL", "twoI", "twoJ", "s")
+
+    def __init__(self, twoL: int, twoI: int, twoJ: int, s: int = 0):
+        if twoL < 0:
             raise ValueError("twoL must be nonnegative")
-        for name in ("twoI", "twoJ"):
-            v = getattr(self, name)
-            if abs(v) > self.twoL or (v - self.twoL) % 2:
-                raise ValueError(f"{name}={v} invalid for twoL={self.twoL}")
-        if self.s not in (0, 1):
+        for name, v in (("twoI", twoI), ("twoJ", twoJ)):
+            if abs(v) > twoL or (v - twoL) % 2:
+                raise ValueError(f"{name}={v} invalid for twoL={twoL}")
+        if s not in (0, 1):
             raise ValueError("s must be 0 or 1")
+        init = object.__setattr__
+        init(self, "twoL", twoL)
+        init(self, "twoI", twoI)
+        init(self, "twoJ", twoJ)
+        init(self, "s", s)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def _key(self) -> Tuple[int, int, int, int]:
+        return (self.twoL, self.twoI, self.twoJ, self.s)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return "CorepIndex(twoL={}, twoI={}, twoJ={}, s={})".format(*self._key())
 
 
 def index_range(twoL: int) -> List[int]:
@@ -62,11 +82,13 @@ def vector_norm_sq(twoL: int, twoI: int) -> Scalar:
     return -out if (li // 2) % 2 else out
 
 
-@dataclass
 class ComoduleVector:
-    element: Element
-    norm_sq: Scalar
-    normalized: bool
+    __slots__ = ("element", "norm_sq", "normalized")
+
+    def __init__(self, element: Element, norm_sq: Scalar, normalized: bool):
+        self.element = element
+        self.norm_sq = norm_sq
+        self.normalized = normalized
 
 
 def comodule_vector(side: str, idx: CorepIndex, normalized: bool = False) -> ComoduleVector:
@@ -93,12 +115,15 @@ def comodule_vector(side: str, idx: CorepIndex, normalized: bool = False) -> Com
 # Matrix coefficients by coproduct expansion
 # ---------------------------------------------------------------------------
 
-@dataclass
 class CorepMatrix:
-    twoL: int
-    s: int
-    entries: Dict[Tuple[int, int], Element]
-    norm_sq: Dict[int, Scalar]
+    __slots__ = ("twoL", "s", "entries", "norm_sq")
+
+    def __init__(self, twoL: int, s: int, entries: Dict[Tuple[int, int], Element],
+                 norm_sq: Dict[int, Scalar]):
+        self.twoL = twoL
+        self.s = s
+        self.entries = entries
+        self.norm_sq = norm_sq
 
     def entry(self, twoI: int, twoJ: int) -> Element:
         return self.entries[(twoI, twoJ)]
@@ -454,14 +479,17 @@ def verify_integral(max_degree: int) -> Report:
 # Moments of the Haar functional
 # ---------------------------------------------------------------------------
 
-@dataclass
 class MomentResult:
-    r: int
-    s: int
-    variant: str
-    oracle: Scalar
-    printed_formula: Scalar
-    matches: bool
+    __slots__ = ("r", "s", "variant", "oracle", "printed_formula", "matches")
+
+    def __init__(self, r: int, s: int, variant: str, oracle: Scalar,
+                 printed_formula: Scalar, matches: bool):
+        self.r = r
+        self.s = s
+        self.variant = variant
+        self.oracle = oracle
+        self.printed_formula = printed_formula
+        self.matches = matches
 
 
 def moments(r: int, s: int, variant: str) -> MomentResult:

@@ -2,15 +2,16 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any, List
 
 
-@dataclass
 class Report:
-    checked: int = 0
-    failures: List[dict] = field(default_factory=list)
-    notes: List[str] = field(default_factory=list)
+    __slots__ = ("checked", "failures", "notes")
+
+    def __init__(self):
+        self.checked = 0
+        self.failures: List[dict] = []
+        self.notes: List[str] = []
 
     def check(self, label: str, ok: bool, lhs: Any = None, rhs: Any = None):
         self.checked += 1

@@ -16,7 +16,6 @@ radical kappa^2 = (t+t^-1)/(t-t^-1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from . import linalg
@@ -204,7 +203,6 @@ def verify_coideal(p: SphereParams) -> Report:
     return rep
 
 
-@dataclass
 class RelationWitness:
     """Solutions of one relation shape.
 
@@ -214,9 +212,13 @@ class RelationWitness:
     unknown is nonzero somewhere in the basis, the field being infinite).
     """
 
-    kind: str
-    unknowns: Tuple[str, ...]
-    witnesses: List[Dict[str, Scalar]]
+    __slots__ = ("kind", "unknowns", "witnesses")
+
+    def __init__(self, kind: str, unknowns: Tuple[str, ...],
+                 witnesses: List[Dict[str, Scalar]]):
+        self.kind = kind
+        self.unknowns = unknowns
+        self.witnesses = witnesses
 
     @property
     def exists(self) -> bool:
@@ -376,11 +378,14 @@ def sphere_basis_check(p: SphereParams, max_degree: int) -> Report:
 # Characters of the infinity sphere
 # ---------------------------------------------------------------------------
 
-@dataclass
 class CharacterAnalysis:
-    characters: List[Tuple[Scalar, Scalar, Scalar]]
-    # residuals whose nonvanishing kills the y_{+-1} != 0 branches
-    obstruction_residuals: List[Scalar]
+    __slots__ = ("characters", "obstruction_residuals")
+
+    def __init__(self, characters: List[Tuple[Scalar, Scalar, Scalar]],
+                 obstruction_residuals: List[Scalar]):
+        self.characters = characters
+        # residuals whose nonvanishing kills the y_{+-1} != 0 branches
+        self.obstruction_residuals = obstruction_residuals
 
 
 def characters_of_S_infinity() -> List[Tuple[Scalar, Scalar, Scalar]]:

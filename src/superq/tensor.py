@@ -139,6 +139,10 @@ class Tensor(_Combination):
         return self._like(out)
 
     def __pow__(self, m: int) -> "Tensor":
+        """self^m by m products with self; repeated squaring is slower here,
+        as for Element.__pow__.  From empty memo tables it took 46 ms against
+        28 ms for Delta(a + d)^6, and 45 ms against 32 ms for
+        Delta(a + b + c + d)^4."""
         out = Tensor.unit(self.slots)
         for _ in range(m):
             out = out * self

@@ -1,5 +1,8 @@
 import json
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -7,6 +10,7 @@ import pytest
 from superq.cli import main
 from superq.parser import ExprError, eval_text, parse, random_ast, to_text
 from superq.algebra import Element
+from superq.report import Report
 from superq.scalars import Scalar
 
 SCHEMA_DIR = Path(__file__).resolve().parents[1] / "docs" / "schemas"
@@ -74,6 +78,42 @@ def test_roundtrip_random_asts():
         ast = random_ast(rng, depth=3)
         printed = to_text(ast)
         assert parse(printed) == ast, printed
+
+
+def test_ast_values_compare_by_tag_and_order():
+    assert parse("a + b") != parse("a - b")
+    assert parse("a*b") != parse("b*a")
+    assert parse("a + b") != parse("b + a")
+    assert parse("-a") != parse("a")
+    assert parse("i") != parse("zeta")
+    assert parse("a + b") == ("add", ("gen", "a"), ("gen", "b"))
+    assert parse("q^-3") == ("neg", ("t", -6))
+    rng = random.Random(31337)
+    for _ in range(200):
+        ast = random_ast(rng, depth=3)
+        again = parse(to_text(ast))
+        assert again == ast and hash(again) == hash(ast)
+    assert len({parse("(a + b)*c"), parse("(a+b) * c"), parse("a + b*c")}) == 2
+
+
+def test_import_loads_no_dataclasses():
+    # pytest itself imports inspect, so the check needs a fresh interpreter
+    probe = ("import sys, superq, superq.cli; "
+             "print(sorted({'dataclasses', 'inspect', 'ast'} & set(sys.modules)))")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = [src, os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
+    out = subprocess.run([sys.executable, "-c", probe], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "[]"
+
+
+def test_reports_do_not_share_lists():
+    one, two = Report(), Report()
+    one.check("fails", False, 1, 2)
+    one.note("a note")
+    assert (two.checked, two.failures, two.notes) == (0, [], [])
+    assert not two.ok and not one.ok
 
 
 # ---------------------------------------------------------------------------
@@ -146,6 +186,23 @@ def test_verify_exit_codes(capsys):
     code, out, _ = run_cli(capsys, "verify", "--suite", "qfun", "--degree", "4")
     assert code == 0
     assert "pass" in out
+
+
+@pytest.mark.parametrize("suite, cap", [("peterweyl", 3), ("qfun", 8)])
+def test_verify_degree_above_cap_exits_2(capsys, suite, cap):
+    code, out, err = run_cli(capsys, "verify", "--suite", suite,
+                             "--degree", str(cap + 1))
+    assert code == 2 and out == ""
+    assert f"suite {suite} runs --degree {cap} at most, got {cap + 1}" in err
+
+
+def test_verify_all_names_each_capped_suite(capsys):
+    code, out, err = run_cli(capsys, "verify", "--suite", "all", "--degree", "4")
+    assert code == 0
+    assert err.splitlines() == ["note: suite peterweyl runs at its cap --degree 3, not 4"]
+    assert "peterweyl: pass (7225 checks)" in out
+    code, _, err = run_cli(capsys, "verify", "--suite", "all")
+    assert code == 0 and err == ""
 
 
 def test_sphere_characters_cli(capsys):
@@ -286,7 +343,8 @@ def test_parser_built_once_gives_fresh_results(capsys):
     in_process = [run_cli(capsys, *argv) for argv in calls]
     assert build_arg_parser() is build_arg_parser()
     src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    path = [src, os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
     for argv, (code, out, err) in zip(calls, in_process):
         fresh = subprocess.run([sys.executable, "-m", "superq", *argv],
                                capture_output=True, text=True, env=env)

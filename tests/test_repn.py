@@ -31,6 +31,23 @@ def test_corep_index_validation():
         CorepIndex(2, 0, 0, 2)   # bad sigma flag
 
 
+def test_corep_index_equality_and_hash():
+    idx = CorepIndex(3, 1, -3, 1)
+    assert idx == CorepIndex(3, 1, -3, 1)
+    assert hash(idx) == hash(CorepIndex(3, 1, -3, 1))
+    assert idx != CorepIndex(3, 1, -3, 0) and idx != CorepIndex(3, -3, 1, 1)
+    assert idx != (3, 1, -3, 1)
+    assert len({idx, CorepIndex(3, 1, -3, 1), CorepIndex(1, 1, 1)}) == 2
+    assert repr(idx) == "CorepIndex(twoL=3, twoI=1, twoJ=-3, s=1)"
+    assert CorepIndex(2, 0, 0).s == 0
+    with pytest.raises(ValueError, match="twoI=2 invalid for twoL=3"):
+        CorepIndex(3, 2, 1)
+    with pytest.raises(ValueError, match="twoJ=5 invalid for twoL=3"):
+        CorepIndex(3, 1, 5)
+    with pytest.raises(AttributeError):
+        idx.twoL = 5
+
+
 def test_comodule_vectors_spin_half():
     v = comodule_vector("L", CorepIndex(1, -1, -1))
     assert v.element == gen("a")
