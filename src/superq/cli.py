@@ -32,7 +32,7 @@ def _add_common(p, numeric=False):
     p.add_argument("--json", action="store_true")
     if numeric:
         p.add_argument("--numeric", metavar="q=VALUE",
-                       help="evaluate the scalar result at a numeric q (e.g. q=-1/2)")
+                       help="evaluate the scalar result at a rational q off the unit circle")
 
 
 def _emit_scalar(value: Scalar, args) -> None:

@@ -80,7 +80,9 @@ def _prefix_product(table: dict, key, m: tuple, slots, gens) -> dict:
     and key(p) is table's key for the monomial p.  The prefix of p is p
     with the exponent of its last generator lowered by one, so
     p = prefix * gens[i] is exactly one acc * gen step of the left-to-right
-    product: the result is that product's dict, in its key order.  Prefixes
+    product: the result is that product's dict, in its term order, with
+    equal coefficients (a coefficient's own polynomial dicts may hold their
+    exponents in another order, which nothing reads).  Prefixes
     missing from table are built shortest first, without recursion, and
     stored in it; the caller's memo stores m itself.
     """
@@ -112,7 +114,7 @@ def _delta_mono(m: Monomial, ring: str) -> dict:
     exponent lowered by one (a normal-form prefix stays in the basis).
 
     Each entry is one step of the product Delta(g_1) ... Delta(g_n) over the
-    generators of m from the left, so the dict and its key order are those
+    generators of m from the left, so the dict and its term order are those
     of that product.  The returned dict is shared: read it, do not mutate.
     """
     slots = (AlgSlot(ring), AlgSlot(ring))
@@ -352,7 +354,7 @@ _coact_cache: Dict[tuple, dict] = {}
 def _coact_mono(which: str, mx: int, my: int, nilpotent: bool) -> dict:
     """Terms of psi(x^mx y^my) = psi(prefix) psi(g), g = y when my > 0 and x
     otherwise, prefix the monomial with that exponent lowered by one; the
-    dict and key order of psi(x)^mx psi(y)^my multiplied from the left, as
+    dict and term order of psi(x)^mx psi(y)^my multiplied from the left, as
     in _delta_mono.  The returned dict is shared: read it, do not mutate."""
     slots = _coact_slots(which, nilpotent)
     gens = [Tensor(slots, dict.fromkeys(g, ONE))

@@ -40,13 +40,10 @@ when g = 1.  A square, an inverse and a conjugate of a coprime pair stay
 coprime and need no gcd.  A gcd with a monomial denominator t^k is the
 t-power the two share; every other gcd is _pgcd, Euclid over Q(i).
 
-The key order of a result's dicts fixes the float summation order of
-_peval, so every route gives the dicts of the generic route
-_rf_canon(_padd/_pmul ...), key order included: keyed from the highest
-exponent down when a factor of positive degree was cancelled (the order of
-a _pdivmod quotient), in _pmul/_padd order otherwise, and through
-_rf_canon's own monomial branches when the generic numerator is a single
-term.
+Numeric evaluation is exact up to one float conversion per part: with
+s = t^2 = -q a Gaussian rational, a polynomial is E(s) + t*O(s), and a
+rational function is brought to A + t*B exactly (see Scalar.eval_numeric).
+Nothing reads the key order of a polynomial dict: printing sorts.
 
 add_term and _Combination hold the zero-free sparse {key: Scalar} sums of
 Element, Tensor, Functional, QPolynomial and PlaneElement.
@@ -176,10 +173,6 @@ G_I = GaussRat(0, 1)
 
 # ---------------------------------------------------------------------------
 # Polynomials in t over GaussRat, as sparse {exponent: coeff} dicts
-#
-# Keys are inserted and deleted as term-by-term coefficient arithmetic would
-# do it, so the dict order, which fixes the float summation order of
-# _peval, does not depend on how the kernels group their integer work.
 # ---------------------------------------------------------------------------
 
 def _lift(p):
@@ -241,12 +234,9 @@ def _pmul(a, b, shift: int = 0):
             if s is not None:
                 re += s[0]
                 im += s[1]
-                if not (re or im):
-                    del acc[e]
-                    continue
             acc[e] = (re, im)
     d = da * db
-    return {e: _gr(re, im, d) for e, (re, im) in acc.items()}
+    return {e: _gr(re, im, d) for e, (re, im) in acc.items() if re or im}
 
 
 def _pscale(a, c: GaussRat, shift: int = 0):
@@ -327,11 +317,54 @@ def _pconj(a):
     return {e: _gr(c.a, -c.b, c.d) for e, c in a.items()}
 
 
-def _peval(a, tval: complex) -> complex:
-    return sum(complex(c.a / c.d, c.b / c.d) * tval ** e for e, c in a.items())
+def _gpow(u: int, v: int, k: int):
+    """(u + v*i)^k as a pair of ints, by repeated squaring."""
+    a, b = 1, 0
+    while k:
+        if k & 1:
+            a, b = a * u - b * v, a * v + b * u
+        u, v, k = u * u - v * v, 2 * u * v, k >> 1
+    return a, b
 
 
-P_ZERO: dict = {}
+def _pval(p, x: GaussRat, shift: int):
+    """(E, O, n) with p(y) = (E + y*O)/n, E and O Gaussian integers, n > 0,
+    where y = x for shift 0 (so O = 0) and y^2 = x for shift 1.  The
+    exponents of p are >= 0; the cost follows its terms, not its degree."""
+    P, D = _lift(p)
+    k = max(P, default=0) >> shift
+    eo = [0, 0, 0, 0]   # E.a, E.b, O.a, O.b
+    for e, (c, d) in P.items():
+        (u, v), w = _gpow(x.a, x.b, e >> shift), x.d ** (k - (e >> shift))
+        j = 2 * (e & shift)
+        eo[j] += (c * u - d * v) * w
+        eo[j + 1] += (c * v + d * u) * w
+    return _gr(eo[0], eo[1], 1), _gr(eo[2], eo[3], 1), D * x.d ** k
+
+
+def _rf_value(rf, s: GaussRat, t: Optional[GaussRat]):
+    """rf at t, t^2 = s, as (a, b, c) with value (a + t*b)/c; t is None
+    unless it lies in Q(i) (then b = 0).  a, b, c are Gaussian integers,
+    GaussRats with d = 1, whose arithmetic takes no gcd however long."""
+    if t is not None:
+        (a, b, n1), (c, _, n2) = (_pval(p, t, 0) for p in rf)
+    else:
+        # p(t) = (E + t*O)/n.  As t is not in Q(i), ed + t*od vanishes iff
+        # ed = od = 0, and only then does its product with ed - t*od.
+        (en, on, n1), (ed, od, n2) = (_pval(p, s, 1) for p in rf)
+        S, m = _gr(s.a, s.b, 1), _gr(s.d, 0, 1)   # s = S/m
+        a, b, c = m * en * ed - S * on * od, m * (on * ed - en * od), m * ed * ed - S * od * od
+    if not c:
+        raise ScalarPoleError(f"denominator vanishes at t^2 = {_gauss_str(s)}")
+    return a * _gr(n2, 0, 1), b * _gr(n2, 0, 1), c * _gr(n1, 0, 1)
+
+
+def _complex(x: GaussRat, y: GaussRat = G_ONE) -> complex:
+    """x/y rounded to the nearest complex float: int / int rounds correctly."""
+    n = (y.a * y.a + y.b * y.b) * x.d
+    return complex((x.a * y.a + x.b * y.b) * y.d / n, (x.b * y.a - x.a * y.b) * y.d / n)
+
+
 P_ONE = {0: G_ONE}
 
 
@@ -374,13 +407,8 @@ def _rf_canon(num, den):
 
 
 def _pdiv(a, b):
-    """a / b, for b dividing a: keyed from the highest exponent down."""
+    """a / b, for b dividing a."""
     return _pdivmod(a, b)[0]
-
-
-def _pdesc(p):
-    """p keyed from the highest exponent down, as a _pdiv quotient is."""
-    return {e: p[e] for e in sorted(p, reverse=True)}
 
 
 def _cancel(a, b):
@@ -398,8 +426,8 @@ def _cancel(a, b):
 
 # The operands of _rf_add and _rf_mul are canonical.  The Laurent fast paths
 # take those whose denominators are monomials {k: G_ONE}; the Henrici routes
-# take the rest.  Both give the same dicts, in the same key order, as the
-# generic route _rf_canon(_padd/_pmul ...).
+# take the rest.  Both give the dicts of the generic route
+# _rf_canon(_padd/_pmul ...).
 
 def _rf_add(x, y):
     (n1, d1), (n2, d2) = x, y
@@ -421,13 +449,10 @@ def _rf_add(x, y):
         return (_padd(_pmul(n1, d2), _pmul(n2, d1)), _pmul(d1, d2))
     e1, e2 = _pdiv(d1, g), _pdiv(d2, g)
     s = _padd(_pmul(n1, e2), _pmul(n2, e1))
-    if len(s) == 1 == len(g):
-        # The generic numerator g*s is a monomial: no gcd there.
-        return _rf_canon(_pshift(s, min(g)), _pmul(d1, d2))
     h = _pgcd(s, g)
     if _pdeg(h) > 0:
         s, d2 = _pdiv(s, h), _pdiv(d2, h)
-    return (_pdesc(s), _pdesc(_pmul(e1, d2)))
+    return (s, _pmul(e1, d2))
 
 
 def _rf_mul(x, y):
@@ -442,14 +467,11 @@ def _rf_mul(x, y):
     if x is y:
         return (_pmul(n1, n1), _pmul(d1, d1))   # a coprime pair squared
     if len(n1) == 1 == len(n2):
-        return _rf_canon(_pmul(n1, n2), _pmul(d1, d2))   # no gcd there
+        return _rf_canon(_pmul(n1, n2), _pmul(d1, d2))   # skips two gcds
     # Henrici: only gcd(n1, d2) and gcd(n2, d1) can cancel.
-    cut1, cut2 = _cancel(n1, d2), _cancel(n2, d1)
-    if not (cut1 or cut2):
-        return (_pmul(n1, n2), _pmul(d1, d2))
-    n1, d2 = cut1 or (n1, d2)
-    n2, d1 = cut2 or (n2, d1)
-    return (_pdesc(_pmul(n1, n2)), _pdesc(_pmul(d1, d2)))
+    n1, d2 = _cancel(n1, d2) or (n1, d2)
+    n2, d1 = _cancel(n2, d1) or (n2, d1)
+    return (_pmul(n1, n2), _pmul(d1, d2))
 
 
 def _rf_neg(x):
@@ -506,10 +528,7 @@ class Scalar:
 
     @staticmethod
     def from_rational(x) -> "Scalar":
-        c = GaussRat(x)
-        if not c:
-            return ZERO
-        return Scalar({0: ({0: c}, dict(P_ONE))})
+        return Scalar.from_gauss(x, 0)
 
     @staticmethod
     def from_gauss(re, im) -> "Scalar":
@@ -539,9 +558,8 @@ class Scalar:
         return isinstance(other, Scalar) and self.parts == other.parts
 
     def __hash__(self):
-        return hash(tuple(sorted((m, tuple(sorted(rf[0].items(), key=lambda kv: kv[0])),
-                                  tuple(sorted(rf[1].items(), key=lambda kv: kv[0])))
-                                 for m, rf in self.parts.items())))
+        return hash(frozenset((m, frozenset(rf[0].items()), frozenset(rf[1].items()))
+                              for m, rf in self.parts.items()))
 
     def is_rational_function(self) -> bool:
         return all(m == 0 for m in self.parts)
@@ -637,33 +655,35 @@ class Scalar:
     def eval_numeric(self, q_val) -> complex:
         """Substitute a numeric q (t = i*sqrt(q)) and evaluate.
 
-        For real q < 0 this gives the real value t = -sqrt(-q); otherwise t
-        is taken on the principal branch of sqrt(q).  Radicals are evaluated
-        by principal branch.  q must be nonzero and not a root of unity.
-        A denominator counts as vanishing when its value is below 1e-13
-        times sum |c_k| |t|^k, the size of its terms.
+        q (an int, Fraction, float or complex) is taken exactly, and must be
+        nonzero and off the unit circle.  For real q < 0, t = -sqrt(-q);
+        otherwise t is on the principal branch of sqrt(q).  Each part is
+        computed exactly as A + t*B (_rf_value) and rounded once; poles are
+        decided exactly.  Radicals are evaluated on the principal branch.
         """
-        qc = complex(q_val)
-        if qc == 0:
-            raise ScalarError("q must be nonzero")
-        if abs(abs(qc) - 1.0) < 1e-15:
-            raise ScalarError("q must not be a root of unity")
-        if qc.imag == 0 and qc.real < 0:
-            tval = complex(-math.sqrt(-qc.real))
-        else:
-            tval = 1j * cmath.sqrt(qc)
-        total = 0j
-        for mask, (num, den) in self.parts.items():
-            dv = _peval(den, tval)
-            size = sum(abs(complex(c.a / c.d, c.b / c.d)) * abs(tval) ** e for e, c in den.items())
-            if abs(dv) < 1e-13 * size:
-                raise ScalarPoleError(f"pole at t = {tval}")
-            val = _peval(num, tval) / dv
-            if mask & R1_BIT:
-                val *= cmath.sqrt(1 + tval * tval)
-            if mask & KAPPA_BIT:
-                val *= cmath.sqrt((tval + 1 / tval) / (tval - 1 / tval))
-            total += val
+        q = GaussRat(q_val.real, q_val.imag)
+        if not q or q.a * q.a + q.b * q.b == q.d * q.d:
+            raise ScalarError("q must be nonzero and off the unit circle")
+        s = -q
+        t = _sqrt_gauss(s)
+        if t is not None and (t.b < 0 or (not t.b and t.a > 0)):
+            t = -t   # t = i*w for the principal root w of q
+        try:
+            total = 0j
+            for mask in sorted(self.parts):
+                a, b, c = _rf_value(self.parts[mask], s, t)
+                val = _complex(a, c)
+                if b:
+                    val += 1j * cmath.sqrt(_complex(q)) * _complex(b, c)
+                if mask & R1_BIT:
+                    val *= cmath.sqrt(_complex(s + G_ONE))
+                if mask & KAPPA_BIT:
+                    val *= cmath.sqrt(_complex((s + G_ONE) / (s - G_ONE)))
+                total += val
+        except OverflowError:
+            total = complex("inf")
+        if not cmath.isfinite(total):
+            raise ScalarError(f"the value at q = {q_val} is outside float range")
         return total
 
     def specialize_t(self, t_val: Fraction) -> GaussRat:
@@ -672,26 +692,9 @@ class Scalar:
             raise ScalarError("cannot specialize a radical-bearing scalar exactly")
         if not self.parts:
             return G_ZERO
-        tn, td = t_val.numerator, t_val.denominator
-
-        def ev(p):
-            # p(tn/td) == (x + y*i)/D; canonical exponents are >= 0.
-            lifted, D = _lift(p)
-            top = max(lifted)
-            x = y = 0
-            for e, (u, v) in lifted.items():
-                w = tn ** e * td ** (top - e)
-                x += u * w
-                y += v * w
-            return x, y, D * td ** top
-
-        num, den = self.parts[0]
-        x, y, dn = ev(num)
-        u, v, dd = ev(den)
-        if not (u or v):
-            raise ScalarPoleError(f"denominator vanishes at t = {t_val}")
-        # (x + y*i)/dn divided by (u + v*i)/dd
-        return _gr((x * u + y * v) * dd, (y * u - x * v) * dd, dn * (u * u + v * v))
+        t = _gr(t_val.numerator, 0, t_val.denominator)
+        a, _, c = _rf_value(self.parts[0], t * t, t)
+        return a / c
 
     # -- rendering ----------------------------------------------------------
 
@@ -884,10 +887,6 @@ def scalar_arith(x: Scalar, y: Optional[Scalar], op: str) -> Scalar:
     if op == "conj":
         return x.conj()
     raise ValueError(f"unknown op {op!r}")
-
-
-def eval_numeric(x: Scalar, q_val) -> complex:
-    return x.eval_numeric(q_val)
 
 
 # ---------------------------------------------------------------------------

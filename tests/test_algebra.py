@@ -336,14 +336,6 @@ def _step_mono_mul(m1, m2, ring):
     return list(terms.items())
 
 
-def _layout(product):
-    """A product's terms in order, each coefficient as its masks and the
-    key order of every numerator and denominator."""
-    return [(m, [(mask, list(num.items()), list(den.items()))
-                 for mask, (num, den) in c.parts.items()])
-            for m, c in product]
-
-
 @pytest.mark.parametrize("ring", ["B", "Bsigma", "Asigma"])
 def test_mono_mul_matches_generator_steps(ring):
     basis = list(basis_monomials(4, ring))
@@ -352,8 +344,8 @@ def test_mono_mul_matches_generator_steps(ring):
     pairs += [(random_monomial(rng, 10, ring), random_monomial(rng, 10, ring))
               for _ in range(2000)]
     for m1, m2 in pairs:
-        assert _layout(algebra._mono_mul(m1, m2, ring)) == \
-            _layout(_step_mono_mul(m1, m2, ring)), (m1, m2)
+        assert list(algebra._mono_mul(m1, m2, ring)) == \
+            _step_mono_mul(m1, m2, ring), (m1, m2)
 
 
 def test_mono_mul_times_gen_count(monkeypatch):

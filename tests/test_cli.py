@@ -148,7 +148,7 @@ def test_haar_command(capsys):
 
 def test_haar_numeric(capsys):
     code, out, _ = run_cli(capsys, "haar", "zeta", "--numeric", "q=-1")
-    # q=-1 is a root of unity: usage error
+    # q=-1 lies on the unit circle: usage error
     assert code == 2
     code, out, _ = run_cli(capsys, "haar", "zeta", "--numeric", "q=-2")
     assert code == 0
@@ -230,6 +230,25 @@ def test_numeric_no_false_pole(capsys):
     code, out, _ = run_cli(capsys, "eps", "t^-20", "--numeric", "q=-1/100")
     assert code == 0
     assert abs(complex(out.strip()) / 1e20 - 1) < 1e-12
+
+
+def test_numeric_out_of_float_range_exits_2(capsys):
+    # t^-2000 at t = -1/10 is 10^2000.
+    code, out, err = run_cli(capsys, "eps", "t^-2000", "--numeric", "q=-1/100")
+    assert code == 2 and out == ""
+    assert err == "error: the value at q = -1/100 is outside float range\n"
+    # Underflow rounds to zero.
+    code, out, _ = run_cli(capsys, "eps", "t^2000", "--numeric", "q=-1/100")
+    assert code == 0 and out == "0j\n"
+
+
+def test_numeric_unit_circle_check_is_exact(capsys):
+    code, out, _ = run_cli(capsys, "eps", "t^2", "--numeric",
+                           "q=10000000000000001/10000000000000000")
+    assert code == 0 and out == "(-1+0j)\n"
+    code, out, err = run_cli(capsys, "eps", "t^2", "--numeric", "q=1")
+    assert code == 2 and out == ""
+    assert "unit circle" in err
 
 
 def test_sphere_alpha_relations_cli(capsys):

@@ -147,6 +147,115 @@ def test_eval_numeric_rejects_bad_q():
         ONE.eval_numeric(-1)
 
 
+def test_eval_numeric_named_cases():
+    # Term-by-term float summation lost every digit of the first case.
+    x = (ONE - T * T) ** 15
+    for q in (Fraction(-49, 50), Fraction(-1, 2)):
+        assert x.eval_numeric(q) == complex(float((1 + q) ** 15))
+    assert x.eval_numeric(Fraction(-49, 50)) == 3.2768e-26
+    # A denominator of 1e-15 is small, not zero.
+    near = Fraction(-2) - Fraction(1, 10**15)
+    assert (T * T - frac(2)).inv().eval_numeric(near) == 1e15
+    # q = -4 gives t = -2: 1/(t + 2) has a pole there, 1/(t - 2) does not.
+    with pytest.raises(ScalarPoleError):
+        (T + frac(2)).inv().eval_numeric(-4)
+    assert (T - frac(2)).inv().eval_numeric(-4) == -0.25
+
+
+def test_eval_numeric_unit_circle_is_exact():
+    q = Fraction(10000000000000001, 10000000000000000)
+    assert (T * T).eval_numeric(q) == -1
+    for on_circle in (1, -1, 1j, -1j):
+        with pytest.raises(sc.ScalarError, match="unit circle"):
+            ONE.eval_numeric(on_circle)
+
+
+def test_eval_numeric_out_of_float_range():
+    with pytest.raises(sc.ScalarError, match="outside float range"):
+        (T_INV ** 2000).eval_numeric(Fraction(-1, 100))
+    with pytest.raises(sc.ScalarError, match="outside float range"):
+        (T ** 300 * (ONE + T)).eval_numeric(Fraction(-10**4))
+    # Underflow rounds to zero.
+    assert (T ** 2000).eval_numeric(Fraction(-1, 100)) == 0
+
+
+def _shuffled(x, rng):
+    """x with the keys of its parts and of every numerator and denominator
+    dict in a random order."""
+    def shuffle(d):
+        keys = list(d)
+        rng.shuffle(keys)
+        return {k: d[k] for k in keys}
+    return Scalar(shuffle({m: (shuffle(n), shuffle(d)) for m, (n, d) in x.parts.items()}))
+
+
+def _random_fraction(rng, radicals):
+    """A random scalar over a random sum of t-powers: most denominators
+    have several terms."""
+    den = _random_scalar(rng)
+    return _random_scalar(rng, radicals) / den if den else ZERO
+
+
+_SAMPLE_QS = (Fraction(-1, 2), Fraction(-49, 50), Fraction(-9, 4), Fraction(-3),
+              Fraction(2, 7), Fraction(-1, 3) + 0j, -0.3, complex(-2, 1), complex(0.5, -0.25),
+              3j, Fraction(4, 9), complex(3, -4))
+
+
+def test_dict_key_order_is_not_observable():
+    rng = random.Random(20261018)
+    for _ in range(150):
+        x = _random_fraction(rng, radicals=True)
+        y = _shuffled(x, rng)
+        assert y == x and hash(y) == hash(x)
+        assert str(y) == str(x) and y.to_json() == x.to_json()
+        for q in _SAMPLE_QS:
+            assert y.eval_numeric(q) == x.eval_numeric(q)
+
+
+def _sympy_value(x, q):
+    """x at q in sympy, from the stored numerators and denominators, with
+    t = i*sqrt(q) and the radicals on the principal branch; and that t."""
+    qs = sympy.Rational(Fraction(q.real)) + sympy.I * sympy.Rational(Fraction(q.imag))
+    tv = sympy.expand(sympy.I * sympy.sqrt(qs))
+    rads = {sc.R1_BIT: sympy.sqrt(1 - qs), sc.KAPPA_BIT: sympy.sqrt((1 - qs) / (-1 - qs))}
+    total = sympy.Integer(0)
+    for mask, (num, den) in x.parts.items():
+        val = _poly_sympy(num).subs(_t, tv) / _poly_sympy(den).subs(_t, tv)
+        for bit, r in rads.items():
+            if mask & bit:
+                val *= r
+        total += val
+    return total, tv
+
+
+def _rounded(v):
+    """complex() of the exact Gaussian rational v: each part correctly rounded."""
+    re, im = sympy.re(v), sympy.im(v)
+    assert re.is_Rational and im.is_Rational
+    return complex(float(Fraction(int(re.p), int(re.q))), float(Fraction(int(im.p), int(im.q))))
+
+
+def test_eval_numeric_matches_sympy():
+    rng = random.Random(50)
+    checked = 0
+    for _ in range(40):
+        radicals = rng.random() < 0.5
+        x = _random_fraction(rng, radicals)
+        even = all(e % 2 == 0 for n, d in x.parts.values() for e in (*n, *d))
+        for q in _SAMPLE_QS:
+            ours = x.eval_numeric(q)
+            exact, tv = _sympy_value(x, q)
+            exact = sympy.expand(exact)
+            t_in_qi = all(part.is_Rational for part in tv.as_real_imag())
+            if x.is_rational_function() and (even or t_in_qi):
+                assert ours == _rounded(exact), (x, q)
+            else:
+                want = complex(sympy.N(exact, 50))
+                assert abs(ours - want) <= 1e-14 * abs(want), (x, q)
+            checked += 1
+    assert checked > 300
+
+
 def test_radical_inverse():
     x = ONE + SQRT_1_PLUS_T2
     assert x * x.inv() == ONE
@@ -343,15 +452,6 @@ def _generic_scalar_mul(x, y):
     return out
 
 
-def _items(rf):
-    """A rational function with its key order: the order _peval sums in."""
-    return list(rf[0].items()), list(rf[1].items())
-
-
-def _parts_items(parts):
-    return [(m, _items(rf)) for m, rf in parts.items()]
-
-
 _term = st.tuples(st.integers(-4, 6), st.integers(-6, 6), st.integers(-3, 3),
                   st.integers(1, 4))
 
@@ -381,11 +481,11 @@ def _canonical(drawn):
 @given(_rf, _rf)
 def test_laurent_fast_paths_match_rf_canon(drawn_x, drawn_y):
     x, y = _canonical(drawn_x), _canonical(drawn_y)
-    assert _items(sc._rf_mul(x, y)) == _items(_generic_mul(x, y))
-    assert _items(sc._rf_add(x, y)) == _items(_generic_add(x, y))
-    assert _items(sc._rf_add(x, sc._rf_neg(x))) == _items(_generic_add(x, sc._rf_neg(x)))
-    assert _items(sc._rf_conj(x)) == _items(sc._rf_canon(sc._pconj(x[0]), sc._pconj(x[1])))
-    assert _items(sc._rf_mul(sc.RF_ZERO, y)) == _items(_generic_mul(sc.RF_ZERO, y))
+    assert sc._rf_mul(x, y) == _generic_mul(x, y)
+    assert sc._rf_add(x, y) == _generic_add(x, y)
+    assert sc._rf_add(x, sc._rf_neg(x)) == _generic_add(x, sc._rf_neg(x))
+    assert sc._rf_conj(x) == sc._rf_canon(sc._pconj(x[0]), sc._pconj(x[1]))
+    assert sc._rf_mul(sc.RF_ZERO, y) == _generic_mul(sc.RF_ZERO, y)
 
 
 @settings(derandomize=True, max_examples=120, deadline=None)
@@ -395,9 +495,9 @@ def test_scalar_mul_fast_paths_match_generic(drawn_x, drawn_y):
     # Masks 1-3 carry the radicals sqrt(1+t^2) and kappa.
     x = Scalar({m: _canonical(d) for m, d in drawn_x.items()})
     y = Scalar({m: _canonical(d) for m, d in drawn_y.items()})
-    assert _parts_items((x * y).parts) == _parts_items(_generic_scalar_mul(x, y))
+    assert (x * y).parts == _generic_scalar_mul(x, y)
     assert x * ONE is x and ONE * x is x
-    assert _parts_items((x * MINUS_ONE).parts) == _parts_items(_generic_scalar_mul(x, MINUS_ONE))
+    assert (x * MINUS_ONE).parts == _generic_scalar_mul(x, MINUS_ONE)
     assert x * MINUS_ONE == -x
     assert not (x + (-x)).parts
 
@@ -436,18 +536,18 @@ def _shared_factor_pair(draw):
 @given(_shared_factor_pair())
 def test_henrici_routes_match_rf_canon(pair):
     x, y = pair
-    assert _items(sc._rf_mul(x, y)) == _items(_generic_mul(x, y))
-    assert _items(sc._rf_mul(x, x)) == _items(_generic_mul(x, x))
-    assert _items(sc._rf_add(x, y)) == _items(_generic_add(x, y))
-    assert _items(sc._rf_add(x, sc._rf_neg(y))) == _items(_generic_add(x, sc._rf_neg(y)))
+    assert sc._rf_mul(x, y) == _generic_mul(x, y)
+    assert sc._rf_mul(x, x) == _generic_mul(x, x)
+    assert sc._rf_add(x, y) == _generic_add(x, y)
+    assert sc._rf_add(x, sc._rf_neg(y)) == _generic_add(x, sc._rf_neg(y))
     # x + (y - x): the denominators share the factors of x's, and the sum
     # cancels down to y, so gcd(s, g) is nontrivial.
     z = _generic_add(y, sc._rf_neg(x))
-    assert _items(sc._rf_add(x, z)) == _items(_generic_add(x, z))
+    assert sc._rf_add(x, z) == _generic_add(x, z)
     assert sc._rf_add(x, z) == y
-    assert _items(sc._rf_mul(z, x)) == _items(_generic_mul(z, x))
-    assert _items(sc._rf_inv(x)) == _items(sc._rf_canon(x[1], x[0]))
-    assert _items(sc._rf_conj(x)) == _items(sc._rf_canon(sc._pconj(x[0]), sc._pconj(x[1])))
+    assert sc._rf_mul(z, x) == _generic_mul(z, x)
+    assert sc._rf_inv(x) == sc._rf_canon(x[1], x[0])
+    assert sc._rf_conj(x) == sc._rf_canon(sc._pconj(x[0]), sc._pconj(x[1]))
 
 
 def test_rf_canon_clears_negative_exponents():
