@@ -81,10 +81,9 @@ def _prefix_product(table: dict, key, m: tuple, slots, gens) -> dict:
     with the exponent of its last generator lowered by one, so
     p = prefix * gens[i] is exactly one acc * gen step of the left-to-right
     product: the result is that product's dict, in its term order, with
-    equal coefficients (a coefficient's own polynomial dicts may hold their
-    exponents in another order, which nothing reads).  Prefixes
-    missing from table are built shortest first, without recursion, and
-    stored in it; the caller's memo stores m itself.
+    equal coefficients.  Prefixes missing from table are built shortest
+    first, without recursion, and stored in it; the caller's memo stores m
+    itself.
     """
     chain = []
     acc = None

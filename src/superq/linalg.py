@@ -7,10 +7,10 @@ elimination with exact division; no pivoting heuristics beyond sparsity.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
-from .scalars import GaussRat, ONE, Scalar, ScalarPoleError, ZERO, _lift, add_term
+from .scalars import GaussRat, ONE, Scalar, ScalarPoleError, ZERO, add_term
 
 Row = Dict[Hashable, Scalar]
 
@@ -144,10 +144,16 @@ def specialized_rank_certificate(rows: Sequence[Row], t_points=None) -> Optional
 def _gauss_rank(rows: List[Dict[Hashable, GaussRat]]) -> int:
     """Rank by fraction-free elimination on Gaussian-integer rows.
 
-    Each row is scaled to Gaussian-integer entries, and after each step to
-    integer content 1; scaling a row by a nonzero number keeps the rank.
+    Each row is scaled to Gaussian-integer entries, the numerators over the
+    row's common denominator, and after each step to integer content 1;
+    scaling a row by a nonzero number keeps the rank.
     """
-    work = [r for r in (_int_row(_lift(r)[0]) for r in rows) if r]
+    work = []
+    for r in rows:
+        D = lcm(*(v.d for v in r.values()))
+        r = _int_row({c: (v.a * (D // v.d), v.b * (D // v.d)) for c, v in r.items()})
+        if r:
+            work.append(r)
     rk = 0
     while work:
         row = work.pop()

@@ -17,15 +17,17 @@ and sqrt(1 + t^-2) is stored as t^-1 * R1.  (1 + t^-2 = (1 + t^2)/t^2, and
 the coproduct identity for the sphere matrix only closes with this relative
 normalization of the two branches.)
 
+A polynomial is stored as Gaussian-integer numerators over one denominator,
+(C, D) = ({e: (x, y)}, D) for the sum of (x + y*i)/D * t^e, with D > 0, no
+zero coefficient, and gcd(all x, y, D) == 1; zero is ({}, 1).  Each value
+has exactly one such form, so == and hash compare ints and tuples.  The
+kernels compute on the numerators and normalise the content once per
+result: one gcd, and none when D == 1, which covers most coefficients the
+relations produce.  (FLINT's fmpq_poly keeps the same layout over Z.)
+
 Every rational-function component is kept in canonical form: numerator and
 denominator coprime, denominator monic in t.  Equality of scalars is
 literal equality of canonical forms.
-
-Coefficients are GaussRat values, each a normalised integer triple (a, b, d)
-meaning (a + b*i)/d.  The polynomial and rational-function kernels work on
-those ints directly: they put the coefficients of an operand over one common
-denominator, compute with Gaussian-integer numerators, and normalise once per
-output coefficient.  No Fraction is built on the arithmetic path.
 
 Most coefficients the relations produce are Laurent polynomials: their
 canonical denominator is a monomial, always t^k with coefficient 1.  Sums
@@ -40,10 +42,11 @@ when g = 1.  A square, an inverse and a conjugate of a coprime pair stay
 coprime and need no gcd.  A gcd with a monomial denominator t^k is the
 t-power the two share; every other gcd is _pgcd, Euclid over Q(i).
 
-Numeric evaluation is exact up to one float conversion per part: with
-s = t^2 = -q a Gaussian rational, a polynomial is E(s) + t*O(s), and a
-rational function is brought to A + t*B exactly (see Scalar.eval_numeric).
-Nothing reads the key order of a polynomial dict: printing sorts.
+GaussRat, a normalised integer triple, holds the scalar constants and the
+exact numeric evaluation: with s = t^2 = -q a Gaussian rational, a
+polynomial is E(s) + t*O(s), and a rational function is brought to A + t*B
+exactly (see Scalar.eval_numeric).  Nothing reads the key order of a
+polynomial dict: printing sorts.
 
 add_term and _Combination hold the zero-free sparse {key: Scalar} sums of
 Element, Tensor, Functional, QPolynomial and PlaneElement.
@@ -52,8 +55,8 @@ Element, Tensor, Functional, QPolynomial and PlaneElement.
 from __future__ import annotations
 
 import cmath
-import math
 from fractions import Fraction
+from itertools import chain
 from math import gcd, isqrt
 from typing import Optional
 
@@ -167,62 +170,59 @@ def _gr(a: int, b: int, d: int) -> GaussRat:
 
 G_ZERO = GaussRat(0)
 G_ONE = GaussRat(1)
-G_MINUS_ONE = GaussRat(-1)
-G_I = GaussRat(0, 1)
 
 
 # ---------------------------------------------------------------------------
-# Polynomials in t over GaussRat, as sparse {exponent: coeff} dicts
+# Polynomials in t: ({e: (x, y)}, D), Gaussian-integer numerators over D
 # ---------------------------------------------------------------------------
 
-def _lift(p):
-    """p over one denominator: ({e: (x, y)}, D) with p[e] == (x + y*i)/D."""
-    D = 1
-    for c in p.values():
-        if D % c.d:
-            D = D // gcd(D, c.d) * c.d
-    if D == 1:
-        return {e: (c.a, c.b) for e, c in p.items()}, 1
-    return {e: (c.a * (D // c.d), c.b * (D // c.d)) for e, c in p.items()}, D
+def _pn(C, D):
+    """The polynomial C/D in normal form: C a zero-free {e: (x, y)}, D > 0."""
+    if D != 1:
+        g = gcd(D, *chain.from_iterable(C.values()))
+        if g != 1:
+            C = {e: (x // g, y // g) for e, (x, y) in C.items()}
+            D //= g
+    return C, D
 
 
-def _ptrim(p):
-    return {e: c for e, c in p.items() if c}
-
-
-def _padd(a, b):
-    out = dict(a)
-    for e, y in b.items():
-        x = out.get(e)
-        if x is None:
-            out[e] = y
-            continue
-        d, f = x.d, y.d
-        if d == f:
-            re, im = x.a + y.a, x.b + y.b
-        else:
-            re, im, d = x.a * f + y.a * d, x.b * f + y.b * d, d * f
-        if re or im:
-            out[e] = _gr(re, im, d)
-        else:
-            del out[e]
-    return out
+def _padd(a, b, shift: int = 0):
+    """a + b * t^shift."""
+    (A, D), (B, Db) = a, b
+    if D == Db:
+        out = dict(A)
+    else:
+        g = gcd(D, Db)
+        u, v = Db // g, D // g
+        D *= u
+        out = {e: (x * u, y * u) for e, (x, y) in A.items()}
+        B = {e: (x * v, y * v) for e, (x, y) in B.items()}
+    for e, (x, y) in B.items():
+        e += shift
+        s = out.get(e)
+        if s is not None:
+            x += s[0]
+            y += s[1]
+            if not (x or y):
+                del out[e]
+                continue
+        out[e] = (x, y)
+    return _pn(out, D)
 
 
 def _pneg(a):
-    return {e: _gr(-c.a, -c.b, c.d) for e, c in a.items()}
+    return {e: (-x, -y) for e, (x, y) in a[0].items()}, a[1]
 
 
 def _pmul(a, b, shift: int = 0):
     """a * b * t^shift."""
-    if len(b) == 1:
-        (m, c), = b.items()
-        return _pscale(a, c, m + shift)
-    if len(a) == 1:
-        (m, c), = a.items()
-        return _pscale(b, c, m + shift)
-    A, da = _lift(a)
-    B, db = _lift(b)
+    (A, Da), (B, Db) = a, b
+    if len(B) == 1:
+        ((m, (x, y)),) = B.items()
+        return _pscale(a, x, y, Db, m + shift)
+    if len(A) == 1:
+        ((m, (x, y)),) = A.items()
+        return _pscale(b, x, y, Da, m + shift)
     acc = {}
     for ea, (xa, ya) in A.items():
         ea += shift
@@ -235,42 +235,57 @@ def _pmul(a, b, shift: int = 0):
                 re += s[0]
                 im += s[1]
             acc[e] = (re, im)
-    d = da * db
-    return {e: _gr(re, im, d) for e, (re, im) in acc.items() if re or im}
+    return _pn({e: c for e, c in acc.items() if c[0] or c[1]}, Da * Db)
 
 
-def _pscale(a, c: GaussRat, shift: int = 0):
-    """c * t^shift * a."""
-    if not c:
-        return {}
-    x, y, d = c.a, c.b, c.d
-    if x == d == 1 and not y:
-        return {e + shift: k for e, k in a.items()}
-    return {e + shift: _gr(k.a * x - k.b * y, k.a * y + k.b * x, k.d * d)
-            for e, k in a.items()}
+def _pscale(a, x: int, y: int, d: int = 1, shift: int = 0):
+    """a * t^shift * (x + y*i)/d, for ints with d > 0."""
+    A, D = a
+    if not y:
+        if x == d:
+            return _pshift(a, shift)
+        if x == -d:
+            return {e + shift: (-u, -v) for e, (u, v) in A.items()}, D
+        C = {e + shift: (u * x, v * x) for e, (u, v) in A.items()}
+    else:
+        C = {e + shift: (u * x - v * y, u * y + v * x) for e, (u, v) in A.items()}
+    return _pn(C, D * d)
+
+
+def _pdivc(a, c, d: int, shift: int = 0):
+    """a * t^shift divided by the nonzero constant (x + y*i)/d, c = (x, y)."""
+    x, y = c
+    return _pscale(a, d * x, -d * y, x * x + y * y, shift)
 
 
 def _pshift(a, shift: int):
     """t^shift * a (a itself when shift is 0)."""
-    return {e + shift: c for e, c in a.items()} if shift else a
+    return ({e + shift: c for e, c in a[0].items()}, a[1]) if shift else a
 
 
 def _pdeg(a):
-    return max(a) if a else -1
+    return max(a[0]) if a[0] else -1
 
 
 def _plead(a):
-    return a[_pdeg(a)]
+    """The numerator (x, y) of the leading coefficient (x + y*i)/D."""
+    return a[0][max(a[0])]
+
+
+def _pmonic(a):
+    """a divided by its leading coefficient; its leading numerator is (D, 0)."""
+    x, y = _plead(a)
+    return a if x == a[1] and not y else _pscale((a[0], 1), x, -y, x * x + y * y)
 
 
 def _pdivmod(a, b):
-    if not b:
+    if not b[0]:
         raise ScalarDivisionError("polynomial division by zero")
-    db, lb = _pdeg(b), _plead(b)
-    # Divide by the monic b/lb, lifted to B/n (lead n > 0).  The remainder
-    # R/D stays over one denominator, which grows by n per step.
-    B, n = _lift(_pmonic(b))
-    R, D = _lift(a)
+    # Divide by the monic b/lead(b) = B/n, whose leading numerator is n > 0.
+    # The remainder R/D keeps one denominator, which grows by n per step.
+    B, n = _pmonic(b)
+    db = max(B)
+    R, D = dict(a[0]), a[1]
     quo = {}
     while R:
         dr = max(R)
@@ -294,27 +309,19 @@ def _pdivmod(a, b):
                 R[e] = (re, im)
             else:
                 del R[e]
-    # a = (quo / lb) * b + R/D
-    w = lb.inv()
-    p, q, m = w.a, w.b, w.d
-    quo = {e: _gr(x * p - y * q, x * q + y * p, d * m) for e, (x, y, d) in quo.items()}
-    return quo, {e: _gr(x, y, D) for e, (x, y) in R.items()}
-
-
-def _pmonic(a):
-    return _pscale(a, _plead(a).inv()) if a else a
+    # a = (quo / lead(b)) * b + R/D, quo over the last denominator D.
+    quo = {k: (x * (D // d), y * (D // d)) for k, (x, y, d) in quo.items()}
+    return _pdivc(_pn(quo, D), _plead(b), b[1]), _pn(R, D)
 
 
 def _pgcd(a, b):
-    a, b = dict(a), dict(b)
-    while b:
-        _, r = _pdivmod(a, b)
-        a, b = b, r
+    while b[0]:
+        a, b = b, _pdivmod(a, b)[1]
     return _pmonic(a)
 
 
 def _pconj(a):
-    return {e: _gr(c.a, -c.b, c.d) for e, c in a.items()}
+    return {e: (x, -y) for e, (x, y) in a[0].items()}, a[1]
 
 
 def _gpow(u: int, v: int, k: int):
@@ -327,12 +334,19 @@ def _gpow(u: int, v: int, k: int):
     return a, b
 
 
+# The largest power _pval builds, in bits: its exponent times the bits of x.
+_NUMERIC_BITS = 1 << 20
+
+
 def _pval(p, x: GaussRat, shift: int):
     """(E, O, n) with p(y) = (E + y*O)/n, E and O Gaussian integers, n > 0,
     where y = x for shift 0 (so O = 0) and y^2 = x for shift 1.  The
     exponents of p are >= 0; the cost follows its terms, not its degree."""
-    P, D = _lift(p)
+    P, D = p
     k = max(P, default=0) >> shift
+    if k * max(x.a.bit_length(), x.b.bit_length(), x.d.bit_length()) > _NUMERIC_BITS:
+        raise ScalarError(f"exact evaluation at degree {k} needs numbers of over "
+                          f"{_NUMERIC_BITS} bits, the bound")
     eo = [0, 0, 0, 0]   # E.a, E.b, O.a, O.b
     for e, (c, d) in P.items():
         (u, v), w = _gpow(x.a, x.b, e >> shift), x.d ** (k - (e >> shift))
@@ -351,11 +365,12 @@ def _rf_value(rf, s: GaussRat, t: Optional[GaussRat]):
     else:
         # p(t) = (E + t*O)/n.  As t is not in Q(i), ed + t*od vanishes iff
         # ed = od = 0, and only then does its product with ed - t*od.
-        (en, on, n1), (ed, od, n2) = (_pval(p, s, 1) for p in rf)
-        S, m = _gr(s.a, s.b, 1), _gr(s.d, 0, 1)   # s = S/m
-        a, b, c = m * en * ed - S * on * od, m * (on * ed - en * od), m * ed * ed - S * od * od
+        (a, b, n1), (c, od, n2) = (_pval(p, s, 1) for p in rf)
+        if od:
+            S, m = _gr(s.a, s.b, 1), _gr(s.d, 0, 1)   # s = S/m
+            a, b, c = m * a * c - S * b * od, m * (b * c - a * od), m * c * c - S * od * od
     if not c:
-        raise ScalarPoleError(f"denominator vanishes at t^2 = {_gauss_str(s)}")
+        raise ScalarPoleError(f"denominator vanishes at t^2 = {_gauss_str(s.a, s.b, s.d)}")
     return a * _gr(n2, 0, 1), b * _gr(n2, 0, 1), c * _gr(n1, 0, 1)
 
 
@@ -365,7 +380,13 @@ def _complex(x: GaussRat, y: GaussRat = G_ONE) -> complex:
     return complex((x.a * y.a + x.b * y.b) * y.d / n, (x.b * y.a - x.a * y.b) * y.d / n)
 
 
-P_ONE = {0: G_ONE}
+_C1 = (1, 0)
+P_ONE = ({0: _C1}, 1)
+
+
+def _t_den(k: int):
+    """The canonical denominator t^k."""
+    return ({k: _C1}, 1) if k else P_ONE
 
 
 # ---------------------------------------------------------------------------
@@ -374,36 +395,28 @@ P_ONE = {0: G_ONE}
 
 def _rf_canon(num, den):
     """Reduce to coprime with monic denominator."""
-    if not den:
+    N, M = num[0], den[0]
+    if not M:
         raise ScalarDivisionError("zero denominator")
-    if not num:
-        return ({}, dict(P_ONE))
-    if len(den) == 1:
+    if not N:
+        return RF_ZERO
+    if len(M) == 1:
         # Monomial denominator c*t^e: cancel the common t-power and rescale.
-        e, c = next(iter(den.items()))
-        k = min(e, min(num))
-        num = _pscale(num, c.inv(), -k)
-        if e == k:
-            return (num, dict(P_ONE))
-        return (num, {e - k: G_ONE})
-    if len(num) == 1:
-        e, c = next(iter(num.items()))
-        k = min(e, min(den))
-        w = _plead(den).inv()
-        return ({e - k: c * w}, _pscale(den, w, -k))
+        ((e, c),) = M.items()
+        k = min(e, min(N))
+        return (_pdivc(num, c, den[1], -k), _t_den(e - k))
+    if len(N) == 1:
+        e = next(iter(N))
+        k = min(e, min(M))
+        return (_pdivc(_pshift(num, -k), _plead(den), den[1]), _pshift(_pmonic(den), -k))
     # Clear negative exponents first: Euclid needs polynomials.
-    v = min(min(num), min(den))
+    v = min(min(N), min(M))
     if v < 0:
         num, den = _pshift(num, -v), _pshift(den, -v)
     g = _pgcd(num, den)
     if _pdeg(g) > 0:
         num, den = _pdiv(num, g), _pdiv(den, g)
-    lc = _plead(den)
-    if lc != G_ONE:
-        w = lc.inv()
-        num = _pscale(num, w)
-        den = _pscale(den, w)
-    return (num, den)
+    return (_pdivc(num, _plead(den), den[1]), _pmonic(den))
 
 
 def _pdiv(a, b):
@@ -413,11 +426,10 @@ def _pdiv(a, b):
 
 def _cancel(a, b):
     """(a/g, b/g) for g = gcd(a, b), or None when g is 1.  b is monic."""
-    if len(b) == 1:
-        # b = t^k: g is the t-power a and b share, and dividing is a shift.
-        (k,) = b
-        j = min(k, min(a))
-        return (_pshift(a, -j), {k - j: G_ONE}) if j else None
+    if len(a[0]) == 1 or len(b[0]) == 1:
+        # A monomial shares with the other only a t-power: dividing is a shift.
+        j = min(min(a[0]), min(b[0]))
+        return (_pshift(a, -j), _pshift(b, -j)) if j else None
     g = _pgcd(a, b)
     if _pdeg(g) > 0:
         return _pdiv(a, g), _pdiv(b, g)
@@ -425,20 +437,20 @@ def _cancel(a, b):
 
 
 # The operands of _rf_add and _rf_mul are canonical.  The Laurent fast paths
-# take those whose denominators are monomials {k: G_ONE}; the Henrici routes
-# take the rest.  Both give the dicts of the generic route
+# take those whose denominators are monomials t^k; the Henrici routes take
+# the rest.  Both give the canonical form of the generic route
 # _rf_canon(_padd/_pmul ...).
 
 def _rf_add(x, y):
     (n1, d1), (n2, d2) = x, y
-    if len(d1) == 1 == len(d2):
-        (e1,), (e2,) = d1, d2
+    if len(d1[0]) == 1 == len(d2[0]):
+        (e1,), (e2,) = d1[0], d2[0]
         e = max(e1, e2)
-        num = _padd(_pshift(n1, e - e1), _pshift(n2, e - e2))
-        if not num:
-            return ({}, dict(P_ONE))
-        k = min(e, min(num))
-        return (_pshift(num, -k), {e - k: G_ONE})
+        num = _padd(n1, n2, e1 - e2) if e == e1 else _padd(n2, n1, e2 - e1)
+        if not num[0]:
+            return RF_ZERO
+        k = min(e, min(num[0]))
+        return (_pshift(num, -k), _t_den(e - k))
     if d1 == d2:
         return _rf_canon(_padd(n1, n2), d1)
     # Henrici: with g = gcd(d1, d2) and s = n1*(d2/g) + n2*(d1/g), the sum is
@@ -457,17 +469,15 @@ def _rf_add(x, y):
 
 def _rf_mul(x, y):
     (n1, d1), (n2, d2) = x, y
-    if not (n1 and n2):
-        return ({}, dict(P_ONE))
-    if len(d1) == 1 == len(d2):
-        (e1,), (e2,) = d1, d2
+    if not (n1[0] and n2[0]):
+        return RF_ZERO
+    if len(d1[0]) == 1 == len(d2[0]):
+        (e1,), (e2,) = d1[0], d2[0]
         # The lowest terms of a product of nonzero polynomials multiply.
-        k = min(e1 + e2, min(n1) + min(n2))
-        return (_pmul(n1, n2, -k), {e1 + e2 - k: G_ONE})
+        k = min(e1 + e2, min(n1[0]) + min(n2[0]))
+        return (_pmul(n1, n2, -k), _t_den(e1 + e2 - k))
     if x is y:
         return (_pmul(n1, n1), _pmul(d1, d1))   # a coprime pair squared
-    if len(n1) == 1 == len(n2):
-        return _rf_canon(_pmul(n1, n2), _pmul(d1, d2))   # skips two gcds
     # Henrici: only gcd(n1, d2) and gcd(n2, d1) can cancel.
     n1, d2 = _cancel(n1, d2) or (n1, d2)
     n2, d1 = _cancel(n2, d1) or (n2, d1)
@@ -481,20 +491,18 @@ def _rf_neg(x):
 def _rf_inv(x):
     # Swapping a canonical pair leaves it coprime: only the lead rescales.
     num, den = x
-    if not num:
+    if not num[0]:
         raise ScalarDivisionError("division by zero")
-    w = _plead(num).inv()
-    return (_pscale(den, w), _pscale(num, w))
+    return (_pdivc(den, _plead(num), num[1]), _pmonic(num))
 
 
 def _rf_conj(x):
-    if len(x[1]) == 1:
-        return (_pconj(x[0]), x[1])   # t^k is real
-    return (_pconj(x[0]), _pconj(x[1]))   # still coprime, still monic
+    # t^k is real; any other conjugate denominator stays coprime and monic.
+    return (_pconj(x[0]), x[1] if len(x[1][0]) == 1 else _pconj(x[1]))
 
 
-RF_ZERO = ({}, dict(P_ONE))
-RF_ONE = (dict(P_ONE), dict(P_ONE))
+RF_ZERO = (({}, 1), P_ONE)
+RF_ONE = (P_ONE, P_ONE)
 
 
 # ---------------------------------------------------------------------------
@@ -506,8 +514,8 @@ R1_BIT = 1       # sqrt(1 + t^2)
 KAPPA_BIT = 2    # sqrt((t + t^-1)/(t - t^-1))
 
 # Squares of the atomic radicals, as canonical rational functions.
-_R1_SQUARE = _rf_canon({0: G_ONE, 2: G_ONE}, dict(P_ONE))           # 1 + t^2
-_KAPPA_SQUARE = _rf_canon({0: G_ONE, 2: G_ONE}, {0: GaussRat(-1), 2: G_ONE})  # (t^2+1)/(t^2-1)
+_R1_SQUARE = (({0: _C1, 2: _C1}, 1), P_ONE)                         # 1 + t^2
+_KAPPA_SQUARE = (({0: _C1, 2: _C1}, 1), ({0: (-1, 0), 2: _C1}, 1))    # (t^2+1)/(t^2-1)
 
 _BIT_SQUARES = {R1_BIT: _R1_SQUARE, KAPPA_BIT: _KAPPA_SQUARE}
 
@@ -522,7 +530,7 @@ class Scalar:
     __slots__ = ("parts",)
 
     def __init__(self, parts=None):
-        self.parts = {m: rf for m, rf in (parts or {}).items() if rf[0]}
+        self.parts = {m: rf for m, rf in (parts or {}).items() if rf[0][0]}
 
     # -- constructors ------------------------------------------------------
 
@@ -535,7 +543,7 @@ class Scalar:
         c = GaussRat(re, im)
         if not c:
             return ZERO
-        return Scalar({0: ({0: c}, dict(P_ONE))})
+        return _scalar({0: (({0: (c.a, c.b)}, c.d), P_ONE)})
 
     @staticmethod
     def t_power(n: int) -> "Scalar":
@@ -558,8 +566,8 @@ class Scalar:
         return isinstance(other, Scalar) and self.parts == other.parts
 
     def __hash__(self):
-        return hash(frozenset((m, frozenset(rf[0].items()), frozenset(rf[1].items()))
-                              for m, rf in self.parts.items()))
+        return hash(frozenset((m, frozenset(n.items()), dn, frozenset(d.items()), dd)
+                              for m, ((n, dn), (d, dd)) in self.parts.items()))
 
     def is_rational_function(self) -> bool:
         return all(m == 0 for m in self.parts)
@@ -569,14 +577,7 @@ class Scalar:
     def __add__(self, other):
         out = dict(self.parts)
         for m, rf in other.parts.items():
-            if m in out:
-                s = _rf_add(out[m], rf)
-                if s[0]:
-                    out[m] = s
-                else:
-                    del out[m]
-            else:
-                out[m] = rf
+            _add_part(out, m, rf)
         return _scalar(out)
 
     def __sub__(self, other):
@@ -589,10 +590,12 @@ class Scalar:
         if not isinstance(other, Scalar):
             return NotImplemented
         a, b = self.parts, other.parts
-        if b == _ONE_PARTS:
+        if b is _ONE_PARTS or b == _ONE_PARTS:
             return self
-        if a == _ONE_PARTS:
+        if a is _ONE_PARTS or a == _ONE_PARTS:
             return other
+        # A factor +-t^k costs an exponent shift: _pscale multiplies by +-1
+        # with no arithmetic, and _cancel divides a monomial by shifting.
         if len(a) == 1 == len(b) and 0 in a and 0 in b:
             return _scalar({0: _rf_mul(a[0], b[0])})
         out = {}
@@ -603,15 +606,7 @@ class Scalar:
                 for bit, square in _BIT_SQUARES.items():
                     if common & bit:
                         rf = _rf_mul(rf, square)
-                mask = m1 ^ m2
-                if mask in out:
-                    s = _rf_add(out[mask], rf)
-                    if s[0]:
-                        out[mask] = s
-                    else:
-                        del out[mask]
-                else:
-                    out[mask] = rf
+                _add_part(out, m1 ^ m2, rf)
         return _scalar(out)
 
     def inv(self) -> "Scalar":
@@ -636,14 +631,12 @@ class Scalar:
     def __pow__(self, n: int):
         if n < 0:
             return self.inv() ** (-n)
-        out = ONE
-        base = self
+        out, base = ONE, self
         while n:
             if n & 1:
                 out = out * base
             n >>= 1
-            if n:
-                base = base * base
+            base = base * base if n else base
         return out
 
     def conj(self) -> "Scalar":
@@ -706,16 +699,9 @@ class Scalar:
             return "0"
         chunks = []
         for mask in sorted(self.parts):
-            body = _rf_str(self.parts[mask])
-            rad = _mask_str(mask)
-            if rad:
-                if body == "1":
-                    chunk = rad
-                else:
-                    chunk = f"{_parenthesize(body)}*{rad}"
-            else:
-                chunk = body
-            chunks.append(chunk)
+            body, rad = _rf_str(self.parts[mask]), "*".join(_mask_names(mask))
+            chunks.append(rad if body == "1" and rad else
+                          f"{_parenthesize(body)}*{rad}" if rad else body)
         out = chunks[0]
         for c in chunks[1:]:
             out += " - " + c[1:].lstrip() if c.startswith("-") else " + " + c
@@ -734,6 +720,16 @@ class Scalar:
         return comps
 
 
+def _add_part(parts: dict, m: int, rf) -> None:
+    """parts[m] += rf, deleting a part whose sum is zero."""
+    if m in parts:
+        rf = _rf_add(parts[m], rf)
+        if not rf[0][0]:
+            del parts[m]
+            return
+    parts[m] = rf
+
+
 def _scalar(parts: dict) -> Scalar:
     """The Scalar with these parts, which must hold no zero component."""
     x = _new(Scalar)
@@ -743,10 +739,10 @@ def _scalar(parts: dict) -> Scalar:
 
 def signed_t_power(eps: int, p: int) -> Scalar:
     """(-1)^eps * t^p, built in canonical form with no arithmetic."""
-    c = G_MINUS_ONE if eps % 2 else G_ONE
+    c = (-1, 0) if eps % 2 else _C1
     if p >= 0:
-        return _scalar({0: ({p: c}, dict(P_ONE))})
-    return _scalar({0: ({0: c}, {-p: G_ONE})})
+        return _scalar({0: (({p: c}, 1), P_ONE)})
+    return _scalar({0: (({0: c}, 1), ({-p: _C1}, 1))})
 
 
 # ---------------------------------------------------------------------------
@@ -926,28 +922,37 @@ def _sqrt_gauss(c: GaussRat) -> Optional[GaussRat]:
     return _gr(2 * d * xn * xn, b * xd * xd, 2 * d * xn * xd)
 
 
-def _sqrt_poly(p) -> Optional[dict]:
-    if not p:
-        return {}
-    d = _pdeg(p)
-    if d % 2 or min(p) % 2:
+def _sqrt_poly(p):
+    """sqrt(p) in Q(i)[t], or None when p is not a square there."""
+    C, D = p
+    if not C:
+        return p
+    d = max(C)
+    if d % 2 or min(C) % 2:
         return None
-    lead = _sqrt_gauss(_plead(p))
+    # p = P/D^2 with P = C*D.  A square root of P in Q(i)[t] has Gaussian-
+    # integer coefficients (Gauss's lemma over Z[i]), so every step below
+    # divides exactly in Z[i] or p is not a square.
+    P = {e: (x * D, y * D) for e, (x, y) in C.items()}
+    lead = _sqrt_gauss(_gr(*P[d], 1))
     if lead is None:
         return None
-    h = d // 2
-    s = [G_ZERO] * (h + 1)
-    s[h] = lead
-    # Solve p = s^2 top-down: coeff of t^(h+e) is 2*s[h]*s[e] plus known terms.
+    h, u, v = d // 2, lead.a, lead.b
+    n = 2 * (u * u + v * v)
+    s = [(0, 0)] * h + [(u, v)]
+    # Solve P = s^2 top-down: coeff of t^(h+e) is 2*s[h]*s[e] plus known terms.
     for e in range(h - 1, -1, -1):
-        acc = G_ZERO
+        x, y = P.get(h + e, (0, 0))
         for a in range(e + 1, h):
-            acc = acc + s[a] * s[h + e - a]
-        s[e] = (p.get(h + e, G_ZERO) - acc) / (GaussRat(2) * lead)
-    sd = {e: c for e, c in enumerate(s) if c}
-    if _pmul(sd, sd) == _ptrim(p):
-        return sd
-    return None
+            (p1, q1), (p2, q2) = s[a], s[h + e - a]
+            x, y = x - p1 * p2 + q1 * q2, y - p1 * q2 - q1 * p2
+        # s[e] = (x + y*i)/(2*(u + v*i)) = (x + y*i)(u - v*i)/n
+        re, im = x * u + y * v, y * u - x * v
+        if re % n or im % n:
+            return None
+        s[e] = (re // n, im // n)
+    S = ({e: c for e, c in enumerate(s) if c[0] or c[1]}, 1)
+    return _pn(S[0], D) if _pmul(S, S) == (P, 1) else None
 
 
 def scalar_sqrt(x: Scalar) -> Optional[Scalar]:
@@ -966,7 +971,7 @@ def scalar_sqrt(x: Scalar) -> Optional[Scalar]:
         rnum = _sqrt_poly(_pneg(num))
         if rnum is None:
             return None
-        rnum = _pscale(rnum, G_I)
+        rnum = _pscale(rnum, 0, 1)
     return Scalar({0: _rf_canon(rnum, rden)})
 
 
@@ -975,22 +980,15 @@ def scalar_sqrt(x: Scalar) -> Optional[Scalar]:
 # ---------------------------------------------------------------------------
 
 def _integerize(num, den):
-    """Scale num/den by one positive rational so all coefficients are
+    """num/den scaled by one positive rational: two {e: (x, y)} dicts of
     Gaussian integers with overall content 1."""
-    lcm = 1
-    for p in (num, den):
-        for c in p.values():
-            lcm = lcm * c.d // gcd(lcm, c.d)
-    g = 0
-    for p in (num, den):
-        for c in p.values():
-            g = gcd(g, c.a * (lcm // c.d), c.b * (lcm // c.d))
-    g = g or 1
-
-    def scale(p):
-        return {e: _gr(c.a * (lcm // c.d) // g, c.b * (lcm // c.d) // g, 1)
-                for e, c in p.items()}
-    return scale(num), scale(den)
+    (A, Da), (B, Db) = num, den
+    g = gcd(Da, Db)
+    u, v = Db // g, Da // g   # num/den = (A*u)/(B*v)
+    k = gcd(*(n * u for n in chain.from_iterable(A.values())),
+            *(n * v for n in chain.from_iterable(B.values())))
+    return ({e: (x * u // k, y * u // k) for e, (x, y) in A.items()},
+            {e: (x * v // k, y * v // k) for e, (x, y) in B.items()})
 
 
 def _rat_str(n: int, d: int) -> str:
@@ -1000,8 +998,8 @@ def _rat_str(n: int, d: int) -> str:
     return str(n) if d == 1 else f"{n}/{d}"
 
 
-def _gauss_str(c: GaussRat) -> str:
-    a, b, d = c.a, c.b, c.d
+def _gauss_str(a: int, b: int, d: int = 1) -> str:
+    """(a + b*i)/d as printed."""
     if not b:
         return _rat_str(a, d)
     ims = "i" if b == d else ("-i" if b == -d else f"{_rat_str(b, d)}i")
@@ -1012,12 +1010,12 @@ def _gauss_str(c: GaussRat) -> str:
 
 
 def _poly_str(p) -> str:
+    """A {e: (x, y)} dict of Gaussian integers as printed."""
     if not p:
         return "0"
     pieces = []
     for e in sorted(p, reverse=True):
-        c = p[e]
-        cs = _gauss_str(c)
+        cs = _gauss_str(*p[e])
         composite = ("+" in cs[1:]) or ("-" in cs[1:])
         if e == 0:
             piece = f"({cs})" if composite else cs
@@ -1044,25 +1042,16 @@ def _parenthesize(s: str) -> str:
 def _rf_str(rf) -> str:
     num, den = _integerize(*rf)
     ns = _poly_str(num)
-    if den == P_ONE or den == {0: G_ONE}:
+    if den == P_ONE[0]:
         return ns
     ds = _poly_str(den)
     return f"{_parenthesize(ns)}/{_parenthesize(ds)}"
 
 
-def _mask_str(mask) -> str:
-    names = _mask_names(mask)
-    return "*".join(names)
-
-
 def _mask_names(mask):
-    names = []
-    if mask & R1_BIT:
-        names.append("sqrt(1+t^2)")
-    if mask & KAPPA_BIT:
-        names.append("kappa")
-    return names
+    return [name for bit, name in ((R1_BIT, "sqrt(1+t^2)"), (KAPPA_BIT, "kappa"))
+            if mask & bit]
 
 
 def _poly_json(p):
-    return [[e, _gauss_str(p[e])] for e in sorted(p)]
+    return [[e, _gauss_str(*p[e])] for e in sorted(p)]

@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -240,6 +241,17 @@ def test_numeric_out_of_float_range_exits_2(capsys):
     # Underflow rounds to zero.
     code, out, _ = run_cli(capsys, "eps", "t^2000", "--numeric", "q=-1/100")
     assert code == 0 and out == "0j\n"
+
+
+def test_numeric_size_budget_exits_2(capsys):
+    # t^-1000000 at q = -10001/10000 needs powers of s = -q of about 7e6
+    # bits; exact evaluation refuses them at once instead of taking 20 s.
+    t0 = time.perf_counter()
+    code, out, err = run_cli(capsys, "eps", "t^-1000000", "--numeric", "q=-10001/10000")
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 2 and out == ""
+    assert err == ("error: exact evaluation at degree 500000 needs numbers of over "
+                   "1048576 bits, the bound\n")
 
 
 def test_numeric_unit_circle_check_is_exact(capsys):

@@ -1,8 +1,10 @@
 """Golden str() and to_json() output for a fixed list of scalars.
 
 The expected strings were recorded from the Fraction-based coefficient core
-that preceded the integer-triple GaussRat, so they pin the printer and the
-canonical form (coprime, monic denominator) to the byte across that rewrite.
+that preceded the integer layouts (first one GaussRat triple per
+coefficient, now Gaussian-integer numerators over one denominator per
+polynomial), so they pin the printer and the canonical form (coprime, monic
+denominator) to the byte across those rewrites.
 Some outputs show open printer defects, recorded as printed: c/(k*t^n)
 prints as c/k*t^n, and a numerator that starts and ends with a parenthesis
 is not wrapped before the "/" (gauss_poly).

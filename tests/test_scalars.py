@@ -186,7 +186,8 @@ def _shuffled(x, rng):
         keys = list(d)
         rng.shuffle(keys)
         return {k: d[k] for k in keys}
-    return Scalar(shuffle({m: (shuffle(n), shuffle(d)) for m, (n, d) in x.parts.items()}))
+    return Scalar(shuffle({m: ((shuffle(n), dn), (shuffle(d), dd))
+                           for m, ((n, dn), (d, dd)) in x.parts.items()}))
 
 
 def _random_fraction(rng, radicals):
@@ -241,7 +242,7 @@ def test_eval_numeric_matches_sympy():
     for _ in range(40):
         radicals = rng.random() < 0.5
         x = _random_fraction(rng, radicals)
-        even = all(e % 2 == 0 for n, d in x.parts.values() for e in (*n, *d))
+        even = all(e % 2 == 0 for n, d in x.parts.values() for e in (*n[0], *d[0]))
         for q in _SAMPLE_QS:
             ours = x.eval_numeric(q)
             exact, tv = _sympy_value(x, q)
@@ -307,7 +308,8 @@ def test_json_shape():
 
 
 # ---------------------------------------------------------------------------
-# The integer-triple GaussRat and the field operations against an oracle
+# The integer-triple GaussRat, the polynomial layout and the field operations
+# against an oracle
 # ---------------------------------------------------------------------------
 
 _fractions = st.fractions(min_value=-50, max_value=50, max_denominator=30)
@@ -341,18 +343,34 @@ def test_gaussrat_constructor_and_zero():
         sc.GaussRat(0).inv()
 
 
+def _poly(coeffs):
+    """The stored form of the polynomial {e: (re, im)} with Fraction parts:
+    numerators over their least common denominator."""
+    D = math.lcm(*(Fraction(v).denominator for c in coeffs.values() for v in c))
+    return sc._pn({e: (int(re * D), int(im * D)) for e, (re, im) in coeffs.items()
+                   if re or im}, D)
+
+
+def _layout_ok(p):
+    """p meets the polynomial layout rules."""
+    C, D = p
+    return (isinstance(C, dict) and D > 0 and all(x or y for x, y in C.values())
+            and math.gcd(D, *(n for c in C.values() for n in c)) == 1)
+
+
 def test_pdivmod_identity():
     rng = random.Random(5)
 
     def poly(exponents, terms):
-        return sc._ptrim({e: sc.GaussRat(Fraction(rng.randint(-5, 5), rng.randint(1, 4)),
-                                         Fraction(rng.randint(-2, 2), rng.randint(1, 3)))
-                          for e in rng.sample(exponents, terms)})
+        return _poly({e: (Fraction(rng.randint(-5, 5), rng.randint(1, 4)),
+                          Fraction(rng.randint(-2, 2), rng.randint(1, 3)))
+                      for e in rng.sample(exponents, terms)})
     for _ in range(60):
         a, b = poly(range(9), 5), poly(range(4), 3)
-        if not b:
+        if not b[0]:
             continue
         q, r = sc._pdivmod(a, b)
+        assert _layout_ok(q) and _layout_ok(r)
         assert sc._padd(sc._pmul(q, b), r) == a
         assert sc._pdeg(r) < sc._pdeg(b)
 
@@ -396,8 +414,9 @@ def _both(node):
 
 
 def _poly_sympy(p):
-    return sum((sympy.Rational(c.a, c.d) + sympy.I * sympy.Rational(c.b, c.d)) * _t ** e
-               for e, c in p.items())
+    C, D = p
+    return sum((sympy.Rational(x, D) + sympy.I * sympy.Rational(y, D)) * _t ** e
+               for e, (x, y) in C.items())
 
 
 @settings(derandomize=True, max_examples=120, deadline=None)
@@ -408,14 +427,14 @@ def test_field_ops_match_sympy(node):
     except _ZeroDivisor:
         assume(False)
     assert ours.is_rational_function()
-    num, den = ours.parts[0] if ours else ({}, {0: sc.G_ONE})
+    num, den = ours.parts[0] if ours else sc.RF_ZERO
     # Same value as the oracle ...
     assert sympy.cancel(_poly_sympy(num) / _poly_sympy(den) - oracle) == 0
     # ... in canonical form: monic denominator, coprime to the numerator.
-    assert den[max(den)] == sc.G_ONE
+    assert sc._plead(den) == (den[1], 0)
     pn = sympy.Poly(_poly_sympy(num), _t, domain="QQ_I")
     pd = sympy.Poly(_poly_sympy(den), _t, domain="QQ_I")
-    assert sympy.gcd(pn, pd).degree() == 0 or not num
+    assert sympy.gcd(pn, pd).degree() == 0 or not num[0]
 
 
 # ---------------------------------------------------------------------------
@@ -460,9 +479,8 @@ def _poly_from(terms):
     # Insertion order as drawn, so the key order of the operands varies.
     p = {}
     for e, a, b, d in terms:
-        if a or b:
-            p[e] = sc._gr(a, b, d)
-    return p
+        p[e] = (Fraction(a, d), Fraction(b, d))
+    return _poly(p)
 
 
 # Half the denominators are monomials c*t^k (Laurent operands once canonical).
@@ -473,7 +491,7 @@ _rf = st.tuples(st.lists(_term, min_size=1, max_size=4),
 
 def _canonical(drawn):
     num, den = _poly_from(drawn[0]), _poly_from(drawn[1])
-    assume(num and den)
+    assume(num[0] and den[0])
     return sc._rf_canon(num, den)
 
 
@@ -516,14 +534,14 @@ def _factor(draw):
 @st.composite
 def _shared_factor_pair(draw):
     pool = draw(st.lists(_factor(), min_size=2, max_size=3,
-                         unique_by=lambda p: frozenset(p.items())))
+                         unique_by=lambda p: frozenset(p[0].items())))
     # t itself joins the pool at times, for the t-adic valuation.
     if draw(st.booleans()):
-        pool.append({1: sc.G_ONE})
+        pool.append(({1: (1, 0)}, 1))
 
     def operand():
         # 1-3 factors above the line and 1-2 below
-        num, den = {0: sc._gr(draw(st.integers(1, 5)), draw(st.integers(-2, 2)), 1)}, sc.P_ONE
+        num, den = ({0: (draw(st.integers(1, 5)), draw(st.integers(-2, 2)))}, 1), sc.P_ONE
         for f in draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3)):
             num = sc._pmul(num, f)
         for f in draw(st.lists(st.sampled_from(pool), min_size=1, max_size=2)):
@@ -551,9 +569,9 @@ def test_henrici_routes_match_rf_canon(pair):
 
 
 def test_rf_canon_clears_negative_exponents():
-    i = sc.G_I
-    x = sc._rf_canon({-1: sc.G_ONE, 0: i}, {0: sc.G_ONE, 2: sc.G_ONE})
-    y = sc._rf_canon({0: sc.G_ONE, 1: i}, {1: sc.G_ONE, 3: sc.G_ONE})
+    one, i = (1, 0), (0, 1)
+    x = sc._rf_canon(({-1: one, 0: i}, 1), ({0: one, 2: one}, 1))
+    y = sc._rf_canon(({0: one, 1: i}, 1), ({1: one, 3: one}, 1))
     assert x == y
     assert str(Scalar({0: x})) == str(Scalar({0: y})) == "i/(t^2 + i*t)"
 
@@ -566,7 +584,7 @@ def test_dense_square_scaling():
     def dense(deg):
         def coeff():
             return rng.choice([-1, 1]) * rng.randint(10**6, 10**9 - 1)
-        return {e: sc._gr(coeff(), coeff(), 1) for e in range(deg + 1)}
+        return {e: (coeff(), coeff()) for e in range(deg + 1)}, 1
     x = Scalar({0: sc._rf_canon(dense(30), dense(24))})
     assert (sc._pdeg(x.parts[0][0]), sc._pdeg(x.parts[0][1])) == (30, 24)
     t0 = time.perf_counter()
@@ -609,3 +627,144 @@ def test_laurent_arithmetic_never_reaches_rf_canon_or_gcd(monkeypatch):
         x1, x2, x3 = (Element.monomial(m) for m in (m1, m2, m3))
         assert (x1 * x2) * x3 == x1 * (x2 * x3)
     assert calls == {"_rf_canon": 0, "_pgcd": 0}
+
+
+# ---------------------------------------------------------------------------
+# The field operations against an independent dense oracle
+# ---------------------------------------------------------------------------
+
+# The oracle keeps a scalar as {mask: (num, den)}, num and den dense lists of
+# Gaussian-integer (re, im) pairs indexed by exponent, and never reduces.  It
+# reads the stored form of a Scalar directly, a part (C/D)/(M/E) as the
+# integer pair (C*E, M*D), so every check compares values exactly.
+
+def _o_gmul(a, b):
+    return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
+
+
+def _o_padd(p, q):
+    n = max(len(p), len(q))
+    p, q = p + [(0, 0)] * (n - len(p)), q + [(0, 0)] * (n - len(q))
+    return [(a[0] + b[0], a[1] + b[1]) for a, b in zip(p, q)]
+
+
+def _o_pmul(p, q):
+    out = [(0, 0)] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            c = _o_gmul(a, b)
+            out[i + j] = (out[i + j][0] + c[0], out[i + j][1] + c[1])
+    return out
+
+
+def _o_read(x):
+    def dense(C, k):
+        out = [(0, 0)] * (max(C) + 1)
+        for e, (re, im) in C.items():
+            out[e] = (re * k, im * k)
+        return out
+    return {m: (dense(n[0], d[1]), dense(d[0], n[1])) for m, (n, d) in x.parts.items()}
+
+
+_O_ONE = [(1, 0)]
+_O_SQUARES = {sc.R1_BIT: ([(1, 0), (0, 0), (1, 0)], _O_ONE),            # 1 + t^2
+              sc.KAPPA_BIT: ([(1, 0), (0, 0), (1, 0)], [(-1, 0), (0, 0), (1, 0)])}
+
+
+def _o_add(x, y):
+    out = dict(x)
+    for m, (n, d) in y.items():
+        if m in out:
+            n0, d0 = out[m]
+            n, d = _o_padd(_o_pmul(n0, d), _o_pmul(n, d0)), _o_pmul(d0, d)
+        out[m] = (n, d)
+    return out
+
+
+def _o_mul(x, y):
+    out = {}
+    for m1, (n1, d1) in x.items():
+        for m2, (n2, d2) in y.items():
+            n, d = _o_pmul(n1, n2), _o_pmul(d1, d2)
+            for bit, (sn, sd) in _O_SQUARES.items():
+                if m1 & m2 & bit:
+                    n, d = _o_pmul(n, sn), _o_pmul(d, sd)
+            out = _o_add(out, {m1 ^ m2: (n, d)})
+    return out
+
+
+def _o_eq(x, y):
+    """x == y as values: every component's cross product cancels."""
+    diff = _o_add(x, {m: ([(-a, -b) for a, b in n], d) for m, (n, d) in y.items()})
+    return all(c == (0, 0) for n, _ in diff.values() for c in n)
+
+
+def _layout_ok_scalar(x):
+    """Every stored polynomial meets the layout rules, every part is nonzero
+    and its denominator monic."""
+    return all(_layout_ok(n) and _layout_ok(d) and n[0] and sc._plead(d) == (d[1], 0)
+               for n, d in x.parts.values())
+
+
+# (a + b*i)/d * t^k
+_o_term = st.tuples(st.integers(-3, 3), st.integers(-2, 2), st.integers(1, 4), st.integers(-2, 3))
+# Masks 1-3 carry the radicals; one term below the line gives a Laurent part.
+# Two parts over two-term denominators keep x.inv() in milliseconds: with
+# three parts, rationalising and Euclid over Q(i) can take seconds.
+_o_scalar = st.dictionaries(
+    st.sampled_from([0, 1, 2, 3]),
+    st.tuples(st.lists(_o_term, min_size=1, max_size=3), st.lists(_o_term, min_size=1, max_size=2)),
+    min_size=1, max_size=2)
+
+
+def _o_build(drawn):
+    out = ZERO
+    for mask, (num, den) in drawn.items():
+        n, d = (sum((Scalar.from_gauss(Fraction(a, q), Fraction(b, q)) * Scalar.t_power(k)
+                     for a, b, q, k in p), ZERO) for p in (num, den))
+        if d:
+            out = out + n / d * (SQRT_1_PLUS_T2 if mask & 1 else ONE) * (KAPPA if mask & 2 else ONE)
+    return out
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(_o_scalar, _o_scalar)
+def test_field_ops_match_dense_oracle(drawn_x, drawn_y):
+    x, y = _o_build(drawn_x), _o_build(drawn_y)
+    ox, oy = _o_read(x), _o_read(y)
+    minus_oy = {m: ([(-a, -b) for a, b in n], d) for m, (n, d) in oy.items()}
+    conj_ox = {m: ([(a, -b) for a, b in n], [(a, -b) for a, b in d]) for m, (n, d) in ox.items()}
+    for z, want in ((x, ox), (x + y, _o_add(ox, oy)), (x - y, _o_add(ox, minus_oy)),
+                    (x * y, _o_mul(ox, oy)), (x.conj(), conj_ox)):
+        assert _layout_ok_scalar(z)
+        assert _o_eq(_o_read(z), want)
+    # Quotients are checked by multiplying back in the oracle.
+    if y:
+        z = x / y
+        assert _layout_ok_scalar(z) and _o_eq(_o_mul(_o_read(z), oy), ox)
+    if x:
+        z = x.inv()
+        assert _layout_ok_scalar(z) and _o_eq(_o_mul(_o_read(z), ox), {0: (_O_ONE, _O_ONE)})
+
+
+def test_polynomial_kernels_build_no_gaussrat(monkeypatch):
+    # GaussRat holds scalar constants and numeric evaluation only: the Hopf
+    # verifier, from empty memo tables, builds none in its arithmetic.
+    from superq import _cache, hopf
+
+    made = []
+    real_gr, real_init = sc._gr, sc.GaussRat.__init__
+
+    def gr(*args):
+        made.append(args)
+        return real_gr(*args)
+
+    def init(self, *args):
+        made.append(args)
+        real_init(self, *args)
+    monkeypatch.setattr(sc, "_gr", gr)
+    monkeypatch.setattr(sc.GaussRat, "__init__", init)
+    _cache.clear()
+    rep = hopf.verify_hopf(2)
+    assert rep.ok and rep.checked > 200
+    assert made == []
