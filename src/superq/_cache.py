@@ -1,11 +1,14 @@
 """The memo tables and their optional size cap.
 
-Every memo table is a module-level dict named *_cache, filled only through
-the memo(table) decorator: the decorated function's positional argument
-tuple is the key, and a miss computes the result and stores it.  A
-decorated function may also store(), under the same key convention, the
-results of later calls that it builds on the way (prefixes of a product).
-memo() registers each table in TABLES, and clear() empties them all.
+Every memo table is a module-level dict named *_cache, registered in
+TABLES and filled only by memo or by store.  The memo(table) decorator
+registers its table and keys it on the decorated function's positional
+argument tuple: a miss computes the result and stores it.  A decorated
+function may also store(), under the same key convention, the results of
+later calls that it builds on the way (prefixes of a product).  A table
+read by hand on a hot path, such as those of the shared unit scalars in
+scalars, is registered with register(), and its reader calls store() on a
+miss.  clear() empties every registered table.
 
 The tables are observationally pure; by default they grow without bound
 (desk-scale workloads stay small).  The CLI's --cache-size flag sets a
@@ -39,9 +42,14 @@ def store(table: dict, key: tuple, value) -> None:
     table[key] = value
 
 
+def register(table: dict) -> None:
+    """Let clear() and the size limit reach table."""
+    TABLES.append(table)
+
+
 def memo(table: dict) -> Callable[[Callable], Callable]:
     """Cache a function's results in table, keyed on its argument tuple."""
-    TABLES.append(table)
+    register(table)
 
     def decorate(fn: Callable) -> Callable:
         @functools.wraps(fn)

@@ -197,9 +197,9 @@ def _mono_str(m: Monomial) -> str:
 # ---------------------------------------------------------------------------
 
 _geom_cache: Dict[tuple, Scalar] = {}
-_dla_cache: Dict[tuple, list] = {}
-_mul_cache: Dict[tuple, list] = {}
-_reduce_cache: Dict[tuple, list] = {}
+_dla_cache: Dict[tuple, tuple] = {}
+_mul_cache: Dict[tuple, tuple] = {}
+_reduce_cache: Dict[tuple, tuple] = {}
 
 
 @_cache.memo(_geom_cache)
@@ -223,7 +223,7 @@ def _times_gen(m: Monomial):
 
 @_cache.memo(_dla_cache)
 def _d_power_a_power(l: int, I: int):
-    """d^l a^I = sum_r C_r a^(I-r) b^r c^r d^(l-r), as the list of (r, C_r)."""
+    """d^l a^I = sum_r C_r a^(I-r) b^r c^r d^(l-r), as the tuple of (r, C_r)."""
     terms = {(0, 0, 0, l, 0): ONE}
     for _ in range(I):
         nxt: Dict[Monomial, Scalar] = {}
@@ -231,7 +231,7 @@ def _d_power_a_power(l: int, I: int):
             for mm, cc in _times_gen(m):
                 add_term(nxt, mm, c * cc)
         terms = nxt
-    return [(m[1], c) for m, c in terms.items()]
+    return tuple((m[1], c) for m, c in terms.items())
 
 
 def _sigma_exchange(u: int, J: int, K: int) -> int:
@@ -242,7 +242,7 @@ def _sigma_exchange(u: int, J: int, K: int) -> int:
 def _reduce_ad(m: Monomial):
     """Rewrite coexisting a and d via ad = sigma - t bc (A(sigma) only)."""
     if m[0] == 0 or m[3] == 0:
-        return [(m, ONE)]
+        return ((m, ONE),)
     return _reduce_ad_both(m)
 
 
@@ -260,12 +260,12 @@ def _reduce_ad_both(m: Monomial):
     c2 = signed_t_power(k + 1, j + k + 1)
     for mm, cc in _reduce_ad((i - 1, j + 1, k + 1, l - 1, s)):
         add_term(out, mm, cc * c2)
-    return list(out.items())
+    return tuple(out.items())
 
 
 @_cache.memo(_mul_cache)
 def _mono_mul(m1: Monomial, m2: Monomial, ring: str):
-    """Product of two normal monomials as a list of (monomial, Scalar).
+    """Product of two normal monomials as a tuple of (monomial, Scalar).
 
     In B(sigma), the term C_r (-1)^eps t^p of each r, with eps and p of the
     module docstring: only d^l a^I is more than a sign and a t-power, so
@@ -285,8 +285,8 @@ def _mono_mul(m1: Monomial, m2: Monomial, ring: str):
         for m, c in terms:
             for mm, cc in _reduce_ad(m):
                 add_term(red, mm, c * cc)
-        return list(red.items())
-    return terms
+        return tuple(red.items())
+    return tuple(terms)
 
 
 # ---------------------------------------------------------------------------

@@ -34,6 +34,13 @@ canonical denominator is a monomial, always t^k with coefficient 1.  Sums
 and products of such operands (and their conjugates) shift exponents and
 cancel the common t-power directly; they never reach _rf_canon or a gcd.
 
+The canonical atoms are hash-consed: signed_t_power returns one shared
+Scalar per value of +-t^k (ONE itself for 1), and _t_den one shared
+denominator t^k, so the memo tables that hold the relations' coefficients
+hold references, not copies.  Both tables are registered with _cache.
+Sharing is only a saving: every `is` is a short-cut in front of ==, and
+no code may mutate a Scalar or a polynomial dict once built.
+
 A non-monomial denominator takes Henrici's route (Knuth, TAOCP vol. 2,
 4.5.1), which cancels before it combines.  A product cancels gcd(n1, d2)
 and gcd(n2, d1), then multiplies.  A sum takes g = gcd(d1, d2) and
@@ -59,6 +66,8 @@ from fractions import Fraction
 from itertools import chain
 from math import gcd, isqrt
 from typing import Optional
+
+from . import _cache
 
 
 class ScalarError(ArithmeticError):
@@ -383,10 +392,21 @@ def _complex(x: GaussRat, y: GaussRat = G_ONE) -> complex:
 _C1 = (1, 0)
 P_ONE = ({0: _C1}, 1)
 
+# The shared canonical atoms (see the module docstring): {k: t^k} and
+# {(eps & 1, p): (-1)^eps t^p}.
+_t_den_cache: dict = {}
+_unit_cache: dict = {}
+_cache.register(_t_den_cache)
+_cache.register(_unit_cache)
+
 
 def _t_den(k: int):
-    """The canonical denominator t^k."""
-    return ({k: _C1}, 1) if k else P_ONE
+    """The canonical denominator t^k, one shared polynomial per k."""
+    d = _t_den_cache.get(k)
+    if d is None:
+        d = ({k: _C1}, 1) if k else P_ONE
+        _cache.store(_t_den_cache, k, d)
+    return d
 
 
 # ---------------------------------------------------------------------------
@@ -738,11 +758,18 @@ def _scalar(parts: dict) -> Scalar:
 
 
 def signed_t_power(eps: int, p: int) -> Scalar:
-    """(-1)^eps * t^p, built in canonical form with no arithmetic."""
-    c = (-1, 0) if eps % 2 else _C1
-    if p >= 0:
-        return _scalar({0: (({p: c}, 1), P_ONE)})
-    return _scalar({0: (({0: c}, 1), ({-p: _C1}, 1))})
+    """(-1)^eps * t^p, one shared Scalar per value; ONE itself for 1."""
+    key = (eps & 1, p)
+    x = _unit_cache.get(key)
+    if x is None:
+        if key == (0, 0):
+            x = ONE
+        else:
+            c = (-1, 0) if key[0] else _C1
+            x = _scalar({0: (({p: c}, 1), P_ONE) if p >= 0 else
+                         (({0: c}, 1), _t_den(-p))})
+        _cache.store(_unit_cache, key, x)
+    return x
 
 
 # ---------------------------------------------------------------------------

@@ -51,9 +51,9 @@ def build_M() -> List[List[Element]]:
     ]
 
 
-def verify_M(q_samples: Sequence = (-0.5, -2.0)) -> Report:
-    """Delta(M) = M ox M, eps(M) = I, S(M) = star(M)^T symbolically; the
-    unitarity M star(M)^T = I is certified numerically at the q samples."""
+def verify_M() -> Report:
+    """Delta(M) = M ox M, eps(M) = I, S(M) = star(M)^T and the unitarity
+    M star(M)^T = I = star(M)^T M, all exactly."""
     rep = Report()
     M = build_M()
     slots = (AlgSlot("Asigma"), AlgSlot("Asigma"))
@@ -70,29 +70,35 @@ def verify_M(q_samples: Sequence = (-0.5, -2.0)) -> Report:
             sm = antipode(M[i][j])
             stm = star(M[j][i])
             rep.check(f"S(M) = star(M)^T [{i}][{j}]", sm == stm, sm, stm)
-    residual = unitarity_defect()
-    for q in q_samples:
-        worst = 0.0
-        for entry in residual:
-            for coeff in entry.terms.values():
-                worst = max(worst, abs(coeff.eval_numeric(q)))
-        rep.check(f"numeric unitarity at q={q}", worst < 1e-9, worst, "< 1e-9")
+    adjoint = _star_transpose(M)
+    for label, x, y in (("M star(M)^T", M, adjoint), ("star(M)^T M", adjoint, M)):
+        defect = [e for e in _minus_identity(x, y) if e]
+        rep.check(f"unitarity {label} = I", not defect, defect[0] if defect else 0, 0)
     return rep
 
 
-def unitarity_defect() -> List[Element]:
-    """Entries of M star(M)^T - I, flattened."""
-    M = build_M()
+def _star_transpose(M: List[List[Element]]) -> List[List[Element]]:
+    return [[star(M[j][i]) for j in range(3)] for i in range(3)]
+
+
+def _minus_identity(x: List[List[Element]], y: List[List[Element]]) -> List[Element]:
+    """Entries of x y - I, flattened."""
     out = []
     for i in range(3):
         for j in range(3):
             acc = Element.zero("Asigma")
             for k in range(3):
-                acc = acc + M[i][k] * star(M[j][k])
+                acc = acc + x[i][k] * y[k][j]
             if i == j:
                 acc = acc - Element.one("Asigma")
             out.append(acc)
     return out
+
+
+def unitarity_defect() -> List[Element]:
+    """Entries of M star(M)^T - I, flattened."""
+    M = build_M()
+    return _minus_identity(M, _star_transpose(M))
 
 
 def canonicalize_alpha(alpha: Sequence[Scalar]) -> Tuple[Scalar, Scalar, Scalar]:

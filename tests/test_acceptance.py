@@ -1,8 +1,7 @@
 """Acceptance suite: one test per exit criterion, each printing a verdict
 line.  Run with `pytest tests/test_acceptance.py -v -s`.
 
-Every check is exact (canonical-form equality over Q(i)(t)) except the
-explicitly numeric unitarity residuals.
+Every check is exact (canonical-form equality over Q(i)(t)).
 """
 
 import json
@@ -73,7 +72,7 @@ def test_criterion_05_pairing_rank():
 
 
 def test_criterion_06_spheres():
-    rep = spheres.verify_M(q_samples=(-0.5, -2.0))
+    rep = spheres.verify_M()
     rep.merge(spheres.verify_infinity_relations())
     chars = spheres.characters_of_S_infinity()
     chars_ok = sorted(str(c[1]) for c in chars) == ["-1", "1"] and \

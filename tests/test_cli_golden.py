@@ -18,6 +18,7 @@ from pathlib import Path
 
 import pytest
 
+from superq import _cache
 from superq.algebra import mono_degree
 from superq.cli import main
 from superq.parser import eval_text, random_ast, to_text
@@ -107,6 +108,21 @@ def test_corpus_covers_readme_and_sample():
 @pytest.mark.parametrize("case", CASES, ids=[" ".join(c["argv"]) for c in CASES])
 def test_cli_golden(case):
     assert run(case["argv"]) == (case["code"], case["stdout"])
+
+
+# README's expression commands once more with every memo table capped at one
+# entry: a cache may change how long an answer takes, never the answer.
+EXPRESSION_COMMANDS = ("nf", "eps", "delta", "antipode", "star", "haar", "pair", "inner")
+UNCACHED = [c for c in CASES if c["argv"][0] in EXPRESSION_COMMANDS
+            and (c["argv"] in README_EXAMPLES or c["argv"][:-1] in README_EXAMPLES)]
+
+
+@pytest.mark.parametrize("case", UNCACHED, ids=[" ".join(c["argv"]) for c in UNCACHED])
+def test_cli_golden_with_cache_size_0(case):
+    try:
+        assert run(["--cache-size", "0", *case["argv"]]) == (case["code"], case["stdout"])
+    finally:
+        _cache.set_limit(None)   # the cap outlives main() until its next call
 
 
 if __name__ == "__main__":

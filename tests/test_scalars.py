@@ -768,3 +768,57 @@ def test_polynomial_kernels_build_no_gaussrat(monkeypatch):
     rep = hopf.verify_hopf(2)
     assert rep.ok and rep.checked > 200
     assert made == []
+
+
+def _fresh_unit(eps, p):
+    """The parts of (-1)^eps t^p, written out literally."""
+    c = (-1 if eps else 1, 0)
+    if p >= 0:
+        return {0: (({p: c}, 1), ({0: (1, 0)}, 1))}
+    return {0: (({0: c}, 1), ({-p: (1, 0)}, 1))}
+
+
+def test_unit_scalars_are_shared():
+    from superq import _cache
+
+    assert sc.signed_t_power(0, 0) is ONE
+    for eps in range(-3, 3):
+        for p in range(-4, 5):
+            x = sc.signed_t_power(eps, p)
+            assert x is sc.signed_t_power(eps + 2, p)
+            assert x.parts == _fresh_unit(eps % 2, p)
+            if p < 0:
+                assert x.parts[0][1] is sc._t_den(-p)
+    assert Scalar.q_power(3) is sc.signed_t_power(1, 6)
+    assert sc._t_den(0) is sc.P_ONE
+    _cache.clear()   # the tables refill; the values do not change
+    assert sc.signed_t_power(2, 0) is ONE
+    assert sc.signed_t_power(1, 3) == -(T ** 3)
+
+
+def test_memo_tables_share_the_unit_scalars():
+    # A product that needs neither d^l a^I nor ad = sigma - t bc is one
+    # term, +-t^k times ONE: its memoised coefficient is the shared object.
+    from superq import _cache, algebra, hopf
+
+    _cache.clear()
+    assert hopf.verify_hopf(3).ok
+    shared = {v: v for v in sc._unit_cache.values()}
+    one_term = [terms[0][1] for terms in algebra._mul_cache.values() if len(terms) == 1]
+    assert len(one_term) > 100
+    assert all(c is shared[c] for c in one_term)
+
+
+def test_shared_units_survive_a_verify_pass(capsys):
+    # No code may mutate a shared Scalar or polynomial dict: after a full
+    # verify pass every shared entry still holds its literal value.
+    from superq.cli import main
+
+    assert main(["verify", "--suite", "all"]) == 0
+    capsys.readouterr()
+    assert len(sc._unit_cache) > 20 and len(sc._t_den_cache) > 20
+    for (eps, p), x in sc._unit_cache.items():
+        assert x.parts == _fresh_unit(eps, p), (eps, p)
+    for k, d in sc._t_den_cache.items():
+        assert d == ({k: (1, 0)}, 1), k
+    assert ONE.parts == _fresh_unit(0, 0) and sc.P_ONE == ({0: (1, 0)}, 1)

@@ -35,9 +35,19 @@ def test_M_counit_is_identity():
             assert counit(M[i][j]) == (ONE if i == j else ZERO)
 
 
-def test_verify_M_symbolic_and_numeric():
-    rep = verify_M(q_samples=(-0.5, -2.0))
+def test_verify_M_exact():
+    rep = verify_M()
     assert rep.ok, str(rep)
+
+
+def test_verify_M_unitarity_checks_fail_on_a_non_unitary_M(monkeypatch):
+    # t*M is not unitary: t*M star(t*M)^T = t^2 I = star(t*M)^T t*M, so
+    # both unitarity checks must fail.
+    import superq.spheres as spheres
+    scaled = [[e.scale(T) for e in row] for row in build_M()]
+    monkeypatch.setattr(spheres, "build_M", lambda: scaled)
+    failed = {f["input"] for f in verify_M().failures}
+    assert {"unitarity M star(M)^T = I", "unitarity star(M)^T M = I"} <= failed
 
 
 def test_unitarity_is_exact_here():
