@@ -288,6 +288,7 @@ def main(argv=None) -> int:
             ap.error("sphere --check characters is only computed for --infinity")
     except SystemExit as exc:
         return USAGE_ERROR if exc.code not in (0, None) else 0
+    previous = _cache.LIMIT
     _cache.set_limit(args.cache_size)   # None (no cap) unless this call sets one
     try:
         return _dispatch(args)
@@ -297,6 +298,8 @@ def main(argv=None) -> int:
     except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    finally:
+        _cache.set_limit(previous)      # the cap is this call's alone
 
 
 def _dispatch(args) -> int:

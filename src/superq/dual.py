@@ -16,15 +16,17 @@ with the single letters given on normal monomials by
     f:        f(uv) = f(u) k^-1(v) + (-1)^p(u) eps(u) f(v), f(c) = 1,
               f(a) = f(b) = f(d) = f(sigma) = 0.
 
-The printed generator value for e is (t - t^-1)/(q - q^-1); a global sign
-on e(b) is calibrated once so that ef + fe = (k - k^-1)/(q - q^-1) holds
-under the evaluation-sign convention above (the two printed conventions
-disagree by exactly this sign; see calibrate_e_sign).
+The printed generator value for e is (t - t^-1)/(q - q^-1).  Under the
+evaluation-sign convention above, ef + fe = (k - k^-1)/(q - q^-1) holds
+only with the opposite sign (the two printed conventions disagree by
+exactly this sign), so e(b) is the fixed literal E_SIGN times the printed
+value, E_SIGN = -1.  calibrate_e_sign_value re-derives that sign from the
+relation at a and checks it against the literal.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from . import _cache, linalg
 from .algebra import Element, Monomial, basis_monomials, mono_parity
@@ -37,10 +39,10 @@ Word = Tuple[str, ...]
 LETTERS = ("k", "K", "e", "f")
 _LETTER_PARITY = {"k": 0, "K": 0, "e": 1, "f": 1}
 
-# e(b) as printed, before sign calibration: (t - t^-1)/(q - q^-1).
+# e(b) as printed: (t - t^-1)/(q - q^-1).  The value used is E_SIGN times it.
 _E_VALUE_PRINTED = (T - T_INV) / (Scalar.q_power(1) - Scalar.q_power(-1))
-
-_e_sign_cache: Dict[tuple, int] = {}
+E_SIGN = -1
+_E_VALUE = -_E_VALUE_PRINTED
 
 
 def word_parity(word: Word) -> int:
@@ -77,8 +79,8 @@ class Functional(_Combination):
                 add_term(out, w1 + w2, c1 * c2)
         return self._like(out)
 
-    def __call__(self, x: Element, e_sign: Optional[int] = None) -> Scalar:
-        return eval_functional(self, x, e_sign)
+    def __call__(self, x: Element) -> Scalar:
+        return eval_functional(self, x)
 
     def __str__(self):
         if not self.terms:
@@ -95,13 +97,7 @@ class Functional(_Combination):
 # Evaluation
 # ---------------------------------------------------------------------------
 
-@_cache.memo(_e_sign_cache)
-def e_sign() -> int:
-    """The calibrated global sign for e(b) (computed once, then fixed)."""
-    return calibrate_e_sign_value()
-
-
-def _letter_value(g: str, m: Monomial, es: int) -> Scalar:
+def _letter_value(g: str, m: Monomial) -> Scalar:
     i, j, k, l, s = m
     if g in ("k", "K"):
         if j or k:
@@ -112,8 +108,7 @@ def _letter_value(g: str, m: Monomial, es: int) -> Scalar:
     if g == "e":
         # nonzero only on a^i b d^l sigma^s (derivation property), value t^i e(b)
         if j == 1 and k == 0:
-            val = Scalar.t_power(i) * _E_VALUE_PRINTED
-            return -val if es < 0 else val
+            return Scalar.t_power(i) * _E_VALUE
         return ZERO
     if g == "f":
         # nonzero only on a^i c d^l sigma^s, value f(c) k^-1(d)^l k^-1(sigma)^s
@@ -126,24 +121,24 @@ def _letter_value(g: str, m: Monomial, es: int) -> Scalar:
 _eval_cache: Dict[tuple, Scalar] = {}
 
 
-def _eval_word_mono(word: Word, m: Monomial, ring: str, es: int) -> Scalar:
+def _eval_word_mono(word: Word, m: Monomial, ring: str) -> Scalar:
     if not word:
         return counit(Element.monomial(m, ring))
     if len(word) == 1:
-        return _letter_value(word[0], m, es)
-    return _eval_long_word(word, m, ring, es)
+        return _letter_value(word[0], m)
+    return _eval_long_word(word, m, ring)
 
 
 @_cache.memo(_eval_cache)
-def _eval_long_word(word: Word, m: Monomial, ring: str, es: int) -> Scalar:
+def _eval_long_word(word: Word, m: Monomial, ring: str) -> Scalar:
     head, rest = word[0], word[1:]
     rest_par = word_parity(rest)
     total = ZERO
     for (m1, m2), coeff in _delta_mono(m, ring).items():
-        v1 = _letter_value(head, m1, es)
+        v1 = _letter_value(head, m1)
         if not v1:
             continue
-        v2 = _eval_word_mono(rest, m2, ring, es)
+        v2 = _eval_word_mono(rest, m2, ring)
         if not v2:
             continue
         piece = coeff * v1 * v2
@@ -153,14 +148,12 @@ def _eval_long_word(word: Word, m: Monomial, ring: str, es: int) -> Scalar:
     return total
 
 
-def eval_functional(phi: Functional, x: Element,
-                    e_sign_override: Optional[int] = None) -> Scalar:
+def eval_functional(phi: Functional, x: Element) -> Scalar:
     """Evaluate a functional against an algebra element."""
-    es = e_sign_override if e_sign_override is not None else e_sign()
     out = ZERO
     for w, cw in phi.terms.items():
         for m, cm in x.terms.items():
-            v = _eval_word_mono(w, m, x.ring, es)
+            v = _eval_word_mono(w, m, x.ring)
             if v:
                 out = out + cw * cm * v
     return out
@@ -181,26 +174,27 @@ def calibrate_e_sign_value() -> int:
 
     With the evaluation-sign convention and the printed generator values the
     left side at x = a is -e(b), while the right side is +e(b)-printed, so
-    the calibration lands on -1.  Both signs are tried; failure of both
-    would mean the conventions are inconsistent beyond one sign.
+    the calibration lands on -1.  The left side is linear in e(b): this
+    returns E_SIGN when the relation holds with the literal, -E_SIGN when it
+    holds with the opposite sign, and raises otherwise, which would mean the
+    conventions are inconsistent beyond one sign.
     """
     a = Element.generator("a")
-    target = eval_functional(_casimir_rhs(), a, e_sign_override=1)
-    for sign in (1, -1):
-        lhs = eval_functional(Functional.word("e", "f") + Functional.word("f", "e"),
-                              a, e_sign_override=sign)
-        if lhs == target:
-            return sign
+    target = eval_functional(_casimir_rhs(), a)
+    lhs = eval_functional(Functional.word("e", "f") + Functional.word("f", "e"), a)
+    if lhs == target:
+        return E_SIGN
+    if -lhs == target:
+        return -E_SIGN
     raise ArithmeticError("no sign of e(b) satisfies the Casimir relation at a")
 
 
 def calibrate_e_sign() -> Scalar:
     """Spec surface: the calibrated sign as a scalar."""
-    return Scalar.from_rational(e_sign())
+    return Scalar.from_rational(calibrate_e_sign_value())
 
 
-def verify_uq_relations(max_degree: int,
-                        e_sign_override: Optional[int] = None) -> Report:
+def verify_uq_relations(max_degree: int) -> Report:
     """Defining relations of the dual algebra, checked pointwise on all
     basis monomials of degree <= max_degree (both sigma components)."""
     q = Scalar.q_power(1)
@@ -218,8 +212,8 @@ def verify_uq_relations(max_degree: int,
     for m in basis_monomials(max_degree, "Asigma"):
         x = Element.monomial(m, "Asigma")
         for name, lhs, rhs in relations:
-            lv = eval_functional(lhs, x, e_sign_override)
-            rv = eval_functional(rhs, x, e_sign_override)
+            lv = eval_functional(lhs, x)
+            rv = eval_functional(rhs, x)
             rep.check(f"{name} at {m}", lv == rv, lv, rv)
     return rep
 
@@ -260,8 +254,8 @@ def verify_dual_hopf(samples: int = 40, rng_seed: int = 1,
             lhs = eval_functional(Functional.word(g), x * y)
             rhs = ZERO
             for coeff, wl, wr in table:
-                piece = coeff * _eval_word_mono(wl, m1, "Asigma", e_sign()) \
-                    * _eval_word_mono(wr, m2, "Asigma", e_sign())
+                piece = coeff * _eval_word_mono(wl, m1, "Asigma") \
+                    * _eval_word_mono(wr, m2, "Asigma")
                 if word_parity(wr) and mono_parity(m1):
                     piece = -piece
                 rhs = rhs + piece
@@ -316,12 +310,11 @@ def pairing_gram_rank(word_bound: int, degree_bound: int) -> Report:
     full-rank specialization certificate is used when it applies."""
     words = pairing_words(word_bound)
     monos = list(basis_monomials(degree_bound, "Asigma"))
-    es = e_sign()
     rows = []
     for w in words:
         row = {}
         for m in monos:
-            v = _eval_word_mono(w, m, "Asigma", es)
+            v = _eval_word_mono(w, m, "Asigma")
             if v:
                 row[m] = v
         rows.append(row)

@@ -1,16 +1,17 @@
 """Exact linear algebra over the scalar field.
 
-Rows are sparse dicts {column key: Scalar}.  Everything is plain Gaussian
-elimination with exact division; no pivoting heuristics beyond sparsity.
+Rows are sparse dicts {column key: Scalar}.  One Gaussian elimination
+loop with exact division, rref, serves rank, nullspace, solve, membership
+and the specialised rank certificate (whose GaussRat rows it reduces just
+as well); no pivoting heuristics beyond sparsity.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
 from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
-from .scalars import GaussRat, ONE, Scalar, ScalarPoleError, ZERO, add_term
+from .scalars import ONE, Scalar, ScalarPoleError, ZERO, add_term
 
 Row = Dict[Hashable, Scalar]
 
@@ -135,57 +136,8 @@ def specialized_rank_certificate(rows: Sequence[Row], t_points=None) -> Optional
             num_rows = [{c: v.specialize_t(t0) for c, v in r.items()} for r in rows]
         except ScalarPoleError:
             continue
-        r = _gauss_rank(num_rows)
+        # rref pivots on any entry it finds, so the zeros must go
+        r = rank([{c: x for c, x in row.items() if x} for row in num_rows])
         if r == target:
             return r
     return None
-
-
-def _gauss_rank(rows: List[Dict[Hashable, GaussRat]]) -> int:
-    """Rank by fraction-free elimination on Gaussian-integer rows.
-
-    Each row is scaled to Gaussian-integer entries, the numerators over the
-    row's common denominator, and after each step to integer content 1;
-    scaling a row by a nonzero number keeps the rank.
-    """
-    work = []
-    for r in rows:
-        D = lcm(*(v.d for v in r.values()))
-        r = _int_row({c: (v.a * (D // v.d), v.b * (D // v.d)) for c, v in r.items()})
-        if r:
-            work.append(r)
-    rk = 0
-    while work:
-        row = work.pop()
-        col = next(iter(row))
-        p, q = row[col]
-        rk += 1
-        new_work = []
-        for r in work:
-            f = r.get(col)
-            if f:
-                # r <- (p + q*i)*r - f*row, which clears column col
-                fa, fb = f
-                out = {c: (p * x - q * y, p * y + q * x) for c, (x, y) in r.items()}
-                for c, (x, y) in row.items():
-                    u, v = out.get(c, (0, 0))
-                    u -= fa * x - fb * y
-                    v -= fa * y + fb * x
-                    if u or v:
-                        out[c] = (u, v)
-                    else:
-                        out.pop(c, None)
-                r = _int_row(out)
-            if r:
-                new_work.append(r)
-        work = new_work
-    return rk
-
-
-def _int_row(row):
-    """row divided by the gcd of all its integer parts, zeros dropped."""
-    row = {c: xy for c, xy in row.items() if xy[0] or xy[1]}
-    g = gcd(*(n for xy in row.values() for n in xy)) if row else 1
-    if g > 1:
-        row = {c: (x // g, y // g) for c, (x, y) in row.items()}
-    return row

@@ -146,7 +146,11 @@ class CorepMatrix:
 _matrix_cache: Dict[tuple, CorepMatrix] = {}
 
 
-def matrix_coefficients(twoL: int, s: int = 0, bound: int = 6) -> CorepMatrix:
+# matrix_coefficients refuses 2l above 2 * MATRIX_BOUND.
+MATRIX_BOUND = 6
+
+
+def matrix_coefficients(twoL: int, s: int = 0) -> CorepMatrix:
     """Entries M'_ij with Delta(xi'_i) = sum_j M'_ij ox xi'_j.
 
     The right tensor legs a^(l-j) c^(l+j) sigma^s are basis monomials, so
@@ -154,8 +158,8 @@ def matrix_coefficients(twoL: int, s: int = 0, bound: int = 6) -> CorepMatrix:
     eta-side duality and the weight-space membership are verified before
     the matrix is returned.
     """
-    if twoL > 2 * bound:
-        raise ValueError(f"twoL={twoL} exceeds the configured bound {2 * bound}")
+    if twoL > 2 * MATRIX_BOUND:
+        raise ValueError(f"twoL={twoL} exceeds the configured bound {2 * MATRIX_BOUND}")
     return _verified_matrix(twoL, s)
 
 
@@ -306,7 +310,6 @@ def closed_form_matrix(twoL: int, s: int = 0) -> CorepMatrix:
 # ---------------------------------------------------------------------------
 
 _haar_zeta_cache: Dict[tuple, Scalar] = {}
-_haar_zeta_sigma_cache: Dict[tuple, Scalar] = {}
 _m00_cache: Dict[tuple, Dict[Tuple[int, int], Scalar]] = {}
 _coord_cache: Dict[tuple, Dict[Tuple[int, int], Scalar]] = {}
 
@@ -339,7 +342,6 @@ def _m00_basis(l: int, w: int) -> Dict[Tuple[int, int], Scalar]:
     return _zeta_coordinates(closed_form(2 * l, 0, 0))
 
 
-@_cache.memo(_haar_zeta_sigma_cache)
 def haar_zeta_sigma(n: int) -> Scalar:
     """h(zeta^n sigma), by exact expansion in the m^(l)_00 sigma^w basis.
 
@@ -348,8 +350,8 @@ def haar_zeta_sigma(n: int) -> Scalar:
     entries of its memoised row (_coord_expansion), which is back-substituted
     once over the memoised basis, as deg P_l = l.
     """
-    coeffs = _expand_in_m00(zeta_power(n) * Element.generator("sigma"))
-    return coeffs.get((0, 0), ZERO) + coeffs.get((0, 1), ZERO)
+    row = _coord_expansion(n, 1)
+    return row.get((0, 0), ZERO) + row.get((0, 1), ZERO)
 
 
 @_cache.memo(_coord_cache)

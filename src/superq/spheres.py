@@ -152,10 +152,8 @@ def coaction_matrix(p: SphereParams) -> List[List[Element]]:
         for (ml, mr), coeff in dx.terms.items():
             k = next(i for i, sup in enumerate(supports) if ml in sup)
             scale = coeff / xs[k].terms[ml]
-            prev = rows[k].get((ml, mr))
             rows[k][(ml, mr)] = scale
         for k in range(3):
-            per_mono: Dict = {}
             candidates = {}
             for (ml, mr), scale in rows[k].items():
                 acc = candidates.setdefault(ml, {})

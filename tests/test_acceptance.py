@@ -8,7 +8,7 @@ import json
 import random
 import time
 
-from superq import dual, hopf, qfun, repn, spheres
+from superq import _cache, dual, hopf, qfun, repn, spheres
 from superq.algebra import Element, basis_monomials, random_monomial, zeta_power
 from superq.scalars import ONE, Scalar, T, T_INV, ZERO
 
@@ -57,9 +57,15 @@ def test_criterion_03_comodule_algebra():
              f"{rep.checked} checks; y^2=0 control nonzero")
 
 
-def test_criterion_04_dual_relations():
+def test_criterion_04_dual_relations(monkeypatch):
     rep = dual.verify_uq_relations(5)
-    bad = dual.verify_uq_relations(1, e_sign_override=-dual.e_sign())
+    _cache.clear()
+    try:
+        with monkeypatch.context() as patch:
+            patch.setattr(dual, "_E_VALUE", -dual._E_VALUE)
+            bad = dual.verify_uq_relations(1)
+    finally:
+        _cache.clear()
     uncal_fails_at_a = any("(1, 0, 0, 0, 0)" in f["input"] for f in bad.failures)
     _verdict(4, "dual algebra relations deg<=5", rep.ok and uncal_fails_at_a,
              f"{rep.checked} checks; uncalibrated failure at a reproduced")

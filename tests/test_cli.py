@@ -407,13 +407,10 @@ def test_cache_size_applies_to_its_own_call_only(capsys):
     from superq import _cache
 
     previous = _cache.LIMIT
-    try:
-        assert main(["--cache-size", "2", "nf", "a"]) == 0
-        assert _cache.LIMIT == 2
-        assert main(["nf", "a"]) == 0
-        assert _cache.LIMIT is None
-    finally:
-        _cache.set_limit(previous)
+    assert main(["--cache-size", "2", "nf", "a"]) == 0
+    assert _cache.LIMIT == previous
+    assert main(["--cache-size", "2", "nf", "a^"]) == 2    # an error path too
+    assert _cache.LIMIT == previous
     capsys.readouterr()
 
 
@@ -432,7 +429,7 @@ def test_cache_size_caps_every_memo_table():
     ]
     uncapped = [q() for q in queries]
     tables = _memo_tables()
-    assert len(tables) == 17
+    assert len(tables) == 15
     previous = _cache.LIMIT
     used = set()
     try:

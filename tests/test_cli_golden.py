@@ -18,7 +18,6 @@ from pathlib import Path
 
 import pytest
 
-from superq import _cache
 from superq.algebra import mono_degree
 from superq.cli import main
 from superq.parser import eval_text, random_ast, to_text
@@ -119,10 +118,7 @@ UNCACHED = [c for c in CASES if c["argv"][0] in EXPRESSION_COMMANDS
 
 @pytest.mark.parametrize("case", UNCACHED, ids=[" ".join(c["argv"]) for c in UNCACHED])
 def test_cli_golden_with_cache_size_0(case):
-    try:
-        assert run(["--cache-size", "0", *case["argv"]]) == (case["code"], case["stdout"])
-    finally:
-        _cache.set_limit(None)   # the cap outlives main() until its next call
+    assert run(["--cache-size", "0", *case["argv"]]) == (case["code"], case["stdout"])
 
 
 if __name__ == "__main__":

@@ -1,7 +1,12 @@
+from contextlib import contextmanager, nullcontext
+
+import pytest
+
+from superq import _cache, dual
 from superq.algebra import Element, basis_monomials
 from superq.dual import (
-    Functional, calibrate_e_sign, calibrate_e_sign_value,
-    convolution_associativity_check, e_sign, eval_functional,
+    E_SIGN, Functional, calibrate_e_sign, calibrate_e_sign_value,
+    convolution_associativity_check, eval_functional,
     pairing_gram_rank, pairing_words, verify_dual_hopf, verify_uq_relations,
 )
 from superq.scalars import MINUS_ONE, ONE, Scalar, T, T_INV
@@ -9,6 +14,19 @@ from superq.scalars import MINUS_ONE, ONE, Scalar, T, T_INV
 
 def gen(name):
     return Element.generator(name)
+
+
+@contextmanager
+def flipped_e_value():
+    """Evaluate with e(b) of the opposite sign.  The memo tables are emptied
+    before and after, so nothing computed under the flip outlives it."""
+    _cache.clear()
+    try:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(dual, "_E_VALUE", -dual._E_VALUE)
+            yield
+    finally:
+        _cache.clear()
 
 
 def test_k_generator_values():
@@ -56,23 +74,38 @@ def test_ef_plus_fe_on_b_is_zero():
 
 
 def test_calibration_is_minus_one():
-    assert calibrate_e_sign_value() == -1
+    assert E_SIGN == -1
+    assert calibrate_e_sign_value() == E_SIGN
     assert calibrate_e_sign() == MINUS_ONE
-    assert e_sign() == -1
+    printed = (T - T_INV) / (Scalar.q_power(1) - Scalar.q_power(-1))
+    assert eval_functional(Functional.word("e"), gen("b")) == -printed
 
 
 def test_uncalibrated_sign_fails_at_a():
-    rep = verify_uq_relations(1, e_sign_override=1)
+    with flipped_e_value():
+        rep = verify_uq_relations(1)
     assert not rep.ok
     assert any("(1, 0, 0, 0, 0)" in f["input"] for f in rep.failures)
+    assert verify_uq_relations(1).ok
+
+
+def test_flipped_literal_calibrates_to_plus_one():
+    # The calibration re-derives the sign rather than echoing the literal.
+    with flipped_e_value():
+        assert calibrate_e_sign_value() == 1
+        assert calibrate_e_sign() == ONE
+        rep = verify_uq_relations(1)
+    assert any("(1, 0, 0, 0, 0)" in f["input"] for f in rep.failures)
+    assert calibrate_e_sign_value() == -1
 
 
 def test_kek_inv_scaling_holds_for_either_sign():
     # conjugation by k rescales e by q, independently of the e sign
     q = Scalar.q_power(1)
-    for sign in (1, -1):
-        lhs = eval_functional(Functional.word("k", "e", "K"), gen("b"), sign)
-        rhs = q * eval_functional(Functional.word("e"), gen("b"), sign)
+    for sign in (nullcontext(), flipped_e_value()):
+        with sign:
+            lhs = eval_functional(Functional.word("k", "e", "K"), gen("b"))
+            rhs = q * eval_functional(Functional.word("e"), gen("b"))
         assert lhs == rhs
 
 
@@ -133,29 +166,35 @@ def test_gram_rank_small():
     assert rep.ok, str(rep)
 
 
+def _pairing_rows(words, monos):
+    rows = []
+    for w in words:
+        row = {}
+        for m in monos:
+            v = dual._eval_word_mono(w, m, "Asigma")
+            if v:
+                row[m] = v
+        rows.append(row)
+    return rows
+
+
 def test_gram_rank_invariant_under_sign():
     # row scaling by the e sign cannot change the rank
-    from superq import dual, linalg
+    from superq import linalg
     words = pairing_words(1)
     monos = list(basis_monomials(2, "Asigma"))
     ranks = []
-    for sign in (1, -1):
-        rows = []
-        for w in words:
-            row = {}
-            for m in monos:
-                v = dual._eval_word_mono(w, m, "Asigma", sign)
-                if v:
-                    row[m] = v
-            rows.append(row)
-        ranks.append(linalg.rank(rows))
+    for sign in (nullcontext(), flipped_e_value()):
+        with sign:
+            ranks.append(linalg.rank(_pairing_rows(words, monos)))
     assert ranks[0] == ranks[1]
 
 
 def test_zero_row_never_occurs_small():
     words = pairing_words(2)
     monos = list(basis_monomials(4, "Asigma"))
-    from superq import dual
-    for w in words:
-        assert any(dual._eval_word_mono(w, m, "Asigma", e_sign())
-                   for m in monos), f"zero functional row for word {w}"
+    for sign in (nullcontext(), flipped_e_value()):
+        with sign:
+            rows = _pairing_rows(words, monos)
+        for w, row in zip(words, rows):
+            assert row, f"zero functional row for word {w}"

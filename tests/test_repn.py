@@ -92,7 +92,7 @@ def test_matrix_entry_weights():
 
 def test_matrix_bound():
     with pytest.raises(ValueError):
-        matrix_coefficients(20, 0, bound=6)
+        matrix_coefficients(20, 0)
 
 
 def test_closed_form_examples():
