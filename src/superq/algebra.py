@@ -33,7 +33,7 @@ from __future__ import annotations
 from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 from . import _cache
-from .scalars import ONE, Scalar, T, T_INV, ZERO, _Combination, _signed_join, add_term, signed_t_power
+from .scalars import ONE, Scalar, T, T_INV, ZERO, _Combination, _signed_join, signed_t_power, sum_images
 
 Monomial = Tuple[int, int, int, int, int]   # exponents of a, b, c, d, sigma
 
@@ -68,7 +68,8 @@ def _check_ring(ring: str):
 class Element(_Combination):
     """Zero-free linear combination of normal-form monomials over Scalars.
     The constructor checks the ring and drops zeros; the vector-space
-    operations are _Combination's."""
+    operations and the product are _Combination's, with _mono_mul as the
+    key product _times."""
 
     __slots__ = ("ring",)
     _TAG = "ring"
@@ -117,19 +118,8 @@ class Element(_Combination):
     def __hash__(self):
         return hash((self.ring, tuple(sorted(self.terms))))
 
-    def __mul__(self, other):
-        if isinstance(other, (Scalar, int)):
-            return self.__rmul__(other)     # scalars commute
-        if not isinstance(other, Element):
-            return NotImplemented
-        self._check(other)
-        out: Dict[Monomial, Scalar] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                c12 = c1 * c2
-                for m, c in _mono_mul(m1, m2, self.ring):
-                    add_term(out, m, c12 * c)
-        return self._like(out)
+    def _times(self, m1, m2):
+        return _mono_mul(m1, m2, self.ring)
 
     def __pow__(self, n: int) -> "Element":
         """self^n by n products with self, not by repeated squaring.
@@ -223,14 +213,11 @@ def _times_gen(m: Monomial):
 
 @_cache.memo(_dla_cache)
 def _d_power_a_power(l: int, I: int):
-    """d^l a^I = sum_r C_r a^(I-r) b^r c^r d^(l-r), as the tuple of (r, C_r)."""
+    """d^l a^I = sum_r C_r a^(I-r) b^r c^r d^(l-r), as the tuple of (r, C_r):
+    d^l times a, I times, each step the linear extension of _times_gen."""
     terms = {(0, 0, 0, l, 0): ONE}
     for _ in range(I):
-        nxt: Dict[Monomial, Scalar] = {}
-        for m, c in terms.items():
-            for mm, cc in _times_gen(m):
-                add_term(nxt, mm, c * cc)
-        terms = nxt
+        terms = sum_images(terms.items(), _times_gen)
     return tuple((m[1], c) for m, c in terms.items())
 
 
@@ -251,16 +238,11 @@ def _reduce_ad_both(m: Monomial):
     i, j, k, l, s = m
     # a^i b^j c^k d^l = t^(j+k) [ a^(i-1) b^j c^k d^(l-1) sigma
     #                             - (-1)^k t a^(i-1) b^(j+1) c^(k+1) d^(l-1) ]
-    # Equal monomials from the two branches are merged, so a^n d^n gives
-    # n + 1 terms, not 2^n.
-    tf = Scalar.t_power(j + k)
-    out: Dict[Monomial, Scalar] = {}
-    for mm, cc in _reduce_ad((i - 1, j, k, l - 1, 1 - s)):
-        add_term(out, mm, cc * tf)
-    c2 = signed_t_power(k + 1, j + k + 1)
-    for mm, cc in _reduce_ad((i - 1, j + 1, k + 1, l - 1, s)):
-        add_term(out, mm, cc * c2)
-    return tuple(out.items())
+    # sum_images adds the two branches' reductions and merges equal
+    # monomials, so a^n d^n gives n + 1 terms, not 2^n.
+    branches = (((i - 1, j, k, l - 1, 1 - s), Scalar.t_power(j + k)),
+                ((i - 1, j + 1, k + 1, l - 1, s), signed_t_power(k + 1, j + k + 1)))
+    return tuple(sum_images(branches, _reduce_ad).items())
 
 
 @_cache.memo(_mul_cache)
@@ -269,7 +251,8 @@ def _mono_mul(m1: Monomial, m2: Monomial, ring: str):
 
     In B(sigma), the term C_r (-1)^eps t^p of each r, with eps and p of the
     module docstring: only d^l a^I is more than a sign and a t-power, so
-    only its C_r need a table.  A(sigma) then reduces each term's ad.
+    only its C_r need a table.  A(sigma) then reduces each term's ad: the
+    linear extension of _reduce_ad over the terms.
     """
     i, j, k, l, u = m1
     I, J, K, L, U = m2
@@ -281,11 +264,7 @@ def _mono_mul(m1: Monomial, m2: Monomial, ring: str):
         terms.append(((i + I - r, j + J + r, k + K + r, l + L - r, (u + U) % 2),
                       c * signed_t_power(eps, p)))
     if ring == "Asigma":
-        red: Dict[Monomial, Scalar] = {}
-        for m, c in terms:
-            for mm, cc in _reduce_ad(m):
-                add_term(red, mm, c * cc)
-        return tuple(red.items())
+        return tuple(sum_images(terms, _reduce_ad).items())
     return tuple(terms)
 
 
@@ -356,10 +335,9 @@ def zeta_power(n: int, ring: str = "Asigma") -> Element:
     return Element.monomial((0, n, n, 0, n % 2), ring, signed_t_power(n * (n - 1) // 2, n))
 
 
-def basis_monomials(max_degree: int, ring: str = "Asigma",
-                    include_sigma: bool = True) -> Iterable[Monomial]:
+def basis_monomials(max_degree: int, ring: str = "Asigma") -> Iterable[Monomial]:
     """All normal-form basis monomials of total degree <= max_degree."""
-    svals = (0, 1) if (include_sigma and ring != "B") else (0,)
+    svals = (0, 1) if ring != "B" else (0,)
     for d in range(max_degree + 1):
         for i in range(d + 1):
             for j in range(d - i + 1):

@@ -32,7 +32,7 @@ from . import _cache, linalg
 from .algebra import Element, Monomial, basis_monomials, mono_parity
 from .hopf import _delta_mono, antipode, counit
 from .report import Report
-from .scalars import ONE, Scalar, T, T_INV, ZERO, _Combination, add_term, signed_t_power
+from .scalars import ONE, Scalar, T, T_INV, ZERO, _Combination, signed_t_power
 
 Word = Tuple[str, ...]
 
@@ -51,7 +51,8 @@ def word_parity(word: Word) -> int:
 
 class Functional(_Combination):
     """Zero-free Scalar-linear combination of words in k, K, e, f; the
-    vector-space operations are _Combination's."""
+    vector-space operations and the product are _Combination's, with word
+    concatenation as the key product _times."""
 
     __slots__ = ()
 
@@ -69,15 +70,8 @@ class Functional(_Combination):
     def counit() -> "Functional":
         return Functional({(): ONE})
 
-    def __mul__(self, other):
-        if isinstance(other, Scalar):
-            return self.scale(other)
-        self._check(other)
-        out: Dict[Word, Scalar] = {}
-        for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                add_term(out, w1 + w2, c1 * c2)
-        return self._like(out)
+    def _times(self, w1, w2):
+        return ((w1 + w2, ONE),)
 
     def __call__(self, x: Element) -> Scalar:
         return eval_functional(self, x)

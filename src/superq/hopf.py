@@ -23,8 +23,8 @@ from typing import Dict
 from . import _cache, algebra
 from .algebra import Element, Monomial, basis_monomials, mono_parity
 from .report import Report
-from .scalars import ONE, Scalar, T, T_INV, ZERO, _Combination, add_term
-from .tensor import AlgSlot, PlaneSlot, Tensor, _tensor
+from .scalars import ONE, Scalar, T, T_INV, ZERO, _Combination, sum_images
+from .tensor import AlgSlot, PlaneSlot, Tensor, _distribute, _tensor
 
 
 class HopfStructureError(ValueError):
@@ -122,12 +122,11 @@ def _delta_mono(m: Monomial, ring: str) -> dict:
 
 
 def coproduct(x: Element) -> Tensor:
-    """Graded-multiplicative extension of the matrix coproduct."""
-    out: dict = {}
-    for m, coeff in x.terms.items():
-        for k, v in _delta_mono(m, x.ring).items():
-            add_term(out, k, v * coeff)
-    return _tensor((AlgSlot(x.ring), AlgSlot(x.ring)), out)
+    """Graded-multiplicative extension of the matrix coproduct: the linear
+    extension of the memoised monomial images _delta_mono."""
+    ring = x.ring
+    return _tensor((AlgSlot(ring), AlgSlot(ring)),
+                   sum_images(x.terms.items(), lambda m: _delta_mono(m, ring).items()))
 
 
 def counit(x: Element) -> Scalar:
@@ -144,15 +143,12 @@ _anti_cache: Dict[tuple, Element] = {}
 
 def _fold_anti(x: Element, koszul: bool) -> Element:
     """Shared skeleton of antipode (koszul=True) and star (koszul=False,
-    anti-linear on coefficients)."""
+    anti-linear on coefficients): the linear extension of the memoised
+    monomial images _anti_mono, over conjugated coefficients for star."""
     if x.ring != "Asigma":
         raise HopfStructureError(f"ring {x.ring} has no antipode/star")
-    out: dict = {}
-    for m, coeff in x.terms.items():
-        c = coeff if koszul else coeff.conj()
-        for k, v in _anti_mono(m, koszul).terms.items():
-            add_term(out, k, v * c)
-    return Element(x.ring, out)
+    pairs = x.terms.items() if koszul else ((m, c.conj()) for m, c in x.terms.items())
+    return Element(x.ring, sum_images(pairs, lambda m: _anti_mono(m, koszul).terms.items()))
 
 
 @_cache.memo(_anti_cache)
@@ -183,28 +179,17 @@ def star(x: Element) -> Element:
 
 
 def tensor_star(t: Tensor) -> Tensor:
-    """(u ox v)* = (-1)^(p(u)p(v)) u* ox v*, coefficients conjugated."""
+    """(u ox v)* = (-1)^(p(u)p(v)) u* ox v*, coefficients conjugated: the
+    linear extension of the pure tensor of the monomials' star images."""
     assert len(t.slots) == 2
-    out: dict = {}
-    for (m1, m2), coeff in t.terms.items():
-        e1 = star(Element.monomial(m1, "Asigma"))
-        e2 = star(Element.monomial(m2, "Asigma"))
-        c = coeff.conj()
-        odd = mono_parity(m1) and mono_parity(m2)
-        for k, v in Tensor.from_elements([e1, e2]).terms.items():
-            v = v * c
-            add_term(out, k, -v if odd else v)
-    return _tensor(t.slots, out)
+    pairs = ((k, -c.conj() if mono_parity(k[0]) and mono_parity(k[1]) else c.conj())
+             for k, c in t.terms.items())
+    return _tensor(t.slots, sum_images(
+        pairs, lambda k: _distribute(_anti_mono(m, False).terms.items() for m in k)))
 
 
 def _delta_terms_fn(ring: str):
     return lambda m: _delta_mono(m, ring)
-
-
-def _mono_elem_fn(op):
-    def fn(m: Monomial):
-        return dict(op(Element.monomial(m, "Asigma")).terms)
-    return fn
 
 
 def verify_hopf(max_degree: int, rng_seed: int = 0) -> Report:
@@ -267,13 +252,11 @@ def verify_hopf(max_degree: int, rng_seed: int = 0) -> Report:
 
 
 def _convolve(dx: Tensor, apply_left: bool) -> Element:
-    leg = 0 if apply_left else 1
-    applied = dx.apply(leg, _mono_elem_fn(antipode))
-    out: dict = {}
-    for (m1, m2), coeff in applied.terms.items():
-        for m, c in algebra._mono_mul(m1, m2, "Asigma"):
-            add_term(out, m, c * coeff)
-    return Element("Asigma", out)
+    """m (S ox id) dx or m (id ox S) dx: the antipode on one leg, then the
+    linear extension of the monomial product over the two legs."""
+    applied = dx.apply(0 if apply_left else 1, lambda m: _anti_mono(m, True).terms)
+    return Element("Asigma", sum_images(applied.terms.items(),
+                                        lambda k: algebra._mono_mul(k[0], k[1], "Asigma")))
 
 
 # ---------------------------------------------------------------------------
@@ -282,11 +265,14 @@ def _convolve(dx: Tensor, apply_left: bool) -> Element:
 
 class PlaneElement(_Combination):
     """Zero-free combination of plane monomials x^m y^n (xy = t yx,
-    p(y) = 1), with no y^2 term when nilpotent.  Negation, scaling and
-    equality are _Combination's; a sum keeps the left summand's flag."""
+    p(y) = 1), with no y^2 term when nilpotent.  Negation, scaling,
+    equality and the product are _Combination's, with PlaneSlot's product
+    as _times; a sum or product takes either flag and keeps the left
+    operand's."""
 
     __slots__ = ("nilpotent",)
     _TAG = "nilpotent"
+    _times = PlaneSlot.mul
 
     def __init__(self, terms=None, nilpotent: bool = False):
         self.nilpotent = nilpotent
@@ -304,22 +290,16 @@ class PlaneElement(_Combination):
     def one(nilpotent: bool = False) -> "PlaneElement":
         return PlaneElement.monomial(0, 0, nilpotent=nilpotent)
 
-    def __add__(self, other):
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            add_term(out, m, c)
-        if self.nilpotent and not other.nilpotent:     # drop other's y^2 terms
-            return PlaneElement(out, True)
-        return self._like(out)
+    def _check(self, other) -> None:
+        """Only the class must match: the flags may differ."""
+        if type(other) is not PlaneElement:
+            raise TypeError(f"cannot combine PlaneElement with {type(other).__name__}")
 
-    def __mul__(self, other):
-        slot = PlaneSlot(self.nilpotent)
-        out = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                for m, c in slot.mul(m1, m2).items():
-                    add_term(out, m, c1 * c2 * c)
-        return self._like(out)
+    def __add__(self, other):
+        out = _Combination.__add__(self, other)
+        if self.nilpotent and not other.nilpotent:     # drop other's y^2 terms
+            return PlaneElement(out.terms, True)
+        return out
 
     def __str__(self):
         if not self.terms:
@@ -366,16 +346,15 @@ def coaction(which: str, p: PlaneElement) -> Tensor:
     extended as a graded algebra morphism.
 
     Each monomial's image is read from a table built on memoised prefixes
-    (_coact_mono); the terms are summed into one dict in the order of
-    p.terms and of each image's keys, the order of the term-by-term sum.
+    (_coact_mono), and sum_images extends it linearly: one dict in the
+    order of p.terms and of each image's keys, the order of the
+    term-by-term sum.
     """
     if which not in ("left", "right"):
         raise ValueError("which must be 'left' or 'right'")
-    out: dict = {}
-    for (mx, my), coeff in p.terms.items():
-        for k, v in _coact_mono(which, mx, my, p.nilpotent).items():
-            add_term(out, k, v * coeff)
-    return _tensor(_coact_slots(which, p.nilpotent), out)
+    nil = p.nilpotent
+    return _tensor(_coact_slots(which, nil), sum_images(
+        p.terms.items(), lambda m: _coact_mono(which, m[0], m[1], nil).items()))
 
 
 def verify_coaction(max_total_degree: int = 5) -> Report:

@@ -113,7 +113,11 @@ def membership(span_rows: Sequence[Row], vector: Row) -> bool:
 # Certified fast rank via exact specialization
 # ---------------------------------------------------------------------------
 
-def specialized_rank_certificate(rows: Sequence[Row], t_points=None) -> Optional[int]:
+# The values of t tried in turn; a pole of an entry at one skips it.
+_T_POINTS = (Fraction(5, 3), Fraction(7, 2), Fraction(11, 4))
+
+
+def specialized_rank_certificate(rows: Sequence[Row]) -> Optional[int]:
     """Try to certify full rank by exact substitution t = rational.
 
     The rank of a specialization never exceeds the rank over Q(i)(t), so if
@@ -131,7 +135,7 @@ def specialized_rank_certificate(rows: Sequence[Row], t_points=None) -> Optional
     for r in rows:
         cols.update(r)
     target = min(len(rows), len(cols))
-    for t0 in (t_points or (Fraction(5, 3), Fraction(7, 2), Fraction(11, 4))):
+    for t0 in _T_POINTS:
         try:
             num_rows = [{c: v.specialize_t(t0) for c, v in r.items()} for r in rows]
         except ScalarPoleError:

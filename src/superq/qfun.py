@@ -12,7 +12,7 @@ from typing import Dict
 
 from . import _cache
 from .report import Report
-from .scalars import ONE, Scalar, T, T_INV, ZERO, _Combination, _signed_join, add_term
+from .scalars import ONE, Scalar, T, T_INV, ZERO, _Combination, _signed_join
 
 TM2 = T_INV * T_INV     # t^-2, the standing base of the binomials and Jacobi polynomials
 
@@ -48,7 +48,8 @@ def gauss_binomial(m: int, n: int, v: Scalar) -> Scalar:
 
 class QPolynomial(_Combination):
     """Zero-free sparse polynomial {exponent: Scalar} in one commuting
-    variable z; the vector-space operations are _Combination's."""
+    variable z; the vector-space operations and the product are
+    _Combination's, with exponent addition as the key product _times."""
 
     __slots__ = ()
 
@@ -66,15 +67,8 @@ class QPolynomial(_Combination):
     def degree(self) -> int:
         return max(self.terms) if self.terms else -1
 
-    def __mul__(self, other):
-        if isinstance(other, Scalar):
-            return self.scale(other)
-        self._check(other)
-        out: Dict[int, Scalar] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                add_term(out, e1 + e2, c1 * c2)
-        return self._like(out)
+    def _times(self, e1, e2):
+        return ((e1 + e2, ONE),)
 
     def eval_scalar(self, z: Scalar) -> Scalar:
         out = ZERO

@@ -29,7 +29,7 @@ from .algebra import (
 from .hopf import antipode, coproduct, counit, star
 from .qfun import TM2, QPolynomial, gauss_binomial, little_jacobi, pochhammer, pochhammer_poly
 from .report import Report
-from .scalars import ONE, Scalar, T, T_INV, ZERO, add_term
+from .scalars import ONE, Scalar, T, T_INV, ZERO, add_term, sum_images
 from .tensor import AlgSlot, Tensor
 
 
@@ -389,17 +389,15 @@ def _expand_in_m00(x: Element) -> Dict[Tuple[int, int], Scalar]:
     basis {m^(l)_00 sigma^w}, keyed (l, w) in sorted order: every l up to
     x's top zeta-degree, with ZERO where the coefficient vanishes.
 
-    The sum over x's zeta-coordinates zeta^r sigma^u of c times the
-    memoised row _coord_expansion(r, u), so each coordinate is solved once
-    per table lifetime, however many targets hold it.
+    The linear extension (sum_images) of the memoised rows
+    _coord_expansion(r, u) over x's zeta-coordinates zeta^r sigma^u, so
+    each coordinate is solved once per table lifetime, however many targets
+    hold it.
     """
     target = _zeta_coordinates(x)
     if project_00(x) != x:
         raise ValueError("element is not in the weight-(0,0) subalgebra")
-    sol: Dict[Tuple[int, int], Scalar] = {}
-    for coord, c in target.items():
-        for key, v in _coord_expansion(*coord).items():
-            add_term(sol, key, c * v)
+    sol = sum_images(target.items(), lambda coord: _coord_expansion(*coord).items())
     max_r = max((r for (r, _u) in target), default=0)
     return {(l, w): sol.get((l, w), ZERO) for l in range(max_r + 1) for w in (0, 1)}
 

@@ -55,8 +55,14 @@ polynomial is E(s) + t*O(s), and a rational function is brought to A + t*B
 exactly (see Scalar.eval_numeric).  Nothing reads the key order of a
 polynomial dict: printing sorts.
 
-add_term and _Combination hold the zero-free sparse {key: Scalar} sums of
-Element, Tensor, Functional, QPolynomial and PlaneElement.
+add_term, sum_images and _Combination hold the zero-free sparse
+{key: Scalar} sums of Element, Tensor, Functional, QPolynomial and
+PlaneElement.  Each of these is a free module whose product or structure
+map is given on basis keys and extended linearly: _Combination.__mul__ is
+the bilinear extension of a class's key product _times, and sum_images the
+linear extension of a map from keys to sums, such as a coproduct, a
+coaction, the antipode or a leg map of a tensor.  add_term is the in-place
+update both use.
 """
 
 from __future__ import annotations
@@ -795,13 +801,28 @@ def add_term(acc: dict, key, c: Scalar) -> None:
         acc[key] = c
 
 
+def sum_images(pairs, image) -> dict:
+    """The zero-free sum of c*v over (k, c) in pairs and (k2, v) in image(k):
+    the linear extension of image, a map from keys to (key, Scalar) pairs.
+
+    Terms appear in the order of pairs and then of each image, the order of
+    the term-by-term sum; a factor that is ONE itself is not multiplied.
+    """
+    out: dict = {}
+    for k, c in pairs:
+        for k2, v in image(k):
+            add_term(out, k2, v if c is ONE else c * v)
+    return out
+
+
 class _Combination:
     """A sparse {key: Scalar} sum that stores no zero coefficient: the
-    vector-space part of the classes that add their constructor, product
-    and printer.  _TAG names the one field two summands must share, or is
-    None.  Subclass constructors drop zeros from outside input; sums,
-    negations and nonzero multiples (the field has no zero divisors) are
-    zero-free already and skip that pass through _like."""
+    vector-space part and the product of the classes that add a
+    constructor, a key product _times and a printer.  _TAG names the one
+    field two summands or factors must share, or is None.  Subclass
+    constructors drop zeros from outside input; sums, negations, nonzero
+    multiples and products (the field has no zero divisors) are zero-free
+    already and skip that pass through _like."""
 
     __slots__ = ("terms",)
     _TAG: Optional[str] = None
@@ -849,6 +870,22 @@ class _Combination:
 
     def __sub__(self, other):
         return self + (-other)
+
+    def __mul__(self, other):
+        """The bilinear extension of the subclass's _times(k1, k2), the
+        product of two basis keys as (key, Scalar) pairs with distinct keys
+        and nonzero coefficients.  A Scalar or int factor scales."""
+        if isinstance(other, (Scalar, int)):
+            return self.__rmul__(other)     # scalars commute
+        self._check(other)
+        times = self._times
+        out: dict = {}
+        for k1, c1 in self.terms.items():
+            for k2, c2 in other.terms.items():
+                c12 = c1 * c2
+                for k, c in times(k1, k2):
+                    add_term(out, k, c12 if c is ONE else c12 * c)
+        return self._like(out)
 
     def scale(self, c: Scalar):
         if not c:

@@ -3,6 +3,8 @@ from superq.linalg import (
 )
 from fractions import Fraction
 
+from superq import linalg
+
 from superq.scalars import KAPPA, ONE, SQRT_1_PLUS_T2, Scalar, T, T_INV, ZERO
 
 
@@ -62,12 +64,15 @@ def test_specialized_rank_certificate():
     assert specialized_rank_certificate(rows2) == 2
 
 
-def test_rank_certificate_skips_pole_points():
+def test_rank_certificate_skips_pole_points(monkeypatch):
     # Entries with a pole at the first point t = 5/3 fall through to the next.
     pole = (T - s(Fraction(5, 3))).inv()
     rows = [{"x": pole, "y": ONE}, {"x": ONE, "y": T}]
+    assert linalg._T_POINTS[0] == Fraction(5, 3)
     assert specialized_rank_certificate(rows) == 2
-    assert specialized_rank_certificate(rows, [Fraction(5, 3)]) is None
+    # with the pole point alone, no point certifies
+    monkeypatch.setattr(linalg, "_T_POINTS", (Fraction(5, 3),))
+    assert specialized_rank_certificate(rows) is None
 
 
 def test_rank_certificate_declines_radical_rows():
