@@ -38,8 +38,11 @@ The canonical atoms are hash-consed: signed_t_power returns one shared
 Scalar per value of +-t^k (ONE itself for 1), and _t_den one shared
 denominator t^k, so the memo tables that hold the relations' coefficients
 hold references, not copies.  Both tables are registered with _cache.
-Sharing is only a saving: every `is` is a short-cut in front of ==, and
-no code may mutate a Scalar or a polynomial dict once built.
+These units are closed under *, -, conj and inv: a product of two units,
+-u, u.conj() and u.inv() are lookups, and a product with any other Scalar
+shifts the exponents of its Laurent parts.  Sharing is only a saving:
+identity is a short-cut for ONE, every other `is` a short-cut in front of
+==, and no code may mutate a Scalar or a polynomial dict once built.
 
 A non-monomial denominator takes Henrici's route (Knuth, TAOCP vol. 2,
 4.5.1), which cancels before it combines.  A product cancels gcd(n1, d2)
@@ -616,12 +619,10 @@ class Scalar:
         if not isinstance(other, Scalar):
             return NotImplemented
         a, b = self.parts, other.parts
-        if b is _ONE_PARTS or b == _ONE_PARTS:
+        if b == _ONE_PARTS:
             return self
-        if a is _ONE_PARTS or a == _ONE_PARTS:
+        if a == _ONE_PARTS:
             return other
-        # A factor +-t^k costs an exponent shift: _pscale multiplies by +-1
-        # with no arithmetic, and _cancel divides a monomial by shifting.
         if len(a) == 1 == len(b) and 0 in a and 0 in b:
             return _scalar({0: _rf_mul(a[0], b[0])})
         out = {}
@@ -634,6 +635,10 @@ class Scalar:
                         rf = _rf_mul(rf, square)
                 _add_part(out, m1 ^ m2, rf)
         return _scalar(out)
+
+    # Scalars commute.  Defining __rmul__ here also spares x * u, u a _Unit,
+    # a failed lookup of Scalar.__rmul__ before Python calls _Unit.__rmul__.
+    __rmul__ = __mul__
 
     def inv(self) -> "Scalar":
         if not self.parts:
@@ -763,17 +768,78 @@ def _scalar(parts: dict) -> Scalar:
     return x
 
 
+class _Unit(Scalar):
+    """(-1)^eps * t^p, built only by signed_t_power (see there)."""
+
+    __slots__ = ("eps", "p")
+
+    def __init__(self, eps: int, p: int):
+        c = (-1, 0) if eps else _C1
+        self.parts = {0: (({p: c}, 1), P_ONE) if p >= 0 else (({0: c}, 1), _t_den(-p))}
+        self.eps, self.p = eps, p
+
+    def __mul__(self, other):
+        if other is ONE:
+            return self
+        if type(other) is _Unit:
+            return other if self is ONE else signed_t_power(self.eps + other.eps, self.p + other.p)
+        if not isinstance(other, Scalar):
+            return NotImplemented
+        return other if self is ONE else _times_unit(other, self)
+
+    def __rmul__(self, other):
+        # other * self for a plain Scalar other: Python calls this before
+        # Scalar.__mul__, as _Unit subclasses Scalar and overrides it.
+        if not isinstance(other, Scalar):
+            return NotImplemented
+        return other if self is ONE else _times_unit(other, self)
+
+    def __neg__(self):
+        return signed_t_power(self.eps + 1, self.p)
+
+    def conj(self):
+        return self
+
+    def inv(self):
+        return signed_t_power(self.eps, -self.p)
+
+
+def _times_unit(x: Scalar, u: _Unit) -> Scalar:
+    """x * u = u * x, with the parts of Scalar.__mul__.  A Laurent part n/t^e
+    becomes +-n*t^s/t^E, E = max(0, e - min(n) - p) and s = p + E - e:
+    _rf_mul's cancellation of the common t-power.  Any other part goes
+    through _rf_mul, whose result with a monomial factor does not depend
+    on the side that factor is on."""
+    neg, p, urf = u.eps, u.p, u.parts[0]
+    out = {}
+    for m, rf in x.parts.items():
+        (n, D), den = rf
+        if len(den[0]) == 1:
+            (e,) = den[0]
+            E = max(0, e - min(n) - p)
+            s = p + E - e
+            if neg:
+                n = {k + s: (-a, -b) for k, (a, b) in n.items()}
+            elif s:
+                n = {k + s: c for k, c in n.items()}
+            out[m] = ((n, D), _t_den(E))
+        else:
+            out[m] = _rf_mul(rf, urf)
+    return _scalar(out)
+
+
 def signed_t_power(eps: int, p: int) -> Scalar:
-    """(-1)^eps * t^p, one shared Scalar per value; ONE itself for 1."""
+    """(-1)^eps * t^p, one shared _Unit per value; ONE itself for 1.
+
+    Units are closed under *, -, conj and inv.  A product of two units is
+    a lookup here, and a product of a unit with any other Scalar an
+    exponent shift (_times_unit).  Identity is only a short-cut: a product
+    recognises ONE by it, and reads eps and p of any other unit, as two
+    equal units may be distinct objects once the table is capped."""
     key = (eps & 1, p)
     x = _unit_cache.get(key)
     if x is None:
-        if key == (0, 0):
-            x = ONE
-        else:
-            c = (-1, 0) if key[0] else _C1
-            x = _scalar({0: (({p: c}, 1), P_ONE) if p >= 0 else
-                         (({0: c}, 1), _t_den(-p))})
+        x = ONE if key == (0, 0) else _Unit(*key)
         _cache.store(_unit_cache, key, x)
     return x
 
@@ -906,9 +972,9 @@ def _signed_join(pieces) -> str:
     return out
 
 
-ONE = Scalar.from_rational(1)
+ONE = _Unit(0, 0)
 _ONE_PARTS = ONE.parts
-MINUS_ONE = Scalar.from_rational(-1)
+MINUS_ONE = signed_t_power(1, 0)
 I_UNIT = Scalar.from_gauss(0, 1)
 T = Scalar.t_power(1)
 T_INV = Scalar.t_power(-1)

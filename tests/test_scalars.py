@@ -452,15 +452,16 @@ def _generic_add(x, y):
                         sc._pmul(x[1], y[1]))
 
 
-def _generic_scalar_mul(x, y):
-    """Scalar.__mul__'s parts, every component through _rf_canon."""
+def _generic_scalar_mul(x, y, mul=_generic_mul):
+    """Scalar.__mul__'s parts, every component through _rf_canon; with
+    mul=sc._rf_mul, the loop of Scalar.__mul__ itself on every part."""
     out = {}
     for m1, rf1 in x.parts.items():
         for m2, rf2 in y.parts.items():
-            rf = _generic_mul(rf1, rf2)
+            rf = mul(rf1, rf2)
             for bit, square in sc._BIT_SQUARES.items():
                 if m1 & m2 & bit:
-                    rf = _generic_mul(rf, square)
+                    rf = mul(rf, square)
             mask = m1 ^ m2
             if mask in out:
                 rf = _generic_add(out[mask], rf)
@@ -518,6 +519,49 @@ def test_scalar_mul_fast_paths_match_generic(drawn_x, drawn_y):
     assert (x * MINUS_ONE).parts == _generic_scalar_mul(x, MINUS_ONE)
     assert x * MINUS_ONE == -x
     assert not (x + (-x)).parts
+
+
+def _key_orders(parts):
+    """Every numerator and denominator of parts as a list of items, in key order."""
+    return [(m, list(n.items()), dn, list(d.items()), dd)
+            for m, ((n, dn), (d, dd)) in parts.items()]
+
+
+_unit = st.tuples(st.integers(-3, 3), st.integers(-6, 6))
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(st.dictionaries(st.integers(0, 3), _rf, min_size=1, max_size=3), _unit, _unit)
+def test_unit_products_match_generic(drawn_x, unit_u, unit_v):
+    # A product with a unit +-t^p skips _rf_mul on Laurent parts.  Its parts
+    # are the generic route's, and the key order of each polynomial dict is
+    # that of the product loop with _rf_mul on every part.
+    # Under a cap of 0 the unit table keeps one entry, so equal units are
+    # often distinct objects: only ONE may be recognised by identity.
+    from superq import _cache
+
+    x = Scalar({m: _canonical(d) for m, d in drawn_x.items()})
+    (e1, p1), (e2, p2) = unit_u, unit_v
+    try:
+        for limit in (None, 0):
+            _cache.set_limit(limit)
+            u = sc.signed_t_power(e1, p1)
+            v = sc.signed_t_power(e2, p2)
+            for w in (u, v, sc.signed_t_power(e1, p1)):
+                for got, (a, b) in ((x * w, (x, w)), (w * x, (w, x))):
+                    assert got.parts == _generic_scalar_mul(a, b)
+                    assert (_key_orders(got.parts)
+                            == _key_orders(_generic_scalar_mul(a, b, sc._rf_mul)))
+            uv = u * v
+            assert uv is sc.signed_t_power(e1 + e2, p1 + p2)
+            assert uv == sc.signed_t_power(e1, p1) * v and uv.parts == _generic_scalar_mul(u, v)
+            assert -u is sc.signed_t_power(e1 + 1, p1)
+            assert u.conj() is u
+            assert u.inv() is sc.signed_t_power(e1, -p1)
+            assert u * u.inv() is ONE
+    finally:
+        _cache.set_limit(None)
+        _cache.clear()
 
 
 # Small factors, drawn into a pool that both operands share, so that the
@@ -796,9 +840,19 @@ def test_unit_scalars_are_shared():
     assert sc.signed_t_power(1, 3) == -(T ** 3)
 
 
+def _is_unit(c):
+    """Whether the Scalar c is +-t^k."""
+    if list(c.parts) != [0]:
+        return False
+    (n, dn), (d, dd) = c.parts[0]
+    return (len(n) == len(d) == 1 and dn == dd == 1 and min(*n, *d) == 0
+            and d[min(d)] == (1, 0) and n[min(n)] in ((1, 0), (-1, 0)))
+
+
 def test_memo_tables_share_the_unit_scalars():
-    # A product that needs neither d^l a^I nor ad = sigma - t bc is one
-    # term, +-t^k times ONE: its memoised coefficient is the shared object.
+    # Units are closed under products, so a +-t^k coefficient that a product
+    # made is the shared object.  A product that needs neither d^l a^I nor
+    # ad = sigma - t bc is one term, +-t^k times ONE.
     from superq import _cache, algebra, hopf
 
     _cache.clear()
@@ -807,6 +861,17 @@ def test_memo_tables_share_the_unit_scalars():
     one_term = [terms[0][1] for terms in algebra._mul_cache.values() if len(terms) == 1]
     assert len(one_term) > 100
     assert all(c is shared[c] for c in one_term)
+
+    def units(table):
+        """For each +-t^k coefficient in table, whether it is shared."""
+        return [c is shared.get(c) for terms in table.values() for _, c in terms if _is_unit(c)]
+
+    reduced = units(algebra._reduce_cache)
+    assert len(reduced) == 84 and all(reduced)
+    # The rest are sums, not products: in A(sigma) a C_r of d^l a^I merged
+    # with a term of the ad reduction can add up to +-t^k, a fresh Scalar.
+    products = units(algebra._mul_cache)
+    assert len(products) == 851 and sum(products) >= 767
 
 
 def test_shared_units_survive_a_verify_pass(capsys):

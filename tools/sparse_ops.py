@@ -2,9 +2,11 @@
 
 Prints two things, standard library only:
 
-  * the number of Scalar.__mul__ calls in one in-process
-    superq.cli.main(["verify", "--suite", "all"]), counted from a fresh
-    interpreter (so from empty memo tables) by wrapping the method;
+  * for one in-process superq.cli.main(["verify", "--suite", "all"]),
+    counted from a fresh interpreter (so from empty memo tables) by
+    wrapping the functions: the _rf_mul calls, the products that took the
+    unit path (a _Unit, +-t^k, on either side: a lookup or an exponent
+    shift), and all products, of plain Scalars and of units;
   * the time of one + and one * on small Elements, Tensors, Functionals and
     QPolynomials, in microseconds: the best of 7 timeit repeats, with warm
     memo tables.  The timings are printed, not checked: on a shared machine
@@ -24,27 +26,39 @@ REPEATS = 7
 NUMBER = 2000
 
 
-def count_scalar_products() -> int:
-    """Scalar.__mul__ calls in one verify --suite all."""
+def count_scalar_products() -> dict:
+    """{"_rf_mul", "plain", "unit": calls} in one verify --suite all.  A
+    product counts where it starts: Scalar.__mul__ for two plain Scalars
+    ("plain"), _Unit.__mul__ or _Unit.__rmul__ for a unit on either side
+    ("unit")."""
+    from superq import scalars
     from superq.cli import main as superq_main
-    from superq.scalars import Scalar
+    from superq.scalars import Scalar, _Unit
 
-    mul = Scalar.__mul__
-    calls = [0]
+    counts = {"_rf_mul": 0, "plain": 0, "unit": 0}
 
-    def counted(self, other):
-        calls[0] += 1
-        return mul(self, other)
+    def counting(fn, key):
+        def counted(x, y):
+            # A Scalar times an Element hands over to Element.__rmul__.
+            if key == "_rf_mul" or isinstance(y, Scalar):
+                counts[key] += 1
+            return fn(x, y)
+        return counted
 
-    Scalar.__mul__ = counted
+    patches = [(scalars, "_rf_mul", "_rf_mul"), (Scalar, "__mul__", "plain"),
+               (_Unit, "__mul__", "unit"), (_Unit, "__rmul__", "unit")]
+    saved = [(owner, name, vars(owner)[name]) for owner, name, _ in patches]
+    for owner, name, key in patches:
+        setattr(owner, name, counting(vars(owner)[name], key))
     try:
         with contextlib.redirect_stdout(io.StringIO()):
             code = superq_main(["verify", "--suite", "all"])
     finally:
-        Scalar.__mul__ = mul
+        for owner, name, fn in saved:
+            setattr(owner, name, fn)
     if code:
         raise SystemExit(f"superq verify --suite all exited {code}")
-    return calls[0]
+    return counts
 
 
 def operands():
@@ -77,7 +91,11 @@ def op_times() -> list:
 
 
 def main() -> int:
-    print(f"Scalar.__mul__ calls in one verify --suite all: {count_scalar_products()}")
+    counts = count_scalar_products()
+    print("in one verify --suite all, from empty memo tables:")
+    print(f"  _rf_mul calls                       {counts['_rf_mul']:>7}")
+    print(f"  Scalar products with a unit factor  {counts['unit']:>7}  (ONE included)")
+    print(f"  Scalar products of both classes     {counts['unit'] + counts['plain']:>7}")
     rows = op_times()
     width = max(len(label) for label, _ in rows)
     print(f"{'op':<{width}}  us/op (best of {REPEATS})")
