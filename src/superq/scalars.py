@@ -50,7 +50,13 @@ and gcd(n2, d1), then multiplies.  A sum takes g = gcd(d1, d2) and
 s = n1*(d2/g) + n2*(d1/g); then only gcd(s, g) can cancel, and nothing can
 when g = 1.  A square, an inverse and a conjugate of a coprime pair stay
 coprime and need no gcd.  A gcd with a monomial denominator t^k is the
-t-power the two share; every other gcd is _pgcd, Euclid over Q(i).
+t-power the two share; every other gcd is _pgcd, Euclid over Q(i).  Euclid
+keeps only remainders, each made monic once, so the last nonzero one is
+the monic gcd; a quotient is built only by the exact division _pdiv after
+a gcd.  One division loop, _pdivmod, serves both.
+
+The printer takes no gcd for a canonical part: its integer form
+(_integerize) has content 1 by construction.
 
 GaussRat, a normalised integer triple, holds the scalar constants and the
 exact numeric evaluation: with s = t^2 = -q a Gaussian rational, a
@@ -297,6 +303,12 @@ def _pmonic(a):
 
 
 def _pdivmod(a, b):
+    """The one division loop: (quo, R, D) with a = q*b + R/D, deg R < deg b.
+
+    quo holds the quotient as raw terms (k, x, y, d), and
+    q = sum of (x + y*i)/d * t^k over them, divided by lead(b).  R/D is the
+    remainder, numerators over one denominator, not yet normalised.  Only
+    _pdiv converts quo into a polynomial; _pgcd reads R alone."""
     if not b[0]:
         raise ScalarDivisionError("polynomial division by zero")
     # Divide by the monic b/lead(b) = B/n, whose leading numerator is n > 0.
@@ -304,14 +316,14 @@ def _pdivmod(a, b):
     B, n = _pmonic(b)
     db = max(B)
     R, D = dict(a[0]), a[1]
-    quo = {}
+    quo = []
     while R:
         dr = max(R)
         if dr < db:
             break
         x, y = R[dr]
         k = dr - db
-        quo[k] = (x, y, D)
+        quo.append((k, x, y, D))
         if n != 1:
             R = {e: (u * n, v * n) for e, (u, v) in R.items()}
             D *= n
@@ -327,15 +339,28 @@ def _pdivmod(a, b):
                 R[e] = (re, im)
             else:
                 del R[e]
-    # a = (quo / lead(b)) * b + R/D, quo over the last denominator D.
-    quo = {k: (x * (D // d), y * (D // d)) for k, (x, y, d) in quo.items()}
-    return _pdivc(_pn(quo, D), _plead(b), b[1]), _pn(R, D)
+    return quo, R, D
 
 
 def _pgcd(a, b):
-    while b[0]:
-        a, b = b, _pdivmod(a, b)[1]
-    return _pmonic(a)
+    """The monic gcd of a and b; gcd(0, b) is b made monic, and gcd(0, 0)
+    is the zero polynomial.
+
+    Euclid's remainder sequence (Knuth, TAOCP vol. 2, 4.6.1), monic: the
+    inputs are ordered by degree, each nonzero remainder is made monic once
+    and then divides at the next step, so the last one is the monic gcd.
+    No quotient is built."""
+    if _pdeg(a) < _pdeg(b):
+        a, b = b, a
+    if not b[0]:
+        return _pmonic(a) if a[0] else a
+    b = _pmonic(b)
+    while True:
+        R = _pdivmod(a, b)[1]
+        if not R:
+            return b
+        # R/D made monic is R/1 made monic: the denominator only scales.
+        a, b = b, _pmonic((R, 1))
 
 
 def _pconj(a):
@@ -449,8 +474,12 @@ def _rf_canon(num, den):
 
 
 def _pdiv(a, b):
-    """a / b, for b dividing a."""
-    return _pdivmod(a, b)[0]
+    """a / b, for b dividing a: the exact division after a gcd, and the only
+    place a quotient is built from _pdivmod's raw terms."""
+    quo = _pdivmod(a, b)[0]
+    D = quo[-1][3] if quo else 1   # the denominator grows along the loop
+    q = {k: (x * (D // d), y * (D // d)) for k, x, y, d in quo}
+    return _pdivc(_pn(q, D), _plead(b), b[1])
 
 
 def _cancel(a, b):
@@ -728,6 +757,8 @@ class Scalar:
     def __str__(self):
         if not self.parts:
             return "0"
+        if len(self.parts) == 1 and 0 in self.parts:
+            return _rf_str(self.parts[0])
         chunks = []
         for mask in sorted(self.parts):
             body, rad = _rf_str(self.parts[mask]), "*".join(_mask_names(mask))
@@ -1110,19 +1141,24 @@ def scalar_sqrt(x: Scalar) -> Optional[Scalar]:
 # ---------------------------------------------------------------------------
 
 def _integerize(num, den):
-    """num/den scaled by one positive rational: two {e: (x, y)} dicts of
-    Gaussian integers with overall content 1."""
+    """A canonical num/den scaled by one positive rational: two {e: (x, y)}
+    dicts of Gaussian integers with overall content 1.
+
+    No gcd is needed.  As den is monic with lead numerator Db, its content
+    is 1; num's content is coprime to Da.  With g = gcd(Da, Db), the scaled
+    pair is (A*u, B*v) for u = Db/g and v = Da/g, whose content
+    gcd(u*content(A), v) is 1."""
     (A, Da), (B, Db) = num, den
     g = gcd(Da, Db)
     u, v = Db // g, Da // g   # num/den = (A*u)/(B*v)
-    k = gcd(*(n * u for n in chain.from_iterable(A.values())),
-            *(n * v for n in chain.from_iterable(B.values())))
-    return ({e: (x * u // k, y * u // k) for e, (x, y) in A.items()},
-            {e: (x * v // k, y * v // k) for e, (x, y) in B.items()})
+    return ({e: (x * u, y * u) for e, (x, y) in A.items()} if u != 1 else A,
+            {e: (x * v, y * v) for e, (x, y) in B.items()} if v != 1 else B)
 
 
 def _rat_str(n: int, d: int) -> str:
     """n/d as Fraction prints it."""
+    if d == 1:
+        return str(n)
     g = gcd(n, d)
     n, d = n // g, d // g
     return str(n) if d == 1 else f"{n}/{d}"
@@ -1140,10 +1176,11 @@ def _gauss_str(a: int, b: int, d: int = 1) -> str:
 
 
 def _poly_str(p) -> str:
-    """A {e: (x, y)} dict of Gaussian integers as printed."""
+    """A {e: (x, y)} dict of Gaussian integers as printed, its terms joined
+    as _signed_join joins them."""
     if not p:
         return "0"
-    pieces = []
+    out = ""
     for e in sorted(p, reverse=True):
         cs = _gauss_str(*p[e])
         composite = ("+" in cs[1:]) or ("-" in cs[1:])
@@ -1159,8 +1196,13 @@ def _poly_str(p) -> str:
                 piece = f"({cs})*{tpow}"
             else:
                 piece = f"{cs}*{tpow}"
-        pieces.append(piece)
-    return _signed_join(pieces)
+        if not out:
+            out = piece
+        elif piece.startswith("-"):
+            out += " - " + piece[1:]
+        else:
+            out += " + " + piece
+    return out
 
 
 def _parenthesize(s: str) -> str:

@@ -369,10 +369,133 @@ def test_pdivmod_identity():
         a, b = poly(range(9), 5), poly(range(4), 3)
         if not b[0]:
             continue
-        q, r = sc._pdivmod(a, b)
-        assert _layout_ok(q) and _layout_ok(r)
+        # The loop's raw output: quotient terms (k, x, y, d) with
+        # q = sum of (x + y*i)/d * t^k / lead(b), and the remainder R/D.
+        quo, R, D = sc._pdivmod(a, b)
+        q = sc._pdivc(_poly({k: (Fraction(x, d), Fraction(y, d)) for k, x, y, d in quo}),
+                      sc._plead(b), b[1])
+        r = sc._pn(R, D)
+        assert _layout_ok(r)
         assert sc._padd(sc._pmul(q, b), r) == a
         assert sc._pdeg(r) < sc._pdeg(b)
+        # The exact division converts the same terms.
+        qb = sc._pmul(q, b)
+        assert sc._pdiv(qb, b) == q and _layout_ok(sc._pdiv(qb, b))
+
+
+# ---------------------------------------------------------------------------
+# The remainder-only Euclid against the quotient-building loop it replaced
+# ---------------------------------------------------------------------------
+
+def _euclid_pdivmod(a, b):
+    """The former division loop, kept as the oracle: (q, r), both built
+    and normalised at every call."""
+    B, n = sc._pmonic(b)
+    db = max(B)
+    R, D = dict(a[0]), a[1]
+    quo = {}
+    while R:
+        dr = max(R)
+        if dr < db:
+            break
+        x, y = R[dr]
+        k = dr - db
+        quo[k] = (x, y, D)
+        if n != 1:
+            R = {e: (u * n, v * n) for e, (u, v) in R.items()}
+            D *= n
+        for eb, (u, v) in B.items():
+            e = eb + k
+            re, im = x * u - y * v, x * v + y * u
+            s = R.get(e)
+            if s is None:
+                R[e] = (-re, -im)
+                continue
+            re, im = s[0] - re, s[1] - im
+            if re or im:
+                R[e] = (re, im)
+            else:
+                del R[e]
+    quo = {k: (x * (D // d), y * (D // d)) for k, (x, y, d) in quo.items()}
+    return sc._pdivc(sc._pn(quo, D), sc._plead(b), b[1]), sc._pn(R, D)
+
+
+def _euclid_pgcd(a, b):
+    """The former gcd: remainders of the quotient-building loop, made monic
+    at the end.  It fails on two zero operands."""
+    while b[0]:
+        a, b = b, _euclid_pdivmod(a, b)[1]
+    return sc._pmonic(a)
+
+
+# exponent, real and imaginary numerator, denominator
+_gcd_term = st.tuples(st.integers(0, 5), st.integers(-5, 5), st.integers(-3, 3),
+                      st.integers(1, 4))
+_GCD_KINDS = ("coprime", "common", "divides", "equal", "constant", "monomial", "zero")
+
+
+@st.composite
+def _gcd_pair(draw):
+    """(kind, a, b): two polynomials of one of _GCD_KINDS, real or Gaussian,
+    with a drawn common t-valuation."""
+    real = draw(st.booleans())
+
+    def poly(max_size):
+        terms = draw(st.lists(_gcd_term, min_size=1, max_size=max_size))
+        p = _poly_from([(e, x, 0 if real else y, d) for e, x, y, d in terms])
+        if not real and p[0] and draw(st.booleans()):
+            # a Gaussian lead: add i/2 to the leading coefficient
+            top = max(p[0])
+            p = sc._padd(p, ({top: (0, 1)}, 2))
+        return p
+
+    kind = draw(st.sampled_from(_GCD_KINDS))
+    f, g = poly(5), poly(4)
+    if kind == "common":
+        h = poly(3)
+        a, b = sc._pmul(f, h), sc._pmul(g, h)
+    elif kind == "divides":
+        a, b = sc._pmul(f, g), g
+    elif kind == "equal":
+        a, b = f, f
+    elif kind == "constant":
+        a, b = f, ({0: (draw(st.integers(1, 6)), draw(st.integers(-3, 3)))}, 1)
+    elif kind == "monomial":
+        a, b = f, sc._pshift(sc.P_ONE, draw(st.integers(0, 4)))
+    elif kind == "zero":
+        a, b = f, ({}, 1)
+    else:
+        a, b = f, g
+    v = draw(st.integers(0, 3))
+    a, b = sc._pshift(a, v), sc._pshift(b, v)
+    return (kind, b, a) if draw(st.booleans()) else (kind, a, b)
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(_gcd_pair())
+def test_pgcd_matches_quotient_building_euclid(case):
+    _kind, a, b = case
+    assume(a[0] or b[0])
+    g = sc._pgcd(a, b)
+    assert g == _euclid_pgcd(a, b)
+    assert g == sc._pgcd(b, a)
+    assert _layout_ok(g) and sc._plead(g) == (g[1], 0)
+    for p in (a, b):
+        if p[0]:
+            assert sc._pmul(sc._pdiv(p, g), g) == p
+            assert sc._pdiv(sc._pmul(p, g), g) == p
+    if a[0] and b[0]:
+        assert sc._pdiv(sc._pmul(a, b), b) == a
+
+
+def test_pgcd_of_zero_operands():
+    zero = ({}, 1)
+    b = ({2: (3, 1), 0: (0, 2)}, 5)
+    # gcd(0, b) is b made monic, on either side.
+    assert sc._pgcd(zero, b) == sc._pgcd(b, zero) == sc._pmonic(b)
+    # gcd(0, 0) is the zero polynomial: the degree order puts zero in the
+    # divisor slot, and the loop does not run.
+    assert sc._pgcd(zero, zero) == zero
 
 
 _t = sympy.Symbol("t", real=True)
@@ -564,6 +687,44 @@ def test_unit_products_match_generic(drawn_x, unit_u, unit_v):
         _cache.clear()
 
 
+# ---------------------------------------------------------------------------
+# The printer's integer form of a canonical part, which takes no gcd
+# ---------------------------------------------------------------------------
+
+def _integerize_with_gcd(num, den):
+    """The former _integerize, kept as the oracle: it divides by the content
+    of the scaled pair, which a canonical part never has."""
+    (A, Da), (B, Db) = num, den
+    g = math.gcd(Da, Db)
+    u, v = Db // g, Da // g
+    k = math.gcd(*(n * u for c in A.values() for n in c),
+                 *(n * v for c in B.values() for n in c))
+    return ({e: (x * u // k, y * u // k) for e, (x, y) in A.items()},
+            {e: (x * v // k, y * v // k) for e, (x, y) in B.items()})
+
+
+def _check_integerize(x):
+    for rf in x.parts.values():
+        num, den = sc._integerize(*rf)
+        assert (num, den) == _integerize_with_gcd(*rf)
+        assert math.gcd(*(n for p in (num, den) for c in p.values() for n in c)) == 1
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.dictionaries(st.integers(0, 3), _rf, min_size=1, max_size=3))
+def test_integerize_needs_no_gcd(drawn_x):
+    x = Scalar({m: _canonical(d) for m, d in drawn_x.items()})
+    for z in (x, x.conj(), x * x, x + ONE):
+        _check_integerize(z)
+
+
+def test_integerize_needs_no_gcd_on_golden_scalars():
+    from test_scalar_golden import CASES
+
+    for build in CASES.values():
+        _check_integerize(build())
+
+
 # Small factors, drawn into a pool that both operands share, so that the
 # cross gcds of the Henrici routes are mostly nontrivial.
 @st.composite
@@ -620,23 +781,73 @@ def test_rf_canon_clears_negative_exponents():
     assert str(Scalar({0: x})) == str(Scalar({0: y})) == "i/(t^2 + i*t)"
 
 
-def test_dense_square_scaling():
-    # Numerator degree 30, denominator degree 24, 7-9 digit Gaussian
-    # coefficients.  A square is coprime already, so no gcd is needed.
-    rng = random.Random(30)
-
+def _dense_scalar(rng):
+    """A canonical radical-free scalar: numerator degree 30 over denominator
+    degree 24, 7-9 digit Gaussian coefficients."""
     def dense(deg):
         def coeff():
             return rng.choice([-1, 1]) * rng.randint(10**6, 10**9 - 1)
         return {e: (coeff(), coeff()) for e in range(deg + 1)}, 1
     x = Scalar({0: sc._rf_canon(dense(30), dense(24))})
     assert (sc._pdeg(x.parts[0][0]), sc._pdeg(x.parts[0][1])) == (30, 24)
+    return x
+
+
+def test_dense_square_scaling():
+    # A square is coprime already, so no gcd is needed.
+    x = _dense_scalar(random.Random(30))
     t0 = time.perf_counter()
     y = x ** 2
     took = time.perf_counter() - t0
     assert took < 1.0, f"squaring took {took:.2f}s"
     v = x.specialize_t(Fraction(3, 2))
     assert y.specialize_t(Fraction(3, 2)) == v * v
+
+
+def test_dense_coprime_product_scaling():
+    # Two distinct operands: the product pays gcd(n1, d2) and gcd(n2, d1),
+    # both of degree 0, over the whole Euclidean remainder sequence.
+    rng = random.Random(31)
+    x, y = _dense_scalar(rng), _dense_scalar(rng)
+    t0 = time.perf_counter()
+    z = x * y
+    took = time.perf_counter() - t0
+    assert took < 1.0, f"the product took {took:.2f}s"
+    for t in (Fraction(3, 2), Fraction(-2, 5)):
+        assert z.specialize_t(t) == x.specialize_t(t) * y.specialize_t(t)
+
+
+def _three_part_scalar(rng):
+    """A scalar with three of the four radical masks, each part a sum of 1-3
+    terms c*t^k over a sum of 1-3 such terms, c = a/d1 + (b/d2)*i with
+    |a| <= 3, |b| <= 2, d1 <= 4, d2 <= 3 and k in -2..3."""
+    def laurent():
+        out = ZERO
+        for _ in range(rng.randint(1, 3)):
+            c = Scalar.from_gauss(Fraction(rng.randint(-3, 3), rng.randint(1, 4)),
+                                  Fraction(rng.randint(-2, 2), rng.randint(1, 3)))
+            out = out + c * Scalar.t_power(rng.randint(-2, 3))
+        return out
+    while True:
+        x = ZERO
+        for mask in rng.sample(range(4), 3):
+            num, den = laurent(), laurent()
+            if den:
+                x = x + num / den * (SQRT_1_PLUS_T2 if mask & 1 else ONE) * (KAPPA if mask & 2 else ONE)
+        if len(x.parts) == 3:
+            return x
+
+
+def test_three_part_inverse_scaling():
+    # Rationalising one radical at a time multiplies the parts out, and
+    # Euclid then runs on dense denominators of degree up to about 60.
+    rng = random.Random(1)
+    for x in [_three_part_scalar(rng) for _ in range(20)]:
+        t0 = time.perf_counter()
+        y = x.inv()
+        took = time.perf_counter() - t0
+        assert took < 3.0, f"x.inv() took {took:.2f}s for x = {x}"
+        assert x * y == ONE
 
 
 def test_laurent_arithmetic_never_reaches_rf_canon_or_gcd(monkeypatch):
@@ -753,8 +964,8 @@ def _layout_ok_scalar(x):
 # (a + b*i)/d * t^k
 _o_term = st.tuples(st.integers(-3, 3), st.integers(-2, 2), st.integers(1, 4), st.integers(-2, 3))
 # Masks 1-3 carry the radicals; one term below the line gives a Laurent part.
-# Two parts over two-term denominators keep x.inv() in milliseconds: with
-# three parts, rationalising and Euclid over Q(i) can take seconds.
+# Two parts over two-term denominators keep x.inv() in milliseconds; three
+# parts take up to about a second (test_three_part_inverse_scaling).
 _o_scalar = st.dictionaries(
     st.sampled_from([0, 1, 2, 3]),
     st.tuples(st.lists(_o_term, min_size=1, max_size=3), st.lists(_o_term, min_size=1, max_size=2)),
