@@ -1,0 +1,58 @@
+"""The counters of tools/bench_pr.py: what counts as a product, and that
+every patched attribute comes back."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+from superq import scalars
+from superq.algebra import Element
+from superq.scalars import ONE, T, Scalar, _Unit
+
+_spec = importlib.util.spec_from_file_location(
+    "bench_pr", Path(__file__).resolve().parent.parent / "tools" / "bench_pr.py")
+bench_pr = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_pr)
+
+PATCHED = [(scalars, "_rf_mul"), (scalars, "_pgcd"), (scalars, "_pdivmod"),
+           (scalars, "_pdiv"), (Scalar, "__mul__"), (_Unit, "__mul__"), (_Unit, "__rmul__")]
+
+
+def counts_of(fn):
+    with bench_pr.counting() as counts:
+        fn()
+    return counts
+
+
+def test_counting_restores_every_attribute_also_on_error():
+    before = [vars(owner)[name] for owner, name in PATCHED]
+    with pytest.raises(RuntimeError):
+        with bench_pr.counting():
+            assert all(vars(owner)[name] is not fn
+                       for (owner, name), fn in zip(PATCHED, before))
+            raise RuntimeError
+    assert all(vars(owner)[name] is fn for (owner, name), fn in zip(PATCHED, before))
+
+
+def test_plain_product_counts_once_as_plain():
+    x, y = ONE + T, T - T * T       # sums are plain Scalars, not units
+    assert type(x) is type(y) is Scalar
+    counts = counts_of(lambda: x * y)
+    assert (counts["plain"], counts["unit"]) == (1, 0)
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_unit_product_counts_once_as_unit(side):
+    x = ONE + T
+    assert type(T) is _Unit
+    counts = counts_of(lambda: T * x if side == "left" else x * T)
+    assert (counts["plain"], counts["unit"]) == (0, 1)
+
+
+@pytest.mark.parametrize("c", [ONE + T, T], ids=["plain", "unit"])
+def test_scalar_times_element_hand_off_is_not_counted(c):
+    # c * a hands over to Element.__rmul__, which scales a's coefficient
+    # by c: that product is the only one counted.
+    a = Element.generator("a")
+    assert counts_of(lambda: c * a) == counts_of(lambda: a.scale(c))
