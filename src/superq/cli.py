@@ -17,7 +17,7 @@ import re
 import sys
 from fractions import Fraction
 
-from . import _cache, dual, hopf, qfun, repn, spheres
+from . import _cache, dual, hopf, qfun, repn, spheres, suites
 from .algebra import Element, bigrade
 from .parser import ExprError, eval_text
 from .report import Report
@@ -95,11 +95,6 @@ def _int_at_least(low: int):
     return parse
 
 
-# The largest --degree each capped suite runs.  Above it, `verify --suite
-# NAME` exits 2; `verify --suite all` runs the suite at its cap and says so.
-VERIFY_CAPS = {"qfun": 8, "peterweyl": 3}
-
-
 @functools.lru_cache(maxsize=None)
 def build_arg_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process (parsing leaves it unchanged)."""
@@ -161,14 +156,11 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("verify", help="run a verification suite")
-    p.add_argument("--suite", default="all",
-                   choices=["rewrite", "hopf", "coaction", "qfun", "dual",
-                            "pairing", "matcoef", "integral", "moments",
-                            "peterweyl", "spheres", "completeness", "all"])
+    p.add_argument("--suite", default="all", choices=[*suites.SUITES, "all"])
+    caps = ", ".join(f"{name} runs to {cap} at most"
+                     for name, (cap, _run) in suites.SUITES.items() if cap is not None)
     p.add_argument("--degree", type=_int_at_least(1), default=None,
-                   help="degree bound of the suites (" + ", ".join(
-                       f"{name} runs to {cap} at most"
-                       for name, cap in VERIFY_CAPS.items()) + ")")
+                   help=f"degree bound of the suites ({caps})")
     p.add_argument("--json", action="store_true")
     return ap
 
@@ -183,83 +175,23 @@ def _sphere_params(args):
 
 
 def _run_verify(args) -> int:
+    """One suite's report, or in `all` mode one pass/fail line per suite;
+    `all` runs a suite whose cap is below --degree at its cap, with a note."""
+    if args.suite != "all":
+        return _emit_report(suites.run(args.suite, args.degree), args)
     deg = args.degree
-    capped = {name: cap for name, cap in VERIFY_CAPS.items()
-              if deg is not None and deg > cap}
-    if args.suite in capped:
-        print(f"error: suite {args.suite} runs --degree {capped[args.suite]} "
-              f"at most, got {deg}", file=sys.stderr)
-        return USAGE_ERROR
-    suites = {
-        "rewrite": lambda: _rewrite_suite(deg or 4),
-        "hopf": lambda: hopf.verify_hopf(deg or 4),
-        "coaction": lambda: hopf.verify_coaction(deg or 5).merge(
-            hopf.verify_coaction_morphism(3)),
-        "qfun": lambda: qfun.pascal_rule_check(deg or 8).merge(
-            qfun.qbinomial_theorem_check(min(deg or 6, VERIFY_CAPS["qfun"]))).merge(
-            qfun.binomial_collapse_check(6)),
-        "dual": lambda: dual.verify_uq_relations(deg or 4).merge(
-            dual.verify_dual_hopf()),
-        "pairing": lambda: dual.pairing_gram_rank(2, deg or 4),
-        "matcoef": lambda: _matcoef_suite(deg or 4),
-        "integral": lambda: repn.verify_integral(deg or 4),
-        "moments": lambda: repn.moments_report(),
-        "peterweyl": lambda: repn.verify_peter_weyl(
-            min(deg or 2, VERIFY_CAPS["peterweyl"])).merge(
-            repn.verify_weight_norms(3)),
-        "spheres": lambda: _spheres_suite(deg or 2),
-        "completeness": lambda: repn.completeness_witness(deg or 3, deg or 3),
-    }
-    if args.suite == "all":
-        for name, cap in capped.items():
-            print(f"note: suite {name} runs at its cap --degree {cap}, not {deg}",
-                  file=sys.stderr)
-        total = Report()
-        for name, fn in suites.items():
-            rep = fn()
-            line = "pass" if rep.ok else "FAIL"
-            if not args.json:
-                print(f"{name}: {line} ({rep.checked} checks)")
-            total.merge(rep)
-        return _emit_report(total, args) if args.json else (0 if total.ok else VERIFY_FAIL)
-    return _emit_report(suites[args.suite](), args)
-
-
-def _rewrite_suite(max_degree: int) -> Report:
-    import random
-    from .algebra import Element, random_monomial
-    rep = Report()
-    rng = random.Random(12345)
-    for _ in range(300):
-        xs = [Element.monomial(random_monomial(rng, max_degree)) for _ in range(3)]
-        lhs = (xs[0] * xs[1]) * xs[2]
-        rhs = xs[0] * (xs[1] * xs[2])
-        rep.check("associativity", lhs == rhs, lhs, rhs)
-    return rep
-
-
-def _matcoef_suite(twoL_max: int) -> Report:
-    rep = Report()
-    for twoL in range(twoL_max + 1):
-        for s in (0, 1):
-            mat = repn.matrix_coefficients(twoL, s)
-            cf = repn.closed_form_matrix(twoL, s)
-            for key in mat.entries:
-                rep.check(f"closed form twoL={twoL} s={s} {key}",
-                          mat.entries[key] == cf.entries[key],
-                          mat.entries[key], cf.entries[key])
-    return rep
-
-
-def _spheres_suite(degree: int) -> Report:
-    rep = spheres.verify_M()
-    rep.merge(spheres.verify_infinity_relations())
-    rep.merge(spheres.verify_coideal(spheres.INFINITY))
-    rep.merge(spheres.sphere_basis_check(spheres.INFINITY, degree))
-    chars = spheres.characters_of_S_infinity()
-    rep.check("characters of the infinity sphere", len(chars) == 2,
-              len(chars), 2)
-    return rep
+    capped = {name: cap for name, (cap, _run) in suites.SUITES.items()
+              if deg is not None and cap is not None and deg > cap}
+    for name, cap in capped.items():
+        print(f"note: suite {name} runs at its cap --degree {cap}, not {deg}",
+              file=sys.stderr)
+    total = Report()
+    for name in suites.SUITES:
+        rep = suites.run(name, capped.get(name, deg))
+        if not args.json:
+            print(f"{name}: {'pass' if rep.ok else 'FAIL'} ({rep.checked} checks)")
+        total.merge(rep)
+    return _emit_report(total, args) if args.json else (0 if total.ok else VERIFY_FAIL)
 
 
 def _attach_alpha(argv: list) -> list:
@@ -356,20 +288,7 @@ def _dispatch(args) -> int:
     if cmd == "sphere":
         p = _sphere_params(args)
         if args.check == "relations":
-            if p == spheres.INFINITY:
-                rep = spheres.verify_infinity_relations()
-            else:
-                rep = Report()
-                for kind in spheres.RELATION_KINDS:
-                    w = spheres.find_relations(p, kind)
-                    rep.note(f"kind {kind}: " + (
-                        "none exists" if not w.exists else
-                        str({k: str(v) for k, v in w.full_witness().items()})))
-                    for vec in w.witnesses:
-                        res = spheres.relation_residual(p, kind, vec)
-                        rep.check(f"witness residual {kind}", res.is_zero(),
-                                  res, 0)
-            return _emit_report(rep, args)
+            return _emit_report(spheres.relations_report(p), args)
         if args.check == "basis":
             return _emit_report(spheres.sphere_basis_check(p, args.degree), args)
         chars = spheres.characters_of_S_infinity()

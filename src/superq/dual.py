@@ -267,22 +267,6 @@ def verify_dual_hopf(samples: int = 40, rng_seed: int = 1,
     return rep
 
 
-def convolution_associativity_check(samples: int = 30, rng_seed: int = 2) -> Report:
-    """((fg)h)(x) = (f(gh))(x) on random words and monomials."""
-    import random
-    rng = random.Random(rng_seed)
-    rep = Report()
-    monos = list(basis_monomials(3, "Asigma"))
-    for _ in range(samples):
-        ws = [Functional.word(*[rng.choice(LETTERS) for _ in range(rng.randint(1, 2))])
-              for _ in range(3)]
-        x = Element.monomial(rng.choice(monos), "Asigma")
-        lhs = eval_functional((ws[0] * ws[1]) * ws[2], x)
-        rhs = eval_functional(ws[0] * (ws[1] * ws[2]), x)
-        rep.check("convolution associativity", lhs == rhs, lhs, rhs)
-    return rep
-
-
 # ---------------------------------------------------------------------------
 # Pairing nondegeneracy evidence
 # ---------------------------------------------------------------------------

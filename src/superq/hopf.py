@@ -410,10 +410,3 @@ def verify_coaction_morphism(max_degree: int = 3) -> Report:
                 rep.check(f"{which} morphism {m1}x{m2}", lhs == rhs, lhs, rhs)
     return rep
 
-
-def nilpotent_plane_breaks_coaction() -> Tensor:
-    """With y^2 = 0 imposed, psi(y)^2 is nonzero although y^2 = 0: the
-    quotient plane is not a comodule algebra.  Returns psi(y)^2."""
-    p = PlaneElement.monomial(0, 1, nilpotent=True)
-    psi = coaction("left", p)
-    return psi * psi

@@ -667,53 +667,6 @@ def verify_weight_norms(max_mn: int = 3) -> Report:
 
 
 # ---------------------------------------------------------------------------
-# Coproduct power formulas and the projection formula
-# ---------------------------------------------------------------------------
-
-def delta_power_formula_check(max_m: int = 6) -> Report:
-    """Delta(a^m) and Delta(c^m) against the explicit q-binomial sums."""
-    rep = Report()
-    slots = (AlgSlot("Asigma"), AlgSlot("Asigma"))
-    v = TM2
-    for m in range(max_m + 1):
-        lhs_a = coproduct(Element.generator("a") ** m)
-        lhs_c = coproduct(Element.generator("c") ** m)
-        rhs_a = Tensor(slots)
-        rhs_c = Tensor(slots)
-        for k in range(m + 1):
-            coeff = gauss_binomial(m, k, v)
-            if (k // 2) % 2:
-                sa = -coeff
-            else:
-                sa = coeff
-            rhs_a = rhs_a + Tensor(slots, {
-                ((m - k, k, 0, 0, 0), (m - k, 0, k, 0, 0)): sa})
-            rhs_c = rhs_c + Tensor(slots, {
-                ((0, 0, m - k, k, 0), (m - k, 0, k, 0, 0)): coeff})
-        rep.check(f"Delta(a^{m})", lhs_a == rhs_a, lhs_a, rhs_a)
-        rep.check(f"Delta(c^{m})", lhs_c == rhs_c, lhs_c, rhs_c)
-    return rep
-
-
-def projection_formula_check(max_n: int = 5) -> Report:
-    """(id ox P)Delta(zeta^n) as an explicit sum of Pochhammer products."""
-    rep = Report()
-    slots = (AlgSlot("Asigma"), AlgSlot("Asigma"))
-    v = TM2
-    for n in range(max_n + 1):
-        dz = coproduct(zeta_power(n))
-        lhs = dz.apply(1, lambda mm: {mm: ONE} if mono_bigrade(mm) == (0, 0) else {})
-        rhs = Tensor(slots)
-        for j in range(n + 1):
-            coeff = gauss_binomial(n, j, v) ** 2 * Scalar.t_power(2 * j * (n - j))
-            left = zeta_power(n - j) * _qpoly_to_element(pochhammer_poly(T * T, j))
-            right = zeta_power(j) * _qpoly_to_element(pochhammer_poly(v, n - j, scale=v))
-            rhs = rhs + Tensor.from_elements([left, right]).scale(coeff)
-        rep.check(f"projection formula n={n}", lhs == rhs, lhs, rhs)
-    return rep
-
-
-# ---------------------------------------------------------------------------
 # Completeness / cosemisimplicity witness
 # ---------------------------------------------------------------------------
 

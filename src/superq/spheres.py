@@ -95,12 +95,6 @@ def _minus_identity(x: List[List[Element]], y: List[List[Element]]) -> List[Elem
     return out
 
 
-def unitarity_defect() -> List[Element]:
-    """Entries of M star(M)^T - I, flattened."""
-    M = build_M()
-    return _minus_identity(M, _star_transpose(M))
-
-
 def canonicalize_alpha(alpha: Sequence[Scalar]) -> Tuple[Scalar, Scalar, Scalar]:
     """Projective normalization: first nonzero coordinate scaled to 1."""
     vals = tuple(alpha)
@@ -346,6 +340,24 @@ def verify_infinity_relations() -> Report:
     rep.note("printed displays for the sigma and unit relations deviate by "
              "a single factor on the x-1 x1 / x1 x-1 pair (-1 and q^-1); "
              "verified relations are the engine-derived ones")
+    return rep
+
+
+def relations_report(p: SphereParams) -> Report:
+    """The quadratic relations of the sphere at p: the infinity sphere's
+    four relations, or for each kind in RELATION_KINDS a note with its
+    witness (or that none exists) and the exact residual of each witness."""
+    if p == INFINITY:
+        return verify_infinity_relations()
+    rep = Report()
+    for kind in RELATION_KINDS:
+        w = find_relations(p, kind)
+        rep.note(f"kind {kind}: " + (
+            "none exists" if not w.exists else
+            str({k: str(v) for k, v in w.full_witness().items()})))
+        for vec in w.witnesses:
+            res = relation_residual(p, kind, vec)
+            rep.check(f"witness residual {kind}", res.is_zero(), res, 0)
     return rep
 
 

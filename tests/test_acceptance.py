@@ -9,8 +9,12 @@ import random
 import time
 
 from superq import _cache, dual, hopf, qfun, repn, spheres
-from superq.algebra import Element, basis_monomials, random_monomial, zeta_power
+from superq.algebra import (
+    Element, basis_monomials, mono_bigrade, random_monomial, zeta_power,
+)
+from superq.report import Report
 from superq.scalars import ONE, Scalar, T, T_INV, ZERO
+from superq.tensor import AlgSlot, Tensor
 
 
 def _verdict(num, label, ok, extra=""):
@@ -52,7 +56,10 @@ def test_criterion_02_hopf_axioms():
 def test_criterion_03_comodule_algebra():
     rep = hopf.verify_coaction(5)
     rep.merge(hopf.verify_coaction_morphism(3))
-    broken = hopf.nilpotent_plane_breaks_coaction()
+    # with y^2 = 0 imposed psi(y)^2 stays nonzero: that quotient plane is
+    # not a comodule algebra
+    psi_y = hopf.coaction("left", hopf.PlaneElement.monomial(0, 1, nilpotent=True))
+    broken = psi_y * psi_y
     _verdict(3, "quantum plane comodule laws", rep.ok and not broken.is_zero(),
              f"{rep.checked} checks; y^2=0 control nonzero")
 
@@ -107,8 +114,48 @@ def test_criterion_07_matrix_coefficients():
              f"{checked} entries, {took:.1f}s < 600s")
 
 
+def delta_power_formula_check(max_m):
+    """Delta(a^m) and Delta(c^m) against the explicit q-binomial sums."""
+    rep = Report()
+    slots = (AlgSlot("Asigma"), AlgSlot("Asigma"))
+    for m in range(max_m + 1):
+        lhs_a = hopf.coproduct(Element.generator("a") ** m)
+        lhs_c = hopf.coproduct(Element.generator("c") ** m)
+        rhs_a = Tensor(slots)
+        rhs_c = Tensor(slots)
+        for k in range(m + 1):
+            coeff = qfun.gauss_binomial(m, k, qfun.TM2)
+            sa = -coeff if (k // 2) % 2 else coeff
+            rhs_a = rhs_a + Tensor(slots, {
+                ((m - k, k, 0, 0, 0), (m - k, 0, k, 0, 0)): sa})
+            rhs_c = rhs_c + Tensor(slots, {
+                ((0, 0, m - k, k, 0), (m - k, 0, k, 0, 0)): coeff})
+        rep.check(f"Delta(a^{m})", lhs_a == rhs_a, lhs_a, rhs_a)
+        rep.check(f"Delta(c^{m})", lhs_c == rhs_c, lhs_c, rhs_c)
+    return rep
+
+
+def projection_formula_check(max_n):
+    """(id ox P)Delta(zeta^n) as an explicit sum of Pochhammer products."""
+    rep = Report()
+    slots = (AlgSlot("Asigma"), AlgSlot("Asigma"))
+    v = qfun.TM2
+    for n in range(max_n + 1):
+        dz = hopf.coproduct(zeta_power(n))
+        lhs = dz.apply(1, lambda mm: {mm: ONE} if mono_bigrade(mm) == (0, 0) else {})
+        rhs = Tensor(slots)
+        for j in range(n + 1):
+            coeff = qfun.gauss_binomial(n, j, v) ** 2 * Scalar.t_power(2 * j * (n - j))
+            left = zeta_power(n - j) * repn._qpoly_to_element(qfun.pochhammer_poly(T * T, j))
+            right = zeta_power(j) * repn._qpoly_to_element(
+                qfun.pochhammer_poly(v, n - j, scale=v))
+            rhs = rhs + Tensor.from_elements([left, right]).scale(coeff)
+        rep.check(f"projection formula n={n}", lhs == rhs, lhs, rhs)
+    return rep
+
+
 def test_criterion_08_power_formulas():
-    rep = repn.delta_power_formula_check(6)            # coproduct powers
+    rep = delta_power_formula_check(6)            # coproduct powers
     ok = rep.ok
     # a^m d^m, d^m a^m and the Pochhammer forms, m <= 6
     a, d, b, c, s = (Element.generator(x) for x in "a d b c sigma".split())
@@ -135,7 +182,7 @@ def test_criterion_08_power_formulas():
         ok = ok and lhs2 == sum(
             (zeta_power(r).scale(cf) for r, cf in dn.terms.items()),
             Element.zero()) * sig
-    proj = repn.projection_formula_check(5)
+    proj = projection_formula_check(5)
     _verdict(8, "power formulas", ok and proj.ok,
              f"coproduct powers {rep.checked}, projection {proj.checked}")
 

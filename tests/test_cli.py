@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from superq import suites
 from superq.cli import main
 from superq.parser import ExprError, eval_text, parse, random_ast, to_text
 from superq.algebra import Element
@@ -189,7 +190,8 @@ def test_verify_exit_codes(capsys):
     assert "pass" in out
 
 
-@pytest.mark.parametrize("suite, cap", [("peterweyl", 3), ("qfun", 8)])
+@pytest.mark.parametrize("suite, cap", [(name, cap) for name, (cap, _run)
+                                        in suites.SUITES.items() if cap is not None])
 def test_verify_degree_above_cap_exits_2(capsys, suite, cap):
     code, out, err = run_cli(capsys, "verify", "--suite", suite,
                              "--degree", str(cap + 1))
@@ -204,6 +206,54 @@ def test_verify_all_names_each_capped_suite(capsys):
     assert "peterweyl: pass (7225 checks)" in out
     code, _, err = run_cli(capsys, "verify", "--suite", "all")
     assert code == 0 and err == ""
+
+
+def test_verify_all_runs_a_capped_suite_at_its_cap(capsys, monkeypatch):
+    # every check of a capped suite runs at min(--degree, cap), so the note
+    # is true of the whole suite
+    given = {}
+
+    def stub(name):
+        def run(degree):
+            given[name] = degree
+            rep = Report()
+            rep.check(name, True)
+            return rep
+        return run
+
+    monkeypatch.setattr(suites, "SUITES", {"free": (None, stub("free")),
+                                           "capped": (3, stub("capped"))})
+    code, out, err = run_cli(capsys, "verify", "--suite", "all", "--degree", "5")
+    assert code == 0
+    assert given == {"free": 5, "capped": 3}
+    assert out.splitlines() == ["free: pass (1 checks)", "capped: pass (1 checks)"]
+    assert err == "note: suite capped runs at its cap --degree 3, not 5\n"
+    run_cli(capsys, "verify", "--suite", "all", "--degree", "2")
+    assert given == {"free": 2, "capped": 2}
+    run_cli(capsys, "verify", "--suite", "all")
+    assert given == {"free": None, "capped": None}
+
+
+@pytest.mark.parametrize("degree, checks", [([], 27), (["--degree", "5"], 38)],
+                         ids=["default", "degree-5"])
+def test_verify_moments_honours_degree(capsys, degree, checks):
+    code, out, _ = run_cli(capsys, "verify", "--suite", "moments", "--json", *degree)
+    assert code == 0
+    assert json.loads(out)["checked"] == checks
+
+
+def test_suite_registry_is_the_one_list(monkeypatch):
+    # perfbench and README name the suites of the registry, in its order
+    root = Path(__file__).resolve().parents[1]
+    expected = json.loads((root / "perfbench" / "expected.json").read_text())
+    monkeypatch.syspath_prepend(str(root / "perfbench"))
+    import worker
+    ops = list(dict.fromkeys(suite for suite, _label, _fn in worker._verify_ops(1)))
+    readme = (root / "README.md").read_text().split("## Verification suites")[1]
+    readme = readme.split("\n## ")[0]
+    table = [line.split("`")[1] for line in readme.splitlines()
+             if line.startswith("| `")]
+    assert list(expected["verify_checks"]) == ops == table == list(suites.SUITES)
 
 
 def test_sphere_characters_cli(capsys):

@@ -7,10 +7,9 @@ from superq import _cache, linalg, repn
 from superq.algebra import Element, bigrade, zeta, zeta_power
 from superq.hopf import star
 from superq.repn import (
-    CorepIndex, closed_form, closed_form_matrix,
-    comodule_vector, completeness_witness, delta_power_formula_check, haar,
-    haar_via_corep_expansion, haar_zeta, haar_zeta_sigma, inner,
-    matrix_coefficients, moments, moments_report, projection_formula_check,
+    CorepIndex, closed_form, closed_form_matrix, comodule_vector,
+    completeness_witness, haar, haar_via_corep_expansion, haar_zeta,
+    haar_zeta_sigma, inner, matrix_coefficients, moments, moments_report,
     sigma_component, vector_norm_sq, verify_integral, verify_peter_weyl,
     verify_weight_norms,
 )
@@ -220,16 +219,6 @@ def test_e02_norm_value():
     from superq.algebra import e_basis
     e = e_basis(0, 2)
     assert e * star(e) == zeta() - zeta_power(2)
-
-
-def test_delta_power_formulas():
-    rep = delta_power_formula_check(6)
-    assert rep.ok, str(rep)
-
-
-def test_projection_formula():
-    rep = projection_formula_check(5)
-    assert rep.ok, str(rep)
 
 
 def test_completeness_small():

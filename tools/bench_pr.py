@@ -11,10 +11,13 @@ perfbench's workers do (it restarts itself with it), in this order:
      it landed in; the 11 slowest ops (op_tail_ms is the 11th, scaled as
      perfbench scales it) with the collector time in each; the 11th again
      with the pauses taken out.
-  2. "verify", "memo": from empty memo tables, one in-process `superq
-     verify --suite all` under tracemalloc and `counting()`; then each
-     *_cache table's entries and the traced MiB freed by clearing it (an
-     object shared by several tables counts for the last one cleared).
+  2. "verify", "memo": from empty memo tables, one run of every suite of
+     superq.suites.SUITES at its defaults, as `superq verify --suite all`
+     runs them, under tracemalloc and `counting()`: the counts, and each
+     suite's checks and seconds ("traced_s": tracemalloc makes them several
+     times longer than an untraced run); then each *_cache table's entries
+     and the traced MiB freed by clearing it (an object shared by several
+     tables counts for the last one cleared).
   3. "ops_us": one + and one * of small values of each sparse-sum class,
      the best of 7 timeit repeats with warm memo tables.
   4. "sweeps": the gcd-bound sweeps, each from empty memo tables and each
@@ -32,7 +35,6 @@ from __future__ import annotations
 
 import contextlib
 import gc
-import io
 import json
 import os
 import random
@@ -143,14 +145,20 @@ def counting():
 
 
 def verify_pass() -> tuple:
-    """The "verify" and "memo" sections of one verify --suite all."""
-    from superq import _cache, cli
+    """The "verify" and "memo" sections of one pass over every suite."""
+    from superq import _cache, suites
 
     _cache.clear()
     gc.collect()    # also empties the free lists, whose reuse tracemalloc misses
     tracemalloc.start()
-    with counting() as counts, contextlib.redirect_stdout(io.StringIO()):
-        code = cli.main(["verify", "--suite", "all"])
+    per_suite, failed = {}, 0
+    with counting() as counts:
+        for name in suites.SUITES:
+            t0 = time.perf_counter()
+            rep = suites.run(name)
+            per_suite[name] = {"traced_s": round(time.perf_counter() - t0, 3),
+                               "checks": rep.checked}
+            failed += not rep.ok
     gc.collect()
     peak = tracemalloc.get_traced_memory()[1]
     tables = {}
@@ -167,10 +175,11 @@ def verify_pass() -> tuple:
     tracemalloc.stop()
     # Each exact division runs the division loop once; every other run of it
     # is one step of a gcd.
-    verify = {"exit": code, "_rf_mul": counts["_rf_mul"], "unit_products": counts["unit"],
+    verify = {"exit": 1 if failed else 0, "_rf_mul": counts["_rf_mul"],
+              "unit_products": counts["unit"],
               "plain_products": counts["plain"], "products": counts["unit"] + counts["plain"],
               "_pgcd": counts["_pgcd"], "euclid_steps": counts["_pdivmod"] - counts["_pdiv"],
-              "_pdiv": counts["_pdiv"]}
+              "_pdiv": counts["_pdiv"], "suites": per_suite}
     memo = {"tables": tables, "entries": sum(t["entries"] for t in tables.values()),
             "mib": round(sum(t["mib"] for t in tables.values()), 3),
             "traced_peak_mib": round(peak / MIB, 3)}
