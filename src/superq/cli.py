@@ -5,6 +5,10 @@ star, weights, dual pairing, Haar functional, invariant forms, little
 t-Jacobi polynomials, matrix coefficients, orthogonality Grams, spheres,
 and the verification suites.
 
+Each subcommand's parser sets `run`, its handler, which prints through
+`_print`.  Handlers look library functions up when they run, not when the
+parser is built, so a profiler that swaps module attributes sees them.
+
 Exit codes: 0 success, 1 verification failure, 2 usage error.
 """
 
@@ -27,39 +31,29 @@ USAGE_ERROR = 2
 VERIFY_FAIL = 1
 
 
-def _add_common(p, numeric=False):
-    p.add_argument("--ring", choices=["B", "Bsigma", "Asigma"], default="Asigma")
+def _add_common(p, ring=True, numeric=False):
+    if ring:
+        p.add_argument("--ring", choices=["B", "Bsigma", "Asigma"], default="Asigma")
     p.add_argument("--json", action="store_true")
     if numeric:
         p.add_argument("--numeric", metavar="q=VALUE",
                        help="evaluate the scalar result at a rational q off the unit circle")
 
 
-def _emit_scalar(value: Scalar, args) -> None:
+def _print(value, args, doc=None) -> int:
+    """Print one result: its value at --numeric q=..., with --json its JSON
+    document (doc, or value.to_json()), else its text.  The exit code is 1
+    for a failed Report."""
     if getattr(args, "numeric", None):
         arg = args.numeric
         if not arg.startswith("q="):
             raise ExprError("expected --numeric q=<rational>", 0)
         print(value.eval_numeric(Fraction(arg[2:])))
     elif args.json:
-        print(json.dumps(value.to_json()))
+        print(json.dumps(value.to_json() if doc is None else doc))
     else:
         print(value)
-
-
-def _emit_element(el: Element, args) -> None:
-    if args.json:
-        print(json.dumps(el.to_json()))
-    else:
-        print(el)
-
-
-def _emit_report(rep: Report, args) -> int:
-    if args.json:
-        print(json.dumps(rep.to_json()))
-    else:
-        print(rep)
-    return 0 if rep.ok else VERIFY_FAIL
+    return VERIFY_FAIL if isinstance(value, Report) and not value.ok else 0
 
 
 def _parse_word(text: str):
@@ -106,45 +100,59 @@ def build_arg_parser() -> argparse.ArgumentParser:
                     help="cap the internal memo tables (cleared when exceeded)")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    for name, helptext in (("nf", "normal form of an expression"),
-                           ("grade", "weight (bidegree) of an expression"),
-                           ("eps", "counit of an expression"),
-                           ("antipode", "antipode of an expression"),
-                           ("star", "star involution of an expression"),
-                           ("delta", "coproduct of an expression"),
-                           ("haar", "invariant functional of an expression")):
+    for name, helptext, run in (
+            ("nf", "normal form of an expression", lambda a: _print(_expr(a), a)),
+            ("grade", "weight (bidegree) of an expression", _run_grade),
+            ("eps", "counit of an expression",
+             lambda a: _print(hopf.counit(_expr(a)), a)),
+            ("antipode", "antipode of an expression",
+             lambda a: _print(hopf.antipode(_expr(a)), a)),
+            ("star", "star involution of an expression",
+             lambda a: _print(hopf.star(_expr(a)), a)),
+            ("delta", "coproduct of an expression",
+             lambda a: _print(hopf.coproduct(_expr(a)), a)),
+            ("haar", "invariant functional of an expression",
+             lambda a: _print(repn.haar(eval_text(a.expr, "Asigma")), a))):
         p = sub.add_parser(name, help=helptext)
         p.add_argument("expr")
-        _add_common(p, numeric=name in ("eps", "haar"))
+        _add_common(p, ring=name != "haar", numeric=name in ("eps", "haar"))
+        p.set_defaults(run=run)
 
     p = sub.add_parser("pair", help="pair a functional word with an expression")
     p.add_argument("word", help="word in k, k^-1 (or K), e, f")
     p.add_argument("expr")
     _add_common(p, numeric=True)
+    p.set_defaults(run=lambda a: _print(dual.eval_functional(_parse_word(a.word), _expr(a)), a))
 
     p = sub.add_parser("inner", help="invariant hermitian form of two expressions")
     p.add_argument("--form", choices=["R", "L"], default="R")
     p.add_argument("x")
     p.add_argument("y")
-    _add_common(p, numeric=True)
+    _add_common(p, ring=False, numeric=True)
+    p.set_defaults(run=lambda a: _print(repn.inner(a.form, eval_text(a.x, "Asigma"),
+                                                   eval_text(a.y, "Asigma")), a))
 
     p = sub.add_parser("jacobi", help="little t-Jacobi polynomial (base t^-2)")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--alpha", type=int, default=0)
     p.add_argument("--beta", type=int, default=0)
     p.add_argument("--json", action="store_true")
+    p.set_defaults(run=lambda a: _print(qfun.little_jacobi(a.n, a.alpha, a.beta, qfun.TM2), a))
 
     p = sub.add_parser("matcoef", help="matrix coefficients of a spin-l comodule")
-    p.add_argument("--twoL", type=int, required=True)
+    p.add_argument("--twoL", type=_int_at_least(0), required=True)
     p.add_argument("--s", type=int, choices=[0, 1], default=0)
     p.add_argument("--closed-form", action="store_true",
                    help="use the little t-Jacobi closed forms instead of "
                         "the coproduct route")
     p.add_argument("--json", action="store_true")
+    p.set_defaults(run=lambda a: _print(
+        (repn.closed_form_matrix if a.closed_form else repn.matrix_coefficients)(a.twoL, a.s), a))
 
     p = sub.add_parser("gram", help="orthogonality Gram of corep entries")
     p.add_argument("--twoL-max", type=_int_at_least(0), default=2)
     p.add_argument("--json", action="store_true")
+    p.set_defaults(run=lambda a: _print(repn.verify_peter_weyl(a.twoL_max), a))
 
     p = sub.add_parser("sphere", help="quantum super sphere checks")
     group = p.add_mutually_exclusive_group(required=True)
@@ -152,8 +160,9 @@ def build_arg_parser() -> argparse.ArgumentParser:
     group.add_argument("--infinity", action="store_true")
     p.add_argument("--check", choices=["relations", "basis", "characters"],
                    required=True)
-    p.add_argument("--degree", type=int, default=2)
+    p.add_argument("--degree", type=_int_at_least(0), default=2)
     p.add_argument("--json", action="store_true")
+    p.set_defaults(run=_run_sphere)
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("--suite", default="all", choices=[*suites.SUITES, "all"])
@@ -162,7 +171,17 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p.add_argument("--degree", type=_int_at_least(1), default=None,
                    help=f"degree bound of the suites ({caps})")
     p.add_argument("--json", action="store_true")
+    p.set_defaults(run=_run_verify)
     return ap
+
+
+def _expr(args) -> Element:
+    return eval_text(args.expr, args.ring)
+
+
+def _run_grade(args) -> int:
+    g = bigrade(_expr(args))
+    return _print(g, args, {"bigrade": g})
 
 
 def _sphere_params(args):
@@ -174,11 +193,21 @@ def _sphere_params(args):
     return tuple(Scalar.from_rational(Fraction(p)) for p in parts)
 
 
+def _run_sphere(args) -> int:
+    p = _sphere_params(args)
+    if args.check == "relations":
+        return _print(spheres.relations_report(p), args)
+    if args.check == "basis":
+        return _print(spheres.sphere_basis_check(p, args.degree), args)
+    chars = [tuple(str(c) for c in ch) for ch in spheres.characters_of_S_infinity()]
+    return _print("\n".join(map(str, chars)), args, [list(ch) for ch in chars])
+
+
 def _run_verify(args) -> int:
     """One suite's report, or in `all` mode one pass/fail line per suite;
     `all` runs a suite whose cap is below --degree at its cap, with a note."""
     if args.suite != "all":
-        return _emit_report(suites.run(args.suite, args.degree), args)
+        return _print(suites.run(args.suite, args.degree), args)
     deg = args.degree
     capped = {name: cap for name, (cap, _run) in suites.SUITES.items()
               if deg is not None and cap is not None and deg > cap}
@@ -191,7 +220,7 @@ def _run_verify(args) -> int:
         if not args.json:
             print(f"{name}: {'pass' if rep.ok else 'FAIL'} ({rep.checked} checks)")
         total.merge(rep)
-    return _emit_report(total, args) if args.json else (0 if total.ok else VERIFY_FAIL)
+    return _print(total, args) if args.json else (0 if total.ok else VERIFY_FAIL)
 
 
 def _attach_alpha(argv: list) -> list:
@@ -223,84 +252,12 @@ def main(argv=None) -> int:
     previous = _cache.LIMIT
     _cache.set_limit(args.cache_size)   # None (no cap) unless this call sets one
     try:
-        return _dispatch(args)
-    except ExprError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    except (ValueError, ArithmeticError) as exc:
+        return args.run(args)
+    except (ValueError, ArithmeticError) as exc:   # ExprError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     finally:
         _cache.set_limit(previous)      # the cap is this call's alone
-
-
-def _dispatch(args) -> int:
-    cmd = args.command
-    if cmd == "nf":
-        _emit_element(eval_text(args.expr, args.ring), args)
-        return 0
-    if cmd == "grade":
-        g = bigrade(eval_text(args.expr, args.ring))
-        print(json.dumps({"bigrade": g}) if args.json else g)
-        return 0
-    if cmd == "eps":
-        _emit_scalar(hopf.counit(eval_text(args.expr, args.ring)), args)
-        return 0
-    if cmd == "antipode":
-        _emit_element(hopf.antipode(eval_text(args.expr, args.ring)), args)
-        return 0
-    if cmd == "star":
-        _emit_element(hopf.star(eval_text(args.expr, args.ring)), args)
-        return 0
-    if cmd == "delta":
-        tens = hopf.coproduct(eval_text(args.expr, args.ring))
-        print(json.dumps(tens.to_json()) if args.json else tens)
-        return 0
-    if cmd == "haar":
-        _emit_scalar(repn.haar(eval_text(args.expr, "Asigma")), args)
-        return 0
-    if cmd == "pair":
-        phi = _parse_word(args.word)
-        _emit_scalar(dual.eval_functional(phi, eval_text(args.expr, args.ring)), args)
-        return 0
-    if cmd == "inner":
-        x = eval_text(args.x, "Asigma")
-        y = eval_text(args.y, "Asigma")
-        _emit_scalar(repn.inner(args.form, x, y), args)
-        return 0
-    if cmd == "jacobi":
-        poly = qfun.little_jacobi(args.n, args.alpha, args.beta, qfun.TM2)
-        print(json.dumps(poly.to_json()) if args.json else poly)
-        return 0
-    if cmd == "matcoef":
-        if args.closed_form:
-            mat = repn.closed_form_matrix(args.twoL, args.s)
-        else:
-            mat = repn.matrix_coefficients(args.twoL, args.s)
-        if args.json:
-            print(json.dumps(mat.to_json()))
-        else:
-            for (i, j), e in sorted(mat.entries.items()):
-                print(f"m[{i},{j}] = {e}")
-        return 0
-    if cmd == "gram":
-        return _emit_report(repn.verify_peter_weyl(args.twoL_max), args)
-    if cmd == "sphere":
-        p = _sphere_params(args)
-        if args.check == "relations":
-            return _emit_report(spheres.relations_report(p), args)
-        if args.check == "basis":
-            return _emit_report(spheres.sphere_basis_check(p, args.degree), args)
-        chars = spheres.characters_of_S_infinity()
-        if args.json:
-            print(json.dumps([[str(c) for c in ch] for ch in chars]))
-        else:
-            for ch in chars:
-                print(tuple(str(c) for c in ch))
-        return 0
-    if cmd == "verify":
-        return _run_verify(args)
-    raise AssertionError(f"unhandled command {cmd}")
 
 
 if __name__ == "__main__":

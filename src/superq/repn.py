@@ -142,6 +142,9 @@ class CorepMatrix:
             "norm_sq": {str(i): v.to_json() for i, v in sorted(self.norm_sq.items())},
         }
 
+    def __str__(self):
+        return "\n".join(f"m[{i},{j}] = {e}" for (i, j), e in sorted(self.entries.items()))
+
 
 _matrix_cache: Dict[tuple, CorepMatrix] = {}
 

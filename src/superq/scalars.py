@@ -764,10 +764,7 @@ class Scalar:
             body, rad = _rf_str(self.parts[mask]), "*".join(_mask_names(mask))
             chunks.append(rad if body == "1" and rad else
                           f"{_parenthesize(body)}*{rad}" if rad else body)
-        out = chunks[0]
-        for c in chunks[1:]:
-            out += " - " + c[1:].lstrip() if c.startswith("-") else " + " + c
-        return out
+        return _signed_join(chunks)
 
     def to_json(self):
         comps = []
@@ -1177,10 +1174,10 @@ def _gauss_str(a: int, b: int, d: int = 1) -> str:
 
 def _poly_str(p) -> str:
     """A {e: (x, y)} dict of Gaussian integers as printed, its terms joined
-    as _signed_join joins them."""
+    by _signed_join."""
     if not p:
         return "0"
-    out = ""
+    pieces = []
     for e in sorted(p, reverse=True):
         cs = _gauss_str(*p[e])
         composite = ("+" in cs[1:]) or ("-" in cs[1:])
@@ -1196,13 +1193,8 @@ def _poly_str(p) -> str:
                 piece = f"({cs})*{tpow}"
             else:
                 piece = f"{cs}*{tpow}"
-        if not out:
-            out = piece
-        elif piece.startswith("-"):
-            out += " - " + piece[1:]
-        else:
-            out += " + " + piece
-    return out
+        pieces.append(piece)
+    return _signed_join(pieces)
 
 
 def _parenthesize(s: str) -> str:

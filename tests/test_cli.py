@@ -184,6 +184,48 @@ def test_usage_errors_exit_2(capsys):
     assert run_cli(capsys, "nf", "a", "--ring", "Z")[0] == 2
 
 
+@pytest.mark.parametrize("argv", [["haar", "--ring", "B", "a"],
+                                  ["inner", "--ring", "B", "a", "a"]])
+def test_haar_and_inner_take_no_ring(capsys, argv):
+    # Both always work in A(sigma); a --ring they ignored printed the
+    # A(sigma) value for any ring asked for.
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "unrecognized arguments: --ring" in err
+
+
+@pytest.mark.parametrize("module, name, argv", [
+    ("hopf", "counit", ["eps", "a*d"]),
+    ("hopf", "antipode", ["antipode", "b"]),
+    ("hopf", "star", ["star", "b"]),
+    ("hopf", "coproduct", ["delta", "a"]),
+    ("repn", "haar", ["haar", "zeta"]),
+    ("repn", "inner", ["inner", "a", "a"]),
+    ("dual", "eval_functional", ["pair", "k", "a"]),
+    ("qfun", "little_jacobi", ["jacobi", "--n", "1"]),
+    ("repn", "matrix_coefficients", ["matcoef", "--twoL", "1"]),
+    ("repn", "closed_form_matrix", ["matcoef", "--twoL", "1", "--closed-form"]),
+    ("repn", "verify_peter_weyl", ["gram", "--twoL-max", "0"]),
+    ("spheres", "sphere_basis_check", ["sphere", "--infinity", "--check", "basis"]),
+])
+def test_commands_look_library_functions_up_when_run(capsys, monkeypatch, module, name, argv):
+    # A profiler (perfbench/tracing.py) swaps module attributes after
+    # import; a command that held the function from import time would
+    # bypass the swap.
+    import importlib
+    mod = importlib.import_module(f"superq.{module}")
+    original, calls = getattr(mod, name), []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    main(["nf", "a"])       # the parser is built before the swap
+    monkeypatch.setattr(mod, name, counted)
+    assert run_cli(capsys, *argv)[0] == 0
+    assert calls
+
+
 def test_verify_exit_codes(capsys):
     code, out, _ = run_cli(capsys, "verify", "--suite", "qfun", "--degree", "4")
     assert code == 0
@@ -269,6 +311,9 @@ def test_sphere_characters_cli(capsys):
     (["verify", "--suite", "hopf", "--degree", "0"], "--degree: must be at least 1, got 0"),
     (["sphere", "--alpha", "1,0,1", "--check", "characters"],
      "sphere --check characters is only computed for --infinity"),
+    (["sphere", "--alpha", "1,0,1", "--check", "basis", "--degree", "-1"],
+     "--degree: must be at least 0, got -1"),
+    (["matcoef", "--twoL", "-1", "--closed-form"], "--twoL: must be at least 0, got -1"),
 ])
 def test_bad_arguments_exit_2(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)
@@ -375,34 +420,18 @@ def _validator(schema_name):
     return Draft202012Validator(schema, registry=registry)
 
 
-def test_element_json_schema(capsys):
-    code, out, _ = run_cli(capsys, "nf", "d*a + zeta^2", "--json")
+@pytest.mark.parametrize("argv, schema", [
+    (["nf", "d*a + zeta^2"], "element.json"),
+    (["haar", "zeta^3 + s"], "scalar.json"),
+    (["verify", "--suite", "moments"], "report.json"),
+    (["jacobi", "--n", "2", "--alpha", "1"], "qpolynomial.json"),
+    (["matcoef", "--twoL", "2"], "corepmatrix.json"),
+    (["delta", "a^2*b"], "tensor.json"),
+], ids=["element", "scalar", "report", "qpolynomial", "corepmatrix", "tensor"])
+def test_json_output_schema(capsys, argv, schema):
+    code, out, _ = run_cli(capsys, *argv, "--json")
     assert code == 0
-    _validator("element.json").validate(json.loads(out))
-
-
-def test_scalar_json_schema(capsys):
-    code, out, _ = run_cli(capsys, "haar", "zeta^3 + s", "--json")
-    assert code == 0
-    _validator("scalar.json").validate(json.loads(out))
-
-
-def test_report_json_schema(capsys):
-    code, out, _ = run_cli(capsys, "verify", "--suite", "moments", "--json")
-    assert code == 0
-    _validator("report.json").validate(json.loads(out))
-
-
-def test_qpolynomial_json_schema(capsys):
-    code, out, _ = run_cli(capsys, "jacobi", "--n", "2", "--alpha", "1", "--json")
-    assert code == 0
-    _validator("qpolynomial.json").validate(json.loads(out))
-
-
-def test_corepmatrix_json_schema(capsys):
-    code, out, _ = run_cli(capsys, "matcoef", "--twoL", "2", "--json")
-    assert code == 0
-    _validator("corepmatrix.json").validate(json.loads(out))
+    _validator(schema).validate(json.loads(out))
 
 
 def test_matcoef_closed_form_agrees(capsys):

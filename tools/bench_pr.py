@@ -10,12 +10,12 @@ perfbench's workers do (it restarts itself with it), in this order:
      Each generation-1 and -2 collection with its raw duration and the op
      it landed in; the 11 slowest ops (op_tail_ms is the 11th, scaled as
      perfbench scales it) with the collector time in each; the 11th again
-     with the pauses taken out.
+     with the pauses taken out; each suite's seconds ("suite_s", the sum
+     of its ops' scaled times, untraced).
   2. "verify", "memo": from empty memo tables, one run of every suite of
      superq.suites.SUITES at its defaults, as `superq verify --suite all`
      runs them, under tracemalloc and `counting()`: the counts, and each
-     suite's checks and seconds ("traced_s": tracemalloc makes them several
-     times longer than an untraced run); then each *_cache table's entries
+     suite's checks; then each *_cache table's entries
      and the traced MiB freed by clearing it (an object shared by several
      tables counts for the last one cleared).
   3. "ops_us": one + and one * of small values of each sparse-sum class,
@@ -76,7 +76,7 @@ def gc_pass() -> dict:
     expected = json.loads((ROOT / "perfbench" / "expected.json").read_text())
     gc.callbacks.append(hook)
     try:
-        worker.run_verify_all(SEED, run, expected["verify_checks"])
+        suite_s = worker.run_verify_all(SEED, run, expected["verify_checks"])["suite_s"]
         labels = [label for _suite, label, _fn in worker._verify_ops(SEED)]
     finally:
         gc.callbacks.remove(hook)
@@ -104,6 +104,7 @@ def gc_pass() -> dict:
                     for k in ranked[:TAIL_RANK]],
         "tail_ms": round(1e3 * run.op_s[ranked[TAIL_RANK - 1]], 3),
         "tail_ms_without_pauses": round(without[TAIL_RANK - 1], 3),
+        "suite_s": {name: round(sec, 3) for name, sec in suite_s.items()},
         "failed": sum(run.failed.values()), "wrong": run.wrong, "problems": run.problems,
     }
 
@@ -154,10 +155,8 @@ def verify_pass() -> tuple:
     per_suite, failed = {}, 0
     with counting() as counts:
         for name in suites.SUITES:
-            t0 = time.perf_counter()
             rep = suites.run(name)
-            per_suite[name] = {"traced_s": round(time.perf_counter() - t0, 3),
-                               "checks": rep.checked}
+            per_suite[name] = {"checks": rep.checked}
             failed += not rep.ok
     gc.collect()
     peak = tracemalloc.get_traced_memory()[1]
