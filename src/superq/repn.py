@@ -29,7 +29,7 @@ from .algebra import (
 from .hopf import antipode, coproduct, counit, star
 from .qfun import TM2, QPolynomial, gauss_binomial, little_jacobi, pochhammer, pochhammer_poly
 from .report import Report
-from .scalars import ONE, Scalar, T, T_INV, ZERO, add_term, sum_images
+from .scalars import ONE, Scalar, T, T_INV, ZERO, add_term, signed_t_power
 from .tensor import AlgSlot, Tensor
 
 
@@ -314,7 +314,8 @@ def closed_form_matrix(twoL: int, s: int = 0) -> CorepMatrix:
 
 _haar_zeta_cache: Dict[tuple, Scalar] = {}
 _m00_cache: Dict[tuple, Dict[Tuple[int, int], Scalar]] = {}
-_coord_cache: Dict[tuple, Dict[Tuple[int, int], Scalar]] = {}
+_coord_cache: Dict[tuple, Scalar] = {}
+_cache.register(_coord_cache)
 
 
 @_cache.memo(_haar_zeta_cache)
@@ -324,14 +325,13 @@ def haar_zeta(n: int) -> Scalar:
 
 
 def _zeta_coordinates(x: Element) -> Dict[Tuple[int, int], Scalar]:
-    """Coordinates of project_00(x) in the basis zeta^r sigma^w."""
+    """Coordinates of project_00(x) in the basis zeta^r sigma^w.  The
+    monomial b^r c^r sigma^(r mod 2) is zeta^r over its coefficient
+    (-1)^(r(r-1)/2) t^r."""
     out: Dict[Tuple[int, int], Scalar] = {}
     for m, c in project_00(x).terms.items():
         r, u = m[1], m[4]
-        zp = zeta_power(r)
-        conv = c / zp.terms[(0, r, r, 0, r % 2)]
-        key = (r, (u + r) % 2)
-        add_term(out, key, conv)
+        add_term(out, (r, (u + r) % 2), c * signed_t_power(r * (r - 1) // 2, -r))
     return out
 
 
@@ -345,64 +345,46 @@ def _m00_basis(l: int, w: int) -> Dict[Tuple[int, int], Scalar]:
     return _zeta_coordinates(closed_form(2 * l, 0, 0))
 
 
+def _unit_coefficient(r: int) -> Scalar:
+    """lambda_r, the m^(0)_00 sigma^u coefficient of zeta^r sigma^u in the
+    basis {m^(l)_00 sigma^w}; the same for u = 0 and u = 1, as
+    _m00_basis(l, 1) relabels _m00_basis(l, 0).
+
+    P_k = _m00_basis(k, 0) has degree k and all its coordinates in the
+    sigma class k mod 2, so zeta^k sigma^u is m^(k)_00 sigma^(k+u) over
+    p_kk minus the lower coordinates, and
+
+        lambda_k = (delta_k0 - sum_(j<k) p_kj lambda_j) / p_kk.
+
+    Built bottom-up, k = 0..r, in one loop that stores each lambda_k in
+    _coord_cache under (k,); a recursion through the table would redo the
+    lower degrees exponentially often once the table is capped.
+    """
+    lam = _coord_cache.get((r,))
+    if lam is not None:
+        return lam
+    lams: List[Scalar] = []
+    for k in range(r + 1):
+        lam = _coord_cache.get((k,))
+        if lam is None:
+            p = _m00_basis(k, 0)
+            u = k % 2
+            acc = ZERO if k else ONE
+            for j in range(k):
+                pkj = p.get((j, u))
+                if pkj:
+                    acc = acc - pkj * lams[j]
+            lam = acc / p[(k, u)]
+            _cache.store(_coord_cache, (k,), lam)
+        lams.append(lam)
+    return lam
+
+
 def haar_zeta_sigma(n: int) -> Scalar:
-    """h(zeta^n sigma), by exact expansion in the m^(l)_00 sigma^w basis.
-
-    The corep entries other than 1 and sigma are annihilated by h.  The
-    target is the single coordinate zeta^n sigma, so this reads the l = 0
-    entries of its memoised row (_coord_expansion), which is back-substituted
-    once over the memoised basis, as deg P_l = l.
-    """
-    row = _coord_expansion(n, 1)
-    return row.get((0, 0), ZERO) + row.get((0, 1), ZERO)
-
-
-@_cache.memo(_coord_cache)
-def _coord_expansion(r: int, u: int) -> Dict[Tuple[int, int], Scalar]:
-    """Coefficients of the coordinate zeta^r sigma^u over {m^(l)_00 sigma^w},
-    memoised: callers must not mutate them.
-
-    m^(l)_00 sigma^w = P_l(zeta) sigma^(l+w) with deg P_l = l, so its top
-    coordinate zeta^l sigma^((l+w) mod 2) is the pivot of unknown (l, w):
-    back-substitute the unit target from l = r down.  As _m00_basis(l, 1)
-    relabels _m00_basis(l, 0), u = 1 relabels w -> 1 - w of the u = 0 row,
-    and one solve serves both.
-    """
-    if u:
-        return {(l, 1 - w): c for (l, w), c in _coord_expansion(r, 0).items()}
-    rest = {(r, 0): ONE}
-    row = {}
-    for l in range(r, -1, -1):
-        for w in (0, 1):
-            vec = _m00_basis(l, w)
-            pivot = (l, (l + w) % 2)
-            c = rest.get(pivot)
-            if c:
-                c = c / vec[pivot]
-                for coord, v in vec.items():
-                    add_term(rest, coord, -(c * v))
-                row[(l, w)] = c
-    if rest:
-        raise AssertionError("m00 expansion is inconsistent")
-    return row
-
-
-def _expand_in_m00(x: Element) -> Dict[Tuple[int, int], Scalar]:
-    """Exact coefficients of x (in the weight-(0,0) subalgebra) over the
-    basis {m^(l)_00 sigma^w}, keyed (l, w) in sorted order: every l up to
-    x's top zeta-degree, with ZERO where the coefficient vanishes.
-
-    The linear extension (sum_images) of the memoised rows
-    _coord_expansion(r, u) over x's zeta-coordinates zeta^r sigma^u, so
-    each coordinate is solved once per table lifetime, however many targets
-    hold it.
-    """
-    target = _zeta_coordinates(x)
-    if project_00(x) != x:
-        raise ValueError("element is not in the weight-(0,0) subalgebra")
-    sol = sum_images(target.items(), lambda coord: _coord_expansion(*coord).items())
-    max_r = max((r for (r, _u) in target), default=0)
-    return {(l, w): sol.get((l, w), ZERO) for l in range(max_r + 1) for w in (0, 1)}
+    """h(zeta^n sigma) = lambda_n (_unit_coefficient): h kills every
+    m^(l)_00 sigma^w with l > 0 and is 1 on 1 and sigma, so it reads the
+    l = 0 coefficient of zeta^n sigma in the corep basis."""
+    return _unit_coefficient(n)
 
 
 def haar(x: Element) -> Scalar:
@@ -419,22 +401,26 @@ def haar(x: Element) -> Scalar:
 
 
 def haar_via_corep_expansion(x: Element) -> Scalar:
-    """Independent route: expand the (0,0) part in the m^(l)_00 sigma^w basis
-    and read off the l = 0 coefficients.  The expansion sums the memoised
-    rows of its zeta-coordinates (_expand_in_m00), while haar uses the closed
-    form for h(zeta^n), so the two routes still meet on every sigma-even
-    coordinate."""
-    coeffs = _expand_in_m00(project_00(x))
-    return coeffs.get((0, 0), ZERO) + coeffs.get((0, 1), ZERO)
+    """Independent route: the l = 0 coefficient of project_00(x) in the
+    m^(l)_00 sigma^w basis, sum c lambda_r over its zeta-coordinates
+    c zeta^r sigma^u (lambda_r by the recurrence of _unit_coefficient).
+    haar uses the closed form for h(zeta^n), so the two routes meet on
+    every sigma-even coordinate."""
+    out = ZERO
+    for (r, _u), c in _zeta_coordinates(x).items():
+        out = out + c * _unit_coefficient(r)
+    return out
 
 
 def sigma_component(x: Element) -> Scalar:
-    """Coefficient of sigma (= m^(0)_00 sigma) in the corep-basis expansion;
-    the exact obstruction to the verbatim integral law."""
-    p = project_00(x)
-    if p.is_zero():
-        return ZERO
-    return _expand_in_m00(p).get((0, 1), ZERO)
+    """Coefficient of sigma (= m^(0)_00 sigma) in the corep-basis expansion
+    of project_00(x): sum c lambda_r over its sigma-odd zeta-coordinates
+    c zeta^r sigma.  The exact obstruction to the verbatim integral law."""
+    out = ZERO
+    for (r, u), c in _zeta_coordinates(x).items():
+        if u:
+            out = out + c * _unit_coefficient(r)
+    return out
 
 
 def verify_integral(max_degree: int) -> Report:

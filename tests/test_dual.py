@@ -3,7 +3,7 @@ from contextlib import contextmanager, nullcontext
 
 import pytest
 
-from superq import _cache, dual
+from superq import _cache, dual, suites
 from superq.algebra import Element, basis_monomials
 from superq.dual import (
     E_SIGN, LETTERS, Functional, calibrate_e_sign, calibrate_e_sign_value,
@@ -173,6 +173,26 @@ def test_gram_rank_small():
     rep = pairing_gram_rank(1, 2)
     # 12 words vs monomials of degree <= 2: full row rank expected
     assert rep.ok, str(rep)
+
+
+def test_pairing_suite_passes_at_degrees_1_to_5():
+    for degree in range(1, 6):
+        rep = suites.run("pairing", degree)
+        assert rep.ok, (degree, str(rep))
+    # the default report, which the verify_all digest holds, is bound 2/4's
+    assert suites.run("pairing").notes == pairing_gram_rank(2, 4).notes
+
+
+def test_pairing_words_of_bound_2_miss_one_degree_2_vector():
+    # why the pairing suite widens its words below degree 3
+    a, s, one = gen("a"), gen("sigma"), Element.one()
+    v = (a - (one + a * a).scale(T / (ONE + T * T))) * (s - one)
+
+    def pairing(w):
+        return eval_functional(Functional.word(*w), v)
+
+    assert not any(pairing(w) for w in pairing_words(2))
+    assert [w for w in pairing_words(3) if pairing(w)] == [("K",) * 3, ("k",) * 3]
 
 
 def _pairing_rows(words, monos):

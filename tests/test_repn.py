@@ -141,20 +141,46 @@ def test_haar_two_routes():
 
 
 def test_haar_sweep_scaling():
-    # Both routes on zeta^n * sigma for n = 1..10, from empty memo tables.
+    # Both routes on zeta^n and on zeta^n * sigma for n = 1..16, from empty
+    # memo tables: the closed form meets the recurrence on zeta^n.
+    sig = gen("sigma")
+    for with_sigma in (False, True):
+        _cache.clear()
+        t0 = time.perf_counter()
+        for n in range(1, 17):
+            x = zeta_power(n) * sig if with_sigma else zeta_power(n)
+            assert haar(x) == haar_via_corep_expansion(x), (n, with_sigma)
+        took = time.perf_counter() - t0
+        assert took < 4.0, f"the N = 16 Haar sweep (sigma: {with_sigma}) took {took:.2f}s"
+
+
+def test_capped_haar_builds_each_basis_vector_once(monkeypatch):
+    # With every table capped at one entry, h(zeta^14 sigma) still runs the
+    # recurrence once, bottom-up: P_0..P_14, never a lower degree again.
+    calls = []
+    real_m00_basis = repn._m00_basis
+
+    def counting_m00_basis(l, w):
+        if w == 0:
+            calls.append(l)
+        return real_m00_basis(l, w)
+
+    monkeypatch.setattr(repn, "_m00_basis", counting_m00_basis)
     _cache.clear()
-    t0 = time.perf_counter()
-    for n in range(1, 11):
-        zs = zeta_power(n) * gen("sigma")
-        assert haar(zs) == haar_via_corep_expansion(zs), n
-    took = time.perf_counter() - t0
-    assert took < 8.0, f"the N = 10 Haar sweep took {took:.2f}s"
+    _cache.set_limit(0)
+    try:
+        got = haar(zeta_power(14) * gen("sigma"))
+    finally:
+        _cache.set_limit(None)
+    assert got == haar_zeta(14)
+    assert len(calls) <= 15, calls
 
 
 def test_haar_zeta_sigma_agrees_with_zeta():
-    # not assumed anywhere: the triangular solve derives it
-    for n in range(7):
-        assert haar_zeta_sigma(n) == haar_zeta(n)
+    # not assumed anywhere: the closed form h(zeta^n) against the
+    # recurrence that derives h(zeta^n sigma)
+    for n in range(17):
+        assert haar_zeta_sigma(n) == haar_zeta(n), n
 
 
 def test_sigma_component():
@@ -250,7 +276,8 @@ def test_integral_law_on_a_vanishes():
 
 
 def _expand_by_solve(x):
-    """The former _expand_in_m00: generic elimination over the same rows."""
+    """Oracle: x's coefficients over {m^(l)_00 sigma^w}, keyed (l, w), by
+    generic elimination."""
     target = repn._zeta_coordinates(x)
     max_r = max((r for (r, _w) in target), default=0)
     basis = {(l, w): repn._m00_basis(l, w) for l in range(max_r + 1) for w in (0, 1)}
@@ -262,22 +289,18 @@ def _expand_by_solve(x):
     return linalg.solve(rows, rhs, unknowns)
 
 
+def _assert_reads_l0(x, expansion):
+    """Both corep readers take the l = 0 entries of an oracle expansion."""
+    assert haar_via_corep_expansion(x) == expansion[(0, 0)] + expansion[(0, 1)]
+    assert sigma_component(x) == expansion[(0, 1)]
+
+
 @pytest.mark.parametrize("with_sigma", [False, True])
-def test_expand_in_m00_matches_generic_solve(with_sigma):
+def test_corep_route_matches_generic_solve(with_sigma):
     rng = random.Random(20061)
-    pool = [ONE, -ONE, T, T_INV, ONE + T * T, Scalar.from_rational(3) * T_INV]
-    sig = gen("sigma")
     for _ in range(8):
-        x = Element.zero()
-        for r in range(rng.randint(0, 6) + 1):
-            if rng.random() < 0.7:
-                x = x + zeta_power(r).scale(rng.choice(pool))
-            if with_sigma and rng.random() < 0.7:
-                x = x + (zeta_power(r) * sig).scale(rng.choice(pool))
-        got = repn._expand_in_m00(x)
-        expected = _expand_by_solve(x)
-        assert got == expected
-        assert list(got) == list(expected)
+        x = _random_m00_target(rng, with_sigma)
+        _assert_reads_l0(x, _expand_by_solve(x))
 
 
 def test_corep_route_builds_each_basis_vector_once(monkeypatch):
@@ -312,8 +335,8 @@ def test_m00_basis_sigma_is_a_relabelling():
 
 
 def _expand_by_back_substitution(x):
-    """The former _expand_in_m00: one back-substitution over the whole
-    target, from its top degree down."""
+    """Oracle: x's coefficients over {m^(l)_00 sigma^w}, keyed (l, w), by
+    one back-substitution over the whole target from its top degree down."""
     target = repn._zeta_coordinates(x)
     max_r = max((r for (r, _w) in target), default=0)
     rest = dict(target)
@@ -345,33 +368,28 @@ def _random_m00_target(rng, with_sigma):
 
 
 @pytest.mark.parametrize("with_sigma", [False, True])
-def test_expand_in_m00_sums_memoised_rows(with_sigma):
+def test_corep_route_matches_back_substitution(with_sigma):
     rng = random.Random(90061 + with_sigma)
     _cache.clear()
     for _ in range(16):
         x = _random_m00_target(rng, with_sigma)
-        got = repn._expand_in_m00(x)
-        expected = _expand_by_back_substitution(x)
-        assert got == expected
-        assert list(got) == list(expected)
+        _assert_reads_l0(x, _expand_by_back_substitution(x))
 
 
-def test_unit_coordinate_rows_keep_the_old_arithmetic():
-    # a unit target, as in haar_zeta_sigma, gives the same coordinates in
-    # the same order, so the printed scalars are unchanged
+def test_unit_coefficient_is_the_l0_entry_of_each_coordinate():
+    # zeta^r sigma^u has its l = 0 entry on sigma^u only, and it is
+    # lambda_r for both u
     _cache.clear()
     for r in range(7):
         for u in (0, 1):
             x = zeta_power(r) * gen("sigma") ** u
             assert repn._zeta_coordinates(x) == {(r, u): ONE}
-            got = repn._expand_in_m00(x)
-            expected = _expand_by_back_substitution(x)
-            assert list(got) == list(expected)
-            for key, c in expected.items():
-                assert got[key] == c, (r, u, key)
+            expansion = _expand_by_back_substitution(x)
+            assert expansion[(0, 1 - u)].is_zero(), (r, u)
+            assert repn._unit_coefficient(r) == expansion[(0, u)], (r, u)
 
 
-def test_corep_route_solves_each_coordinate_once(monkeypatch):
+def test_corep_route_stores_each_coefficient_once(monkeypatch):
     stored = []
     real_store = _cache.store
 
@@ -390,7 +408,8 @@ def test_corep_route_solves_each_coordinate_once(monkeypatch):
     _cache.clear()
     for x in targets.values():
         haar_via_corep_expansion(x)
-    assert sorted(k for k in stored if k[1] == 0) == [(r, 0) for r in range(7)]
+        sigma_component(x)
+    assert sorted(stored) == [(k,) for k in range(7)]
 
 
 def test_closed_form_builds_one_jacobi_polynomial_per_m00(monkeypatch):

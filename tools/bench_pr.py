@@ -21,7 +21,9 @@ perfbench's workers do (it restarts itself with it), in this order:
   3. "ops_us": one + and one * of small values of each sparse-sum class,
      the best of 7 timeit repeats with warm memo tables.
   4. "sweeps": the gcd-bound sweeps, each from empty memo tables and each
-     stopped (null) after BUDGET_S, on the inputs of the scaling tests in
+     stopped (null) after BUDGET_S: both Haar routes on zeta^n sigma
+     ("haar_both_routes_s") and on zeta^n ("haar_zeta_both_routes_s"),
+     n = 1..N for each N of HAAR_N, and the inputs of the scaling tests in
      tests/test_scalars.py (so the test extra must be installed).
 
 Times are reported, never checked: single runs on a shared machine vary by
@@ -50,7 +52,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOAD, SEED = "verify_all", 1
 TAIL_RANK = 11          # op_tail_ms is the 11th slowest op of a pass
-HAAR_N = (10, 12)
+HAAR_N = (10, 12, 16, 24)
 ROW = 30
 BUDGET_S = 30.0
 REPEATS, NUMBER = 7, 2000
@@ -246,13 +248,17 @@ def sweeps() -> dict:
     from test_scalars import _dense_scalar, _three_part_scalar
 
     sigma, v = Element.generator("sigma"), T * T
-    out, wrong = {"budget_s": BUDGET_S, "haar_both_routes_s": {}}, 0
-    for n in HAAR_N:
-        xs = [zeta_power(j) * sigma for j in range(1, n + 1)]
-        took, pairs = timed(lambda: [(repn.haar(x), repn.haar_via_corep_expansion(x))
-                                     for x in xs])
-        out["haar_both_routes_s"][f"n=1..{n}"] = took
-        wrong += took is not None and any(h != g for h, g in pairs)
+    out, wrong = {"budget_s": BUDGET_S}, 0
+    # On zeta^n sigma both routes read the recurrence's lambda_n; on zeta^n
+    # haar takes the closed form h(zeta^n), so the two routes meet there.
+    for key, tail in (("haar_both_routes_s", sigma), ("haar_zeta_both_routes_s", Element.one())):
+        out[key] = {}
+        for n in HAAR_N:
+            xs = [zeta_power(j) * tail for j in range(1, n + 1)]
+            took, pairs = timed(lambda: [(repn.haar(x), repn.haar_via_corep_expansion(x))
+                                         for x in xs])
+            out[key][f"n=1..{n}"] = took
+            wrong += took is not None and any(h != g for h, g in pairs)
 
     rng = random.Random(1)
     times = []
