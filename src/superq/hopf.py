@@ -23,7 +23,7 @@ from typing import Dict
 from . import _cache, algebra
 from .algebra import Element, Monomial, basis_monomials, mono_parity
 from .report import Report
-from .scalars import ONE, Scalar, T, T_INV, ZERO, _Combination, sum_images
+from .scalars import ONE, Scalar, T, T_INV, ZERO, _Combination, add_term, sum_images
 from .tensor import AlgSlot, PlaneSlot, Tensor, _distribute, _tensor
 
 
@@ -224,12 +224,13 @@ def verify_hopf(max_degree: int, rng_seed: int = 0) -> Report:
         rep.check(f"antipode-right {label}", conv_r == target, conv_r, target)
 
         sx = star(x)
-        rep.check(f"star-involution {label}", star(sx) == x, star(sx), x)
+        ssx = star(sx)
+        rep.check(f"star-involution {label}", ssx == x, ssx, x)
         lhs_star = tensor_star(dx)
         rhs_star = coproduct(sx)
         rep.check(f"star-coproduct {label}", lhs_star == rhs_star, lhs_star, rhs_star)
-        rep.check(f"star-counit {label}", counit(sx) == counit(x).conj(),
-                  counit(sx), counit(x).conj())
+        eps_sx, eps_x_bar = counit(sx), counit(x).conj()
+        rep.check(f"star-counit {label}", eps_sx == eps_x_bar, eps_sx, eps_x_bar)
 
         braid1 = star(antipode(star(antipode(x))))
         braid2 = antipode(star(antipode(sx)))
@@ -257,6 +258,63 @@ def _convolve(dx: Tensor, apply_left: bool) -> Element:
     applied = dx.apply(0 if apply_left else 1, lambda m: _anti_mono(m, True).terms)
     return Element("Asigma", sum_images(applied.terms.items(),
                                         lambda k: algebra._mono_mul(k[0], k[1], "Asigma")))
+
+
+# ---------------------------------------------------------------------------
+# Comodule matrices
+# ---------------------------------------------------------------------------
+
+def tensor_sum(pairs) -> Tensor:
+    """sum x ox y over the (x, y) pairs of A(sigma) Elements."""
+    out: dict = {}
+    for x, y in pairs:
+        for k, c in _distribute((x.terms.items(), y.terms.items())):
+            add_term(out, k, c)
+    return _tensor((AlgSlot("Asigma"), AlgSlot("Asigma")), out)
+
+
+def comodule_matrix(vectors: dict, leg: int) -> dict:
+    """{(i, j): N_ij}, read off the coproducts of vectors ({label: A(sigma)
+    Element}, pairwise disjoint supports): Delta(v_j) = sum_i v_i ox N_ij
+    for leg 0, Delta(v_i) = sum_j N_ij ox v_j for leg 1.  Keys run over the
+    labels row by row; an entry that does not occur is zero.
+
+    Raises AssertionError when a coproduct does not factor that way: a leg
+    monomial outside every support, or two monomials of one v_k that give
+    different N entries once divided by their coefficients in v_k.
+    """
+    owner = {m: k for k, v in vectors.items() for m in v.terms}
+    found = {}
+    for j, v in vectors.items():
+        parts: dict = {}     # k -> {monomial of v_k: {other-leg monomial: Scalar}}
+        for key, c in coproduct(v).terms.items():
+            m = key[leg]
+            k = owner.get(m)
+            if k is None:
+                raise AssertionError(f"leg {leg} of Delta(v[{j}]) leaves the span at {m}")
+            vm = vectors[k].terms[m]
+            parts.setdefault(k, {}).setdefault(m, {})[key[1 - leg]] = c if vm is ONE else c / vm
+        for k, by_mono in parts.items():
+            first, *rest = by_mono.values()
+            if len(by_mono) != len(vectors[k].terms) or any(r != first for r in rest):
+                raise AssertionError(f"Delta(v[{j}]) does not factor through v[{k}]")
+            found[(k, j) if leg == 0 else (j, k)] = Element("Asigma", first)
+    return {(i, j): found.get((i, j)) or Element("Asigma") for i in vectors for j in vectors}
+
+
+def corep_report(N: dict, labels) -> Report:
+    """Delta(N_ij) = sum_k N_ik ox N_kj and eps(N_ij) = delta_ij for the
+    matrix {(i, j): N_ij} over labels."""
+    rep = Report()
+    for i in labels:
+        for j in labels:
+            lhs = coproduct(N[i, j])
+            rhs = tensor_sum((N[i, k], N[k, j]) for k in labels)
+            rep.check(f"corep law ({i},{j})", lhs == rhs, lhs, rhs)
+            eps = counit(N[i, j])
+            expected = ONE if i == j else ZERO
+            rep.check(f"counit ({i},{j})", eps == expected, eps, expected)
+    return rep
 
 
 # ---------------------------------------------------------------------------

@@ -23,14 +23,13 @@ from typing import Dict, List, Tuple
 
 from . import _cache, linalg
 from .algebra import (
-    Element, Monomial, basis_monomials, bigrade, mono_bigrade, project_00,
+    Element, basis_monomials, bigrade, mono_bigrade, project_00,
     zeta_power,
 )
-from .hopf import antipode, coproduct, counit, star
+from .hopf import antipode, comodule_matrix, coproduct, corep_report, star, tensor_sum
 from .qfun import TM2, QPolynomial, gauss_binomial, little_jacobi, pochhammer, pochhammer_poly
 from .report import Report
 from .scalars import ONE, Scalar, T, T_INV, ZERO, add_term, signed_t_power
-from .tensor import AlgSlot, Tensor
 
 
 class CorepIndex:
@@ -156,7 +155,8 @@ MATRIX_BOUND = 6
 def matrix_coefficients(twoL: int, s: int = 0) -> CorepMatrix:
     """Entries M'_ij with Delta(xi'_i) = sum_j M'_ij ox xi'_j.
 
-    The right tensor legs a^(l-j) c^(l+j) sigma^s are basis monomials, so
+    hopf.comodule_matrix reads the entries off the right tensor legs
+    xi'_j = a^(l-j) c^(l+j) sigma^s, basis monomials with coefficient 1, so
     collection is literal.  The corepresentation law, the counit law, the
     eta-side duality and the weight-space membership are verified before
     the matrix is returned.
@@ -166,27 +166,17 @@ def matrix_coefficients(twoL: int, s: int = 0) -> CorepMatrix:
     return _verified_matrix(twoL, s)
 
 
+def _vectors(side: str, twoL: int, s: int) -> Dict[int, Element]:
+    """{2i: xi'_i} (side "L") or {2i: eta'_i} (side "R") of spin l."""
+    return {i: comodule_vector(side, CorepIndex(twoL, i, i, s)).element
+            for i in index_range(twoL)}
+
+
 @_cache.memo(_matrix_cache)
 def _verified_matrix(twoL: int, s: int) -> CorepMatrix:
-    idxs = index_range(twoL)
-    right_mono = {twoJ: ((twoL - twoJ) // 2, 0, (twoL + twoJ) // 2, 0, s)
-                  for twoJ in idxs}
-    right_lookup = {m: twoJ for twoJ, m in right_mono.items()}
-    entries: Dict[Tuple[int, int], Element] = {}
-    for twoI in idxs:
-        xi = comodule_vector("L", CorepIndex(twoL, twoI, twoI if twoL else 0, s)).element
-        dx = coproduct(xi)
-        rows: Dict[int, Dict[Monomial, Scalar]] = {j: {} for j in idxs}
-        for (m_left, m_right), coeff in dx.terms.items():
-            twoJ = right_lookup.get(m_right)
-            if twoJ is None:
-                raise AssertionError(f"unexpected right leg {m_right}")
-            acc = rows[twoJ]
-            add_term(acc, m_left, coeff)
-        for twoJ in idxs:
-            entries[(twoI, twoJ)] = Element("Asigma", rows[twoJ])
+    entries = comodule_matrix(_vectors("L", twoL, s), 1)
     mat = CorepMatrix(twoL, s, entries,
-                      {i: vector_norm_sq(twoL, i) for i in idxs})
+                      {i: vector_norm_sq(twoL, i) for i in index_range(twoL)})
     rep = verify_corep_matrix(mat)
     if not rep.ok:
         raise AssertionError(f"corepresentation laws failed:\n{rep}")
@@ -194,34 +184,19 @@ def _verified_matrix(twoL: int, s: int) -> CorepMatrix:
 
 
 def verify_corep_matrix(mat: CorepMatrix) -> Report:
-    """Corepresentation law, counit law, eta duality, weight membership."""
-    rep = Report()
+    """Corepresentation law, counit law, weight membership, eta duality."""
     idxs = mat.indices()
-    slots = (AlgSlot("Asigma"), AlgSlot("Asigma"))
-    for twoI in idxs:
-        for twoJ in idxs:
-            e = mat.entry(twoI, twoJ)
-            lhs = coproduct(e)
-            rhs = Tensor(slots)
-            for twoK in idxs:
-                rhs = rhs + Tensor.from_elements(
-                    [mat.entry(twoI, twoK), mat.entry(twoK, twoJ)])
-            rep.check(f"corep law ({twoI},{twoJ})", lhs == rhs, lhs, rhs)
-            eps = counit(e)
-            expected = ONE if twoI == twoJ else ZERO
-            rep.check(f"counit ({twoI},{twoJ})", eps == expected, eps, expected)
-            if e:
-                rep.check(f"weight ({twoI},{twoJ})",
-                          bigrade(e) == (-twoI, -twoJ), bigrade(e), (-twoI, -twoJ))
+    rep = corep_report(mat.entries, idxs)
+    for (twoI, twoJ), e in mat.entries.items():
+        if e:
+            got, expected = bigrade(e), (-twoI, -twoJ)
+            rep.check(f"weight ({twoI},{twoJ})", got == expected, got, expected)
     # eta duality: Delta(eta'_i) = sum_j (Nsq_j / Nsq_i) eta'_j ox M'_ji
+    etas = _vectors("R", mat.twoL, mat.s)
     for twoI in idxs:
-        eta = comodule_vector("R", CorepIndex(mat.twoL, twoI, twoI if mat.twoL else 0, mat.s)).element
-        lhs = coproduct(eta)
-        rhs = Tensor(slots)
-        for twoJ in idxs:
-            etaj = comodule_vector("R", CorepIndex(mat.twoL, twoJ, twoJ if mat.twoL else 0, mat.s)).element
-            ratio = mat.norm_sq[twoJ] / mat.norm_sq[twoI]
-            rhs = rhs + Tensor.from_elements([etaj, mat.entry(twoJ, twoI)]).scale(ratio)
+        lhs = coproduct(etas[twoI])
+        rhs = tensor_sum((etas[twoJ], mat.entry(twoJ, twoI).scale(
+            mat.norm_sq[twoJ] / mat.norm_sq[twoI])) for twoJ in idxs)
         rep.check(f"eta duality i={twoI}", lhs == rhs, lhs, rhs)
     return rep
 
@@ -313,7 +288,6 @@ def closed_form_matrix(twoL: int, s: int = 0) -> CorepMatrix:
 # ---------------------------------------------------------------------------
 
 _haar_zeta_cache: Dict[tuple, Scalar] = {}
-_m00_cache: Dict[tuple, Dict[Tuple[int, int], Scalar]] = {}
 _coord_cache: Dict[tuple, Scalar] = {}
 _cache.register(_coord_cache)
 
@@ -335,39 +309,31 @@ def _zeta_coordinates(x: Element) -> Dict[Tuple[int, int], Scalar]:
     return out
 
 
-@_cache.memo(_m00_cache)
-def _m00_basis(l: int, w: int) -> Dict[Tuple[int, int], Scalar]:
-    """zeta-coordinates of m^(l)_00 sigma^w, memoised: callers must not mutate
-    them.  Right multiplication by sigma flips the sigma exponent of each
-    monomial, so w = 1 relabels w = 0 and closed_form runs once per l."""
-    if w:
-        return {(r, 1 - u): c for (r, u), c in _m00_basis(l, 0).items()}
-    return _zeta_coordinates(closed_form(2 * l, 0, 0))
+def haar_zeta_sigma(n: int) -> Scalar:
+    """h(zeta^n sigma) = lambda_n, the m^(0)_00 sigma^u coefficient of
+    zeta^n sigma^u in the basis {m^(l)_00 sigma^w}: h kills every
+    m^(l)_00 sigma^w with l > 0 and is 1 on 1 and sigma.  lambda_n is the
+    same for u = 0 and u = 1, because right multiplication by sigma flips
+    the sigma class of every coordinate of both sides.
 
-
-def _unit_coefficient(r: int) -> Scalar:
-    """lambda_r, the m^(0)_00 sigma^u coefficient of zeta^r sigma^u in the
-    basis {m^(l)_00 sigma^w}; the same for u = 0 and u = 1, as
-    _m00_basis(l, 1) relabels _m00_basis(l, 0).
-
-    P_k = _m00_basis(k, 0) has degree k and all its coordinates in the
-    sigma class k mod 2, so zeta^k sigma^u is m^(k)_00 sigma^(k+u) over
-    p_kk minus the lower coordinates, and
+    P_k, the zeta-coordinates of m^(k)_00, has degree k and all its
+    coordinates in the sigma class k mod 2, so zeta^k sigma^u is
+    m^(k)_00 sigma^(k+u) over p_kk minus the lower coordinates, and
 
         lambda_k = (delta_k0 - sum_(j<k) p_kj lambda_j) / p_kk.
 
-    Built bottom-up, k = 0..r, in one loop that stores each lambda_k in
+    Built bottom-up, k = 0..n, in one loop that stores each lambda_k in
     _coord_cache under (k,); a recursion through the table would redo the
     lower degrees exponentially often once the table is capped.
     """
-    lam = _coord_cache.get((r,))
+    lam = _coord_cache.get((n,))
     if lam is not None:
         return lam
     lams: List[Scalar] = []
-    for k in range(r + 1):
+    for k in range(n + 1):
         lam = _coord_cache.get((k,))
         if lam is None:
-            p = _m00_basis(k, 0)
+            p = _zeta_coordinates(closed_form(2 * k, 0, 0))
             u = k % 2
             acc = ZERO if k else ONE
             for j in range(k):
@@ -380,11 +346,16 @@ def _unit_coefficient(r: int) -> Scalar:
     return lam
 
 
-def haar_zeta_sigma(n: int) -> Scalar:
-    """h(zeta^n sigma) = lambda_n (_unit_coefficient): h kills every
-    m^(l)_00 sigma^w with l > 0 and is 1 on 1 and sigma, so it reads the
-    l = 0 coefficient of zeta^n sigma in the corep basis."""
-    return _unit_coefficient(n)
+def _coordinate_sum(x: Element, even, odd) -> Scalar:
+    """sum c f(r) over the zeta-coordinates c zeta^r sigma^u of
+    project_00(x), with f = even on the sigma-even ones (u = 0) and
+    f = odd on the sigma-odd ones; a None f skips its class."""
+    out = ZERO
+    for (r, u), c in _zeta_coordinates(x).items():
+        f = odd if u else even
+        if f:
+            out = out + c * f(r)
+    return out
 
 
 def haar(x: Element) -> Scalar:
@@ -394,33 +365,23 @@ def haar(x: Element) -> Scalar:
     h(sigma) = 1, the closed form for h(zeta^n), and the basis expansion
     for h(zeta^n sigma).
     """
-    out = ZERO
-    for (r, w), c in _zeta_coordinates(x).items():
-        out = out + c * (haar_zeta(r) if w == 0 else haar_zeta_sigma(r))
-    return out
+    return _coordinate_sum(x, haar_zeta, haar_zeta_sigma)
 
 
 def haar_via_corep_expansion(x: Element) -> Scalar:
     """Independent route: the l = 0 coefficient of project_00(x) in the
     m^(l)_00 sigma^w basis, sum c lambda_r over its zeta-coordinates
-    c zeta^r sigma^u (lambda_r by the recurrence of _unit_coefficient).
+    c zeta^r sigma^u (lambda_r by the recurrence of haar_zeta_sigma).
     haar uses the closed form for h(zeta^n), so the two routes meet on
     every sigma-even coordinate."""
-    out = ZERO
-    for (r, _u), c in _zeta_coordinates(x).items():
-        out = out + c * _unit_coefficient(r)
-    return out
+    return _coordinate_sum(x, haar_zeta_sigma, haar_zeta_sigma)
 
 
 def sigma_component(x: Element) -> Scalar:
     """Coefficient of sigma (= m^(0)_00 sigma) in the corep-basis expansion
     of project_00(x): sum c lambda_r over its sigma-odd zeta-coordinates
     c zeta^r sigma.  The exact obstruction to the verbatim integral law."""
-    out = ZERO
-    for (r, u), c in _zeta_coordinates(x).items():
-        if u:
-            out = out + c * _unit_coefficient(r)
-    return out
+    return _coordinate_sum(x, None, haar_zeta_sigma)
 
 
 def verify_integral(max_degree: int) -> Report:
@@ -455,10 +416,9 @@ def verify_integral(max_degree: int) -> Report:
             verbatim = one.scale(hx)
             rep.check(f"sigma-line exception is real {m}", left != verbatim,
                       left, verbatim)
-        rep.check(f"h S-invariance {m}", haar(antipode(x)) == hx,
-                  haar(antipode(x)), hx)
-        rep.check(f"h star {m}", haar(star(x)) == hx.conj(),
-                  haar(star(x)), hx.conj())
+        h_sx, h_star_x, hx_bar = haar(antipode(x)), haar(star(x)), hx.conj()
+        rep.check(f"h S-invariance {m}", h_sx == hx, h_sx, hx)
+        rep.check(f"h star {m}", h_star_x == hx_bar, h_star_x, hx_bar)
     rep.note(f"sigma-line exceptions (documented): {exceptions} monomials "
              "with nonzero sigma component satisfy the corrected identity only")
     return rep
@@ -694,6 +654,6 @@ def completeness_witness(max_degree: int = 4, twoL_max: int = 4) -> Report:
         for lab, c in sol.items():
             if lab.startswith("m[0/2;0,0;"):
                 h_from_expansion = h_from_expansion + c
-        rep.check(f"h uniqueness at {m}", h_from_expansion == haar(x),
-                  h_from_expansion, haar(x))
+        hx = haar(x)
+        rep.check(f"h uniqueness at {m}", h_from_expansion == hx, h_from_expansion, hx)
     return rep

@@ -3,8 +3,9 @@ import pytest
 from superq import _cache, algebra, hopf
 from superq.algebra import Element
 from superq.hopf import (
-    HopfStructureError, PlaneElement, antipode, coaction, coproduct, counit,
-    star, tensor_star, verify_coaction, verify_coaction_morphism, verify_hopf,
+    HopfStructureError, PlaneElement, antipode, coaction, comodule_matrix,
+    coproduct, counit, star, tensor_star, verify_coaction,
+    verify_coaction_morphism, verify_hopf,
 )
 from superq.scalars import ONE, Scalar, T, T_INV
 from superq.tensor import AlgSlot, PlaneSlot, Tensor
@@ -16,6 +17,12 @@ def gen(name, ring="Asigma"):
 
 def tens(*elements):
     return Tensor.from_elements(list(elements))
+
+
+def test_comodule_matrix_refuses_a_vector_whose_coproduct_leaves_its_span():
+    # Delta(a) = a (x) a + b (x) c: the right leg c is not in span{a}
+    with pytest.raises(AssertionError):
+        comodule_matrix({0: gen("a")}, 1)
 
 
 def test_coproduct_generators():

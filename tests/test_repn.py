@@ -114,6 +114,29 @@ def test_closed_form_matches_coproduct_route():
                         f"mismatch at twoL={twoL} s={s} ({i},{j})"
 
 
+def _edited_spin_half(edit):
+    mat = matrix_coefficients(1, 0)
+    entries = dict(mat.entries)
+    edit(entries)
+    return repn.CorepMatrix(1, 0, entries, mat.norm_sq)
+
+
+def test_verify_corep_matrix_fails_on_a_scaled_entry():
+    def scale(entries):
+        entries[(-1, -1)] = entries[(-1, -1)].scale(T)
+
+    failed = {f["input"] for f in repn.verify_corep_matrix(_edited_spin_half(scale)).failures}
+    assert {"corep law (-1,-1)", "counit (-1,-1)", "eta duality i=-1"} <= failed
+
+
+def test_verify_corep_matrix_fails_on_swapped_entries():
+    def swap(entries):
+        entries[(-1, 1)], entries[(1, -1)] = entries[(1, -1)], entries[(-1, 1)]
+
+    failed = {f["input"] for f in repn.verify_corep_matrix(_edited_spin_half(swap)).failures}
+    assert {"weight (-1,1)", "weight (1,-1)"} <= failed
+
+
 def test_closed_form_invalid_index():
     with pytest.raises(ValueError):
         closed_form(2, 1, 0)
@@ -156,16 +179,17 @@ def test_haar_sweep_scaling():
 
 def test_capped_haar_builds_each_basis_vector_once(monkeypatch):
     # With every table capped at one entry, h(zeta^14 sigma) still runs the
-    # recurrence once, bottom-up: P_0..P_14, never a lower degree again.
+    # recurrence once, bottom-up: m^(0)_00..m^(14)_00, never a lower degree
+    # again.
     calls = []
-    real_m00_basis = repn._m00_basis
+    real_closed_form = repn.closed_form
 
-    def counting_m00_basis(l, w):
-        if w == 0:
-            calls.append(l)
-        return real_m00_basis(l, w)
+    def counting_closed_form(twoL, twoI, twoJ):
+        if (twoI, twoJ) == (0, 0):
+            calls.append(twoL // 2)
+        return real_closed_form(twoL, twoI, twoJ)
 
-    monkeypatch.setattr(repn, "_m00_basis", counting_m00_basis)
+    monkeypatch.setattr(repn, "closed_form", counting_closed_form)
     _cache.clear()
     _cache.set_limit(0)
     try:
@@ -275,12 +299,17 @@ def test_integral_law_on_a_vanishes():
     assert haar(a).is_zero()
 
 
+def _m00(l, w):
+    """zeta-coordinates of m^(l)_00 sigma^w."""
+    return repn._zeta_coordinates(closed_form(2 * l, 0, 0) * gen("sigma") ** w)
+
+
 def _expand_by_solve(x):
     """Oracle: x's coefficients over {m^(l)_00 sigma^w}, keyed (l, w), by
     generic elimination."""
     target = repn._zeta_coordinates(x)
     max_r = max((r for (r, _w) in target), default=0)
-    basis = {(l, w): repn._m00_basis(l, w) for l in range(max_r + 1) for w in (0, 1)}
+    basis = {(l, w): _m00(l, w) for l in range(max_r + 1) for w in (0, 1)}
     unknowns = sorted(basis)
     coords = sorted({c for vec in basis.values() for c in vec} | set(target))
     rows = [{u: basis[u][coord] for u in unknowns if coord in basis[u]}
@@ -326,14 +355,6 @@ def test_corep_route_builds_each_basis_vector_once(monkeypatch):
     assert solves == []
 
 
-def test_m00_basis_sigma_is_a_relabelling():
-    # w = 1 is read off w = 0 without multiplying by sigma
-    for l in range(5):
-        via_product = repn._zeta_coordinates(closed_form(2 * l, 0, 0) * gen("sigma"))
-        assert repn._m00_basis(l, 1) == via_product
-        assert list(repn._m00_basis(l, 1)) == list(via_product)
-
-
 def _expand_by_back_substitution(x):
     """Oracle: x's coefficients over {m^(l)_00 sigma^w}, keyed (l, w), by
     one back-substitution over the whole target from its top degree down."""
@@ -343,7 +364,7 @@ def _expand_by_back_substitution(x):
     sol = {}
     for l in range(max_r, -1, -1):
         for w in (0, 1):
-            vec = repn._m00_basis(l, w)
+            vec = _m00(l, w)
             pivot = (l, (l + w) % 2)
             c = rest.get(pivot, ZERO)
             if c:
@@ -386,7 +407,7 @@ def test_unit_coefficient_is_the_l0_entry_of_each_coordinate():
             assert repn._zeta_coordinates(x) == {(r, u): ONE}
             expansion = _expand_by_back_substitution(x)
             assert expansion[(0, 1 - u)].is_zero(), (r, u)
-            assert repn._unit_coefficient(r) == expansion[(0, u)], (r, u)
+            assert haar_zeta_sigma(r) == expansion[(0, u)], (r, u)
 
 
 def test_corep_route_stores_each_coefficient_once(monkeypatch):

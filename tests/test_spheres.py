@@ -7,7 +7,7 @@ from superq.scalars import (
 )
 from superq.spheres import (
     INFINITY, RELATION_KINDS, build_M, canonicalize_alpha, character_analysis,
-    characters_of_S_infinity, find_relations, relation_residual,
+    characters_of_S_infinity, coaction_matrix, find_relations, relation_residual,
     sphere_basis_check, verify_M, verify_coideal, verify_infinity_relations,
     x_vector,
 )
@@ -106,6 +106,15 @@ def test_coideal_property():
     assert verify_coideal(INFINITY).ok
     assert verify_coideal((ONE, ZERO, ONE)).ok
     assert verify_coideal((ONE, T, MINUS_ONE)).ok
+
+
+def test_infinity_coaction_matrix_is_a_twist_of_M():
+    # the diagonal a^2, ad + t^-1 cb, d^2 stays; every off-diagonal entry
+    # moves, as the note of verify_coideal(INFINITY) reports
+    N = coaction_matrix(INFINITY)
+    M = build_M()
+    changed = [(k, j) for k in range(3) for j in range(3) if N[k, j] != M[k][j]]
+    assert len(changed) == 6, changed
 
 
 def test_infinity_relations():
