@@ -177,8 +177,10 @@ def _is_atomic(s: str) -> bool:
     return not any(ch in body for ch in " +-/*")
 
 
-def _mono_str(m: Monomial) -> str:
-    parts = [sym if e == 1 else f"{sym}^{e}" for sym, e in zip("abcds", m) if e]
+def _mono_str(m: tuple, symbols: str = "abcds") -> str:
+    """The product of symbols[k]^m[k] over the nonzero exponents, or 1:
+    an A(sigma) monomial, or a plane monomial with symbols "xy"."""
+    parts = [sym if e == 1 else f"{sym}^{e}" for sym, e in zip(symbols, m) if e]
     return "*".join(parts) or "1"
 
 

@@ -273,33 +273,24 @@ def tensor_sum(pairs) -> Tensor:
     return _tensor((AlgSlot("Asigma"), AlgSlot("Asigma")), out)
 
 
-def comodule_matrix(vectors: dict, leg: int) -> dict:
-    """{(i, j): N_ij}, read off the coproducts of vectors ({label: A(sigma)
-    Element}, pairwise disjoint supports): Delta(v_j) = sum_i v_i ox N_ij
-    for leg 0, Delta(v_i) = sum_j N_ij ox v_j for leg 1.  Keys run over the
-    labels row by row; an entry that does not occur is zero.
+def comodule_matrix(vectors: dict) -> dict:
+    """{(i, j): N_ij} with Delta(v_i) = sum_j N_ij ox v_j, read off the
+    coproducts of vectors ({label: A(sigma) basis monomial with coefficient
+    1}): N_ij collects the left legs of the terms whose right leg is v_j.
+    Keys run over the labels row by row; an entry that does not occur is
+    zero.
 
-    Raises AssertionError when a coproduct does not factor that way: a leg
-    monomial outside every support, or two monomials of one v_k that give
-    different N entries once divided by their coefficients in v_k.
+    Raises AssertionError when a right leg is none of the v_j.
     """
-    owner = {m: k for k, v in vectors.items() for m in v.terms}
-    found = {}
-    for j, v in vectors.items():
-        parts: dict = {}     # k -> {monomial of v_k: {other-leg monomial: Scalar}}
-        for key, c in coproduct(v).terms.items():
-            m = key[leg]
-            k = owner.get(m)
-            if k is None:
-                raise AssertionError(f"leg {leg} of Delta(v[{j}]) leaves the span at {m}")
-            vm = vectors[k].terms[m]
-            parts.setdefault(k, {}).setdefault(m, {})[key[1 - leg]] = c if vm is ONE else c / vm
-        for k, by_mono in parts.items():
-            first, *rest = by_mono.values()
-            if len(by_mono) != len(vectors[k].terms) or any(r != first for r in rest):
-                raise AssertionError(f"Delta(v[{j}]) does not factor through v[{k}]")
-            found[(k, j) if leg == 0 else (j, k)] = Element("Asigma", first)
-    return {(i, j): found.get((i, j)) or Element("Asigma") for i in vectors for j in vectors}
+    owner = {m: j for j, v in vectors.items() for m in v.terms}
+    found: dict = {}
+    for i, v in vectors.items():
+        for (left, right), c in coproduct(v).terms.items():
+            j = owner.get(right)
+            if j is None:
+                raise AssertionError(f"right leg of Delta(v[{i}]) leaves the span at {right}")
+            found.setdefault((i, j), {})[left] = c
+    return {(i, j): Element("Asigma", found.get((i, j))) for i in vectors for j in vectors}
 
 
 def corep_report(N: dict, labels) -> Report:
@@ -363,11 +354,9 @@ class PlaneElement(_Combination):
         if not self.terms:
             return "0"
         bits = []
-        for (mx, my) in sorted(self.terms):
-            c = str(self.terms[(mx, my)])
-            mono = "*".join(p for p in (
-                ("x" if mx == 1 else f"x^{mx}" if mx else ""),
-                ("y" if my == 1 else f"y^{my}" if my else "")) if p) or "1"
+        for m in sorted(self.terms):
+            c = str(self.terms[m])
+            mono = algebra._mono_str(m, PlaneSlot.SYMBOLS)
             bits.append(mono if c == "1" else f"({c})*{mono}")
         return " + ".join(bits)
 
@@ -420,27 +409,20 @@ def verify_coaction(max_total_degree: int = 5) -> Report:
     rep = Report()
     ring_slot = AlgSlot("B")
     for which in ("left", "right"):
+        slots = _coact_slots(which, False)
+        alg = slots.index(ring_slot)
         for mx in range(max_total_degree + 1):
             for my in range(max_total_degree + 1 - mx):
                 p = PlaneElement.monomial(mx, my)
                 psi = coaction(which, p)
                 label = f"{which} x^{mx} y^{my}"
 
-                if which == "left":
-                    ce = psi.contract(0, lambda mm: counit(Element.monomial(mm, "B")))
-                else:
-                    ce = psi.contract(1, lambda mm: counit(Element.monomial(mm, "B")))
+                ce = psi.contract(alg, lambda mm: counit(Element.monomial(mm, "B")))
                 expect = Tensor((PlaneSlot(),), {((mx, my),): ONE})
                 rep.check(f"counit law {label}", ce == expect, ce, expect)
 
-                if which == "left":
-                    lhs = psi.split(1, lambda mm: _coact_mono("left", *mm, False),
-                                    (ring_slot, PlaneSlot()))
-                    rhs = psi.split(0, _delta_terms_fn("B"), (ring_slot, ring_slot))
-                else:
-                    lhs = psi.split(0, lambda mm: _coact_mono("right", *mm, False),
-                                    (PlaneSlot(), ring_slot))
-                    rhs = psi.split(1, _delta_terms_fn("B"), (ring_slot, ring_slot))
+                lhs = psi.split(1 - alg, lambda mm: _coact_mono(which, *mm, False), slots)
+                rhs = psi.split(alg, _delta_terms_fn("B"), (ring_slot, ring_slot))
                 rep.check(f"coassociativity {label}", lhs == rhs, lhs, rhs)
 
         # xy = t yx must be preserved: psi(x)psi(y) = t psi(y)psi(x).  In the

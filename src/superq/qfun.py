@@ -70,12 +70,6 @@ class QPolynomial(_Combination):
     def _times(self, e1, e2):
         return ((e1 + e2, ONE),)
 
-    def eval_scalar(self, z: Scalar) -> Scalar:
-        out = ZERO
-        for e, c in self.terms.items():
-            out = out + c * z ** e
-        return out
-
     def __str__(self):
         if not self.terms:
             return "0"

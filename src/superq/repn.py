@@ -29,7 +29,7 @@ from .algebra import (
 from .hopf import antipode, comodule_matrix, coproduct, corep_report, star, tensor_sum
 from .qfun import TM2, QPolynomial, gauss_binomial, little_jacobi, pochhammer, pochhammer_poly
 from .report import Report
-from .scalars import ONE, Scalar, T, T_INV, ZERO, add_term, signed_t_power
+from .scalars import ONE, Scalar, T, T_INV, ZERO, add_term, signed_t_power, sum_images
 
 
 class CorepIndex:
@@ -174,7 +174,7 @@ def _vectors(side: str, twoL: int, s: int) -> Dict[int, Element]:
 
 @_cache.memo(_matrix_cache)
 def _verified_matrix(twoL: int, s: int) -> CorepMatrix:
-    entries = comodule_matrix(_vectors("L", twoL, s), 1)
+    entries = comodule_matrix(_vectors("L", twoL, s))
     mat = CorepMatrix(twoL, s, entries,
                       {i: vector_norm_sq(twoL, i) for i in index_range(twoL)})
     rep = verify_corep_matrix(mat)
@@ -206,10 +206,7 @@ def verify_corep_matrix(mat: CorepMatrix) -> Report:
 # ---------------------------------------------------------------------------
 
 def _qpoly_to_element(p: QPolynomial) -> Element:
-    out = Element.zero("Asigma")
-    for r, c in p.terms.items():
-        out = out + zeta_power(r).scale(c)
-    return out
+    return Element("Asigma", sum_images(p.terms.items(), lambda r: zeta_power(r).terms.items()))
 
 
 def _jacobi_element(n: int, alpha: int, beta: int) -> Element:

@@ -20,7 +20,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from . import linalg
 from .algebra import Element
-from .hopf import antipode, comodule_matrix, coproduct, corep_report, star, tensor_sum
+from .hopf import antipode, coproduct, corep_report, star, tensor_sum
 from .report import Report
 from .scalars import (
     I_UNIT, KAPPA, MINUS_ONE, ONE, SQRT_1_PLUS_T2, SQRT_1_PLUS_TM2, Scalar,
@@ -122,16 +122,18 @@ def x_vector(p: SphereParams) -> Tuple[Element, Element, Element]:
 def coaction_matrix(p: SphereParams) -> Dict[Tuple[int, int], Element]:
     """{(k, j): N_kj} with Delta(x_j) = sum_k x_k ox N_kj, k, j in 0..2.
 
-    For finite alpha this is M itself.  For the infinity triple the
-    kappa-homogeneity of x(infinity) forces the kappa-diagonal twist
-    N_kj = (D_j / D_k) M~_kj with D = diag(kappa, 1, kappa); the entries
-    are read exactly off the coproducts (hopf.comodule_matrix: the three
-    generators have disjoint monomial supports) and N is itself a unital
-    corepresentation matrix.
+    For finite alpha this is M itself.  The infinity triple is
+    x_j = c_j M_1j with c = (kappa / sqrt(1+t^-2), 1, kappa / (i sqrt(1+t^2))),
+    so Delta(x_j) = c_j sum_k M_1k ox M_kj = sum_k x_k ox (c_j / c_k) M_kj:
+    N_kj = (c_j / c_k) M_kj, a diagonal twist of M stated here, not read
+    off the coproducts that verify_coideal compares.
     """
+    M = _entries(build_M())
     if p != INFINITY:
-        return _entries(build_M())
-    return comodule_matrix(dict(enumerate(x_vector(INFINITY))), 0)
+        return M
+    c = (KAPPA / SQRT_1_PLUS_TM2, ONE, KAPPA / (I_UNIT * SQRT_1_PLUS_T2))
+    c_inv = [x.inv() for x in c]
+    return {(k, j): e.scale(c[j] * c_inv[k]) for (k, j), e in M.items()}
 
 
 def verify_coideal(p: SphereParams) -> Report:
@@ -139,8 +141,10 @@ def verify_coideal(p: SphereParams) -> Report:
 
     For finite alpha, N is the sphere matrix M verbatim.  At infinity the
     printed uniform statement fails on kappa-homogeneity grounds and N is
-    the kappa-diagonal twist of M; the verifier checks the twisted matrix
-    and that it is again a unital corepresentation.
+    the twist N_kj = (c_j / c_k) M_kj of M, with x_j = c_j M_1j and
+    c = (kappa / sqrt(1+t^-2), 1, kappa / (i sqrt(1+t^2))) (coaction_matrix);
+    the verifier checks the twisted matrix and that it is again a unital
+    corepresentation.
     """
     rep = Report()
     xs = x_vector(p)

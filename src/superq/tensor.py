@@ -28,6 +28,7 @@ from .scalars import MINUS_ONE, ONE, Scalar, _Combination, _signed_join, signed_
 
 class AlgSlot:
     __slots__ = ("ring",)
+    SYMBOLS = "abcds"
 
     def __init__(self, ring: str):
         self.ring = ring
@@ -52,6 +53,7 @@ class PlaneSlot:
     """Quantum plane x^m y^n, xy = t yx; nilpotent=True imposes y^2 = 0."""
 
     __slots__ = ("nilpotent",)
+    SYMBOLS = "xy"
 
     def __init__(self, nilpotent: bool = False):
         self.nilpotent = nilpotent
@@ -196,22 +198,10 @@ class Tensor(_Combination):
     def __str__(self):
         if not self.terms:
             return "0"
-        def mono_str(slot, m):
-            if isinstance(slot, AlgSlot):
-                return algebra._mono_str(m)
-            mx, my = m
-            if not mx and not my:
-                return "1"
-            parts = []
-            if mx:
-                parts.append("x" if mx == 1 else f"x^{mx}")
-            if my:
-                parts.append("y" if my == 1 else f"y^{my}")
-            return "*".join(parts)
         pieces = []
         for key in sorted(self.terms):
             c = str(self.terms[key])
-            body = " (x) ".join(mono_str(s, m) for s, m in zip(self.slots, key))
+            body = " (x) ".join(algebra._mono_str(m, s.SYMBOLS) for s, m in zip(self.slots, key))
             if c == "1":
                 pieces.append(body)
             elif c == "-1":

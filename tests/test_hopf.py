@@ -7,7 +7,7 @@ from superq.hopf import (
     coproduct, counit, star, tensor_star, verify_coaction,
     verify_coaction_morphism, verify_hopf,
 )
-from superq.scalars import ONE, Scalar, T, T_INV
+from superq.scalars import I_UNIT, ONE, Scalar, T, T_INV
 from superq.tensor import AlgSlot, PlaneSlot, Tensor
 
 
@@ -22,7 +22,22 @@ def tens(*elements):
 def test_comodule_matrix_refuses_a_vector_whose_coproduct_leaves_its_span():
     # Delta(a) = a (x) a + b (x) c: the right leg c is not in span{a}
     with pytest.raises(AssertionError):
-        comodule_matrix({0: gen("a")}, 1)
+        comodule_matrix({0: gen("a")})
+
+
+def test_plane_printers():
+    # PlaneElement and the plane slots of a coaction Tensor print their
+    # monomials alike: x^m*y^n, or 1
+    p = PlaneElement({(0, 0): ONE, (1, 0): T, (2, 1): -T_INV, (0, 3): I_UNIT + T})
+    assert str(p) == "1 + (t + i)*y^3 + (t)*x + ((-1)/t)*x^2*y"
+    assert str(PlaneElement()) == "0"
+    assert str(coaction("left", PlaneElement.monomial(1, 1))) == (
+        "b*d (x) y^2 + ((-1)/t)*b*c (x) x*y + a*d (x) x*y + a*c (x) x^2")
+    assert str(coaction("right", PlaneElement.monomial(2, 0)
+                        + PlaneElement.monomial(0, 1).scale(T))) == (
+        "t*y (x) d - y^2 (x) c^2 + t*x (x) b + ((t^2 + 1)/t^2)*x*y (x) a*c"
+        " + x^2 (x) a^2")
+    assert str(coaction("right", PlaneElement.one())) == "1 (x) 1"
 
 
 def test_coproduct_generators():

@@ -127,7 +127,6 @@ def test_qpolynomial_arithmetic():
     q = QPolynomial({1: T_INV})
     assert (p * q) == QPolynomial({1: T_INV, 2: ONE})
     assert (p + (-p)) == QPolynomial()
-    assert p.eval_scalar(ONE) == ONE + T
 
 
 def _little_jacobi_by_pochhammer_quotients(n, alpha, beta, q):

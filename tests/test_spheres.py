@@ -3,7 +3,8 @@ import pytest
 from superq.algebra import Element
 from superq.hopf import counit
 from superq.scalars import (
-    I_UNIT, KAPPA, MINUS_ONE, ONE, SQRT_1_PLUS_TM2, Scalar, T, T_INV, ZERO,
+    I_UNIT, KAPPA, MINUS_ONE, ONE, SQRT_1_PLUS_T2, SQRT_1_PLUS_TM2, Scalar, T,
+    T_INV, ZERO,
 )
 from superq.spheres import (
     INFINITY, RELATION_KINDS, build_M, canonicalize_alpha, character_analysis,
@@ -109,12 +110,36 @@ def test_coideal_property():
 
 
 def test_infinity_coaction_matrix_is_a_twist_of_M():
-    # the diagonal a^2, ad + t^-1 cb, d^2 stays; every off-diagonal entry
-    # moves, as the note of verify_coideal(INFINITY) reports
+    # x(infinity)_j = c_j M_1j and N_kj = (c_j / c_k) M_kj; the diagonal
+    # a^2, ad + t^-1 cb, d^2 stays and every off-diagonal entry moves, as
+    # the note of verify_coideal(INFINITY) reports
+    c = (KAPPA / SQRT_1_PLUS_TM2, ONE, KAPPA / (I_UNIT * SQRT_1_PLUS_T2))
     N = coaction_matrix(INFINITY)
     M = build_M()
+    assert x_vector(INFINITY) == tuple(M[1][j].scale(c[j]) for j in range(3))
+    for k in range(3):
+        for j in range(3):
+            assert N[k, j] == M[k][j].scale(c[j] / c[k]), (k, j)
     changed = [(k, j) for k in range(3) for j in range(3) if N[k, j] != M[k][j]]
     assert len(changed) == 6, changed
+
+
+def test_coideal_checks_fail_under_a_scaled_coproduct(monkeypatch):
+    # with Delta scaled by 2, Delta(x_j) = 2 sum_k x_k (x) N_kj: a matrix read
+    # back off the coproducts would absorb the 2, the stated twist does not,
+    # so all three coideal checks fail (and so do all nine corep laws)
+    import superq.hopf as hopf
+    import superq.spheres as spheres
+    coproduct, two = hopf.coproduct, Scalar.from_rational(2)
+
+    def scaled(x):
+        return coproduct(x).scale(two)
+
+    monkeypatch.setattr(hopf, "coproduct", scaled)
+    monkeypatch.setattr(spheres, "coproduct", scaled)
+    failed = {f["input"] for f in verify_coideal(INFINITY).failures}
+    assert {f"coideal x[{j}]" for j in range(3)} <= failed
+    assert {f"corep law ({i},{j})" for i in range(3) for j in range(3)} <= failed
 
 
 def test_infinity_relations():
