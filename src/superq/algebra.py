@@ -223,11 +223,6 @@ def _d_power_a_power(l: int, I: int):
     return tuple((m[1], c) for m, c in terms.items())
 
 
-def _sigma_exchange(u: int, J: int, K: int) -> int:
-    """Sign exponent of b^J c^K passing sigma^u: sigma b = -b sigma, sigma c = -c sigma."""
-    return (J + K) * u
-
-
 def _reduce_ad(m: Monomial):
     """Rewrite coexisting a and d via ad = sigma - t bc (A(sigma) only)."""
     if m[0] == 0 or m[3] == 0:
@@ -258,7 +253,8 @@ def _mono_mul(m1: Monomial, m2: Monomial, ring: str):
     """
     i, j, k, l, u = m1
     I, J, K, L, U = m2
-    eps0 = _sigma_exchange(u, J, K)
+    # Sign exponent of b^J c^K passing sigma^u: sigma b = -b sigma, sigma c = -c sigma.
+    eps0 = (J + K) * u
     terms = []
     for r, c in _d_power_a_power(l, I) if l and I else ((0, ONE),):
         eps = eps0 + k * r + J * (k + r) + (l - r) * (J + K)

@@ -226,10 +226,10 @@ def verify_dual_hopf(samples: int = 40, rng_seed: int = 1,
     rep = Report()
     eps = ()
     delta_tables = {
-        "k": [(ONE, ("k",), ("k",))],
-        "K": [(ONE, ("K",), ("K",))],
-        "e": [(ONE, ("e",), eps), (ONE, ("k",), ("e",))],
-        "f": [(ONE, ("f",), ("K",)), (ONE, eps, ("f",))],
+        "k": [(("k",), ("k",))],
+        "K": [(("K",), ("K",))],
+        "e": [(("e",), eps), (("k",), ("e",))],
+        "f": [(("f",), ("K",)), (eps, ("f",))],
     }
     s_tables = {
         "k": Functional.word("K"),
@@ -247,9 +247,8 @@ def verify_dual_hopf(samples: int = 40, rng_seed: int = 1,
             y = Element.monomial(m2, "Asigma")
             lhs = eval_functional(Functional.word(g), x * y)
             rhs = ZERO
-            for coeff, wl, wr in table:
-                piece = coeff * _eval_word_mono(wl, m1, "Asigma") \
-                    * _eval_word_mono(wr, m2, "Asigma")
+            for wl, wr in table:
+                piece = _eval_word_mono(wl, m1, "Asigma") * _eval_word_mono(wr, m2, "Asigma")
                 if word_parity(wr) and mono_parity(m1):
                     piece = -piece
                 rhs = rhs + piece

@@ -1,8 +1,8 @@
 """Exact linear algebra over the scalar field.
 
 Rows are sparse dicts {column key: Scalar}.  One Gaussian elimination
-loop with exact division, rref, serves rank, nullspace, solve, membership
-and the specialised rank certificate (whose GaussRat rows it reduces just
+loop with exact division, rref, serves rank, nullspace, solve and the
+specialised rank certificate (whose GaussRat rows it reduces just
 as well); no pivoting heuristics beyond sparsity.
 """
 
@@ -27,8 +27,7 @@ def _eliminate(target: Row, pivot_row: Row, col) -> Row:
     return out
 
 
-# Augmented column: solve stores -b in it and membership a tag for the
-# tested vector.  It is never chosen as a pivot.
+# Augmented column: solve stores -b in it.  It is never chosen as a pivot.
 _RHS = ("#rhs#",)
 
 
@@ -98,15 +97,6 @@ def solve(rows: Sequence[Row], rhs: Sequence[Scalar],
     # free unknowns are set to zero, so u_p = -(augmented coefficient)
     sol = {p: -row.get(_RHS, ZERO) for row, p in zip(*reduced)}
     return {u: sol.get(u, ZERO) for u in unknowns}
-
-
-def membership(span_rows: Sequence[Row], vector: Row) -> bool:
-    """Does vector lie in the row span of span_rows?
-
-    Tagged with _RHS, the vector reduces to the tag alone exactly when some
-    combination of span rows cancels it.
-    """
-    return rref([*span_rows, {**vector, _RHS: ONE}]) is None
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ from .algebra import (
 from .hopf import antipode, comodule_matrix, coproduct, corep_report, star, tensor_sum
 from .qfun import TM2, QPolynomial, gauss_binomial, little_jacobi, pochhammer, pochhammer_poly
 from .report import Report
-from .scalars import ONE, Scalar, T, T_INV, ZERO, add_term, signed_t_power, sum_images
+from .scalars import I_UNIT, ONE, Scalar, T, T_INV, ZERO, add_term, signed_t_power, sum_images
 
 
 class CorepIndex:
@@ -101,13 +101,15 @@ def comodule_vector(side: str, idx: CorepIndex, normalized: bool = False) -> Com
     nsq = vector_norm_sq(twoL, twoI)
     if not normalized:
         return ComoduleVector(el, nsq, False)
-    from .scalars import scalar_sqrt
-    root = scalar_sqrt(nsq)
-    if root is None:
+    # A Gauss binomial is a product of distinct cyclotomic polynomials, and
+    # Phi_d(t^2) is Phi_2d(t) or Phi_d(t) Phi_2d(t), so [2l, l+i] is
+    # squarefree in t: N^2 is a square in Q(i)(t) only where it is +-1, at
+    # i = +-l.  The vector is then xi'_i / N, with N = 1 or i.
+    if abs(twoI) != twoL:
         raise ValueError(
             f"squared prefactor {nsq} is not a perfect square in Q(i)(t); "
             "only the unnormalized vector is exact")
-    return ComoduleVector(el.scale(root.inv()), nsq, True)
+    return ComoduleVector(el if nsq == ONE else el.scale(-I_UNIT), nsq, True)
 
 
 # ---------------------------------------------------------------------------
@@ -515,8 +517,8 @@ def verify_peter_weyl(twoL_max: int = 3) -> Report:
     dependence) do not show.  The engine checks the exact law and counts
     the signed diagonal pairs as the documented cross-s refinement.  For
     the unnormalized entries both sides carry the rational ratio
-    |N_j|^2 / |N_i|^2 of squared prefactor moduli, computed from the
-    stored squared norms.
+    |N_j|^2 / |N_i|^2 of squared prefactor moduli, where |N_i|^2 is the
+    binomial [2l, l+i] at base t^-2.
     """
     rep = Report()
     mats = {}
@@ -542,7 +544,8 @@ def verify_peter_weyl(twoL_max: int = 3) -> Report:
                         else:
                             tw = Scalar.t_power(j1 if form == "R" else -i1)
                             base = bracket_t(twoL + 1).inv() * tw
-                            ratio = _norm_modulus_sq(mat2, j2) / _norm_modulus_sq(mat2, i2)
+                            ratio = gauss_binomial(twoL2, (twoL2 + j2) // 2, TM2) \
+                                / gauss_binomial(twoL2, (twoL2 + i2) // 2, TM2)
                             expected = base * ratio
                             # the R form pairs x against y*: on s != s' the
                             # sigma crosses the odd entry and contributes
@@ -557,13 +560,6 @@ def verify_peter_weyl(twoL_max: int = 3) -> Report:
     rep.note("cross-sigma diagonal pairs carry the parity sign (-1)^(i-j) "
              f"in the R form on top of the printed value ({signed_pairs} pairs)")
     return rep
-
-
-def _norm_modulus_sq(mat: CorepMatrix, twoI: int) -> Scalar:
-    """|N_i|^2 from the stored signed square: |N|^2 = (-1)^[(l+i)/2] N^2."""
-    nsq = mat.norm_sq[twoI]
-    li = (mat.twoL + twoI) // 2
-    return -nsq if (li // 2) % 2 else nsq
 
 
 def verify_weight_norms(max_mn: int = 3) -> Report:

@@ -1044,7 +1044,7 @@ def scalar_arith(x: Scalar, y: Optional[Scalar], op: str) -> Scalar:
 
 
 # ---------------------------------------------------------------------------
-# Square-root detection inside Q(i)(t)  (radical-free scalars)
+# Square roots of Gaussian rationals  (t for Scalar.eval_numeric)
 # ---------------------------------------------------------------------------
 
 def _sqrt_ratio(n: int, d: int):
@@ -1078,59 +1078,6 @@ def _sqrt_gauss(c: GaussRat) -> Optional[GaussRat]:
         return None
     xn, xd = x
     return _gr(2 * d * xn * xn, b * xd * xd, 2 * d * xn * xd)
-
-
-def _sqrt_poly(p):
-    """sqrt(p) in Q(i)[t], or None when p is not a square there."""
-    C, D = p
-    if not C:
-        return p
-    d = max(C)
-    if d % 2 or min(C) % 2:
-        return None
-    # p = P/D^2 with P = C*D.  A square root of P in Q(i)[t] has Gaussian-
-    # integer coefficients (Gauss's lemma over Z[i]), so every step below
-    # divides exactly in Z[i] or p is not a square.
-    P = {e: (x * D, y * D) for e, (x, y) in C.items()}
-    lead = _sqrt_gauss(_gr(*P[d], 1))
-    if lead is None:
-        return None
-    h, u, v = d // 2, lead.a, lead.b
-    n = 2 * (u * u + v * v)
-    s = [(0, 0)] * h + [(u, v)]
-    # Solve P = s^2 top-down: coeff of t^(h+e) is 2*s[h]*s[e] plus known terms.
-    for e in range(h - 1, -1, -1):
-        x, y = P.get(h + e, (0, 0))
-        for a in range(e + 1, h):
-            (p1, q1), (p2, q2) = s[a], s[h + e - a]
-            x, y = x - p1 * p2 + q1 * q2, y - p1 * q2 - q1 * p2
-        # s[e] = (x + y*i)/(2*(u + v*i)) = (x + y*i)(u - v*i)/n
-        re, im = x * u + y * v, y * u - x * v
-        if re % n or im % n:
-            return None
-        s[e] = (re // n, im // n)
-    S = ({e: c for e, c in enumerate(s) if c[0] or c[1]}, 1)
-    return _pn(S[0], D) if _pmul(S, S) == (P, 1) else None
-
-
-def scalar_sqrt(x: Scalar) -> Optional[Scalar]:
-    """Exact square root within Q(i)(t), or None if x is not a square there."""
-    if x.is_zero():
-        return ZERO
-    if not x.is_rational_function():
-        return None
-    num, den = x.parts[0]
-    rden = _sqrt_poly(den)
-    if rden is None:
-        return None
-    rnum = _sqrt_poly(num)
-    if rnum is None:
-        # Allow an i^2 unit: x = -(square).
-        rnum = _sqrt_poly(_pneg(num))
-        if rnum is None:
-            return None
-        rnum = _pscale(rnum, 0, 1)
-    return Scalar({0: _rf_canon(rnum, rden)})
 
 
 # ---------------------------------------------------------------------------

@@ -155,7 +155,15 @@ def test_verify_hopf_negative_control(monkeypatch):
     _cache.clear()
     try:
         with monkeypatch.context() as patch:
-            patch.setattr(algebra, "_sigma_exchange", lambda u, J, K: 0)
+            # _mono_mul's every term carries (-1)^((J+K)u) for b^J c^K
+            # passing sigma^u; multiplying by it again cancels the sign.
+            mono_mul = algebra._mono_mul
+
+            def unsigned(m1, m2, ring):
+                flip = m1[4] * (m2[1] + m2[2]) % 2
+                return tuple((m, -c if flip else c) for m, c in mono_mul(m1, m2, ring))
+
+            patch.setattr(algebra, "_mono_mul", unsigned)
             # The break flips the two sigma relations and no other.
             s = gen("sigma", "Bsigma")
             for g in ("a", "b", "c", "d"):

@@ -1,5 +1,5 @@
 from superq.linalg import (
-    membership, nullspace, rank, solve, specialized_rank_certificate,
+    nullspace, rank, solve, specialized_rank_certificate,
 )
 from fractions import Fraction
 
@@ -51,12 +51,6 @@ def test_solve_underdetermined_sets_free_to_zero():
     assert total == T
 
 
-def test_membership():
-    span = [{"x": ONE, "y": ONE}, {"y": ONE, "z": ONE}]
-    assert membership(span, {"x": ONE, "z": -ONE})
-    assert not membership(span, {"x": ONE})
-
-
 def test_specialized_rank_certificate():
     rows = [{"x": ONE, "y": T}, {"x": T, "y": T * T}]  # rank 1: no certificate
     assert specialized_rank_certificate(rows) is None
@@ -80,10 +74,9 @@ def test_rank_certificate_declines_radical_rows():
     assert specialized_rank_certificate([{"x": T * SQRT_1_PLUS_T2, "y": ONE}]) is None
 
 
-# Pinned outputs of solve/rref/membership: the pivot rule (shortest row
-# first, then the smallest column key among real unknowns) and the dict
-# order of the results.  Recorded before solve and membership were moved
-# onto rref's elimination loop.
+# Pinned outputs of solve/rref: the pivot rule (shortest row first, then
+# the smallest column key among real unknowns) and the dict order of the
+# results.  Recorded before solve was moved onto rref's elimination loop.
 
 def _items(d):
     return [(k, str(v)) for k, v in d.items()]
@@ -133,9 +126,3 @@ def test_rref_and_nullspace_pinned():
     assert [_items(v) for v in basis] == [[("c", "1"), ("a", "-1"), ("b", "t")],
                                           [("d", "1")]]
 
-
-def test_membership_pinned():
-    assert membership([{"x": ONE, "y": T}], {"x": T_INV, "y": ONE})
-    assert not membership([{"x": ONE, "y": T}], {"x": ONE, "y": ONE})
-    assert membership([], {})
-    assert not membership([], {"x": ONE})

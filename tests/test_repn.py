@@ -2,18 +2,19 @@ import random
 import time
 
 import pytest
+import sympy
 
 from superq import _cache, linalg, repn
 from superq.algebra import Element, bigrade, zeta, zeta_power
 from superq.hopf import star
 from superq.repn import (
     CorepIndex, closed_form, closed_form_matrix, comodule_vector,
-    completeness_witness, haar, haar_via_corep_expansion, haar_zeta,
+    completeness_witness, index_range, haar, haar_via_corep_expansion, haar_zeta,
     haar_zeta_sigma, inner, matrix_coefficients, moments, moments_report,
     sigma_component, vector_norm_sq, verify_integral, verify_peter_weyl,
     verify_weight_norms,
 )
-from superq.scalars import ONE, Scalar, T, T_INV, ZERO, add_term
+from superq.scalars import I_UNIT, ONE, Scalar, T, T_INV, ZERO, add_term
 
 
 def gen(name):
@@ -67,6 +68,43 @@ def test_comodule_vector_norms():
     # spin 1/2 normalizes fine (prefactor 1)
     v = comodule_vector("L", CorepIndex(1, -1, -1), normalized=True)
     assert v.element == gen("a")
+
+
+def test_norm_squares_are_squarefree():
+    # [2l, l+i] at base t^-2 is a product of distinct cyclotomic polynomials
+    # in t, so N^2 = +-[2l, l+i] has a square root in Q(i)(t) only at
+    # i = +-l, where it is +-1.  Checked over the spins the engine builds.
+    t = sympy.Symbol("t")
+    for twoL in range(2 * repn.MATRIX_BOUND + 1):
+        for twoI in index_range(twoL):
+            (C, D), den = vector_norm_sq(twoL, twoI).parts[0]
+            num = sympy.Poly({(e,): sympy.Rational(x, D) + sympy.I * sympy.Rational(y, D)
+                              for e, (x, y) in C.items()}, t, domain="QQ_I")
+            assert num.is_sqf, (twoL, twoI)
+            assert (num.degree() == 0) == (abs(twoI) == twoL), (twoL, twoI)
+            assert len(den[0]) == 1     # a power of t: the factors are all in num
+
+
+@pytest.mark.parametrize("side", ["L", "R"])
+def test_normalized_vectors_exactly_at_extreme_weights(side):
+    for twoL in range(2 * repn.MATRIX_BOUND + 1):
+        for twoI in index_range(twoL):
+            for s in (0, 1):
+                idx = CorepIndex(twoL, twoI, twoI, s)
+                plain = comodule_vector(side, idx)
+                if abs(twoI) != twoL:
+                    with pytest.raises(ValueError) as err:
+                        comodule_vector(side, idx, normalized=True)
+                    assert str(err.value) == (
+                        f"squared prefactor {plain.norm_sq} is not a perfect square "
+                        "in Q(i)(t); only the unnormalized vector is exact")
+                    continue
+                v = comodule_vector(side, idx, normalized=True)
+                # N^2 = (-1)^[(l+i)/2]: -1 at i = l when l = 1 or 3/2 mod 2,
+                # and there xi'_i / N = -i xi'_i.
+                minus = twoI == twoL and (twoL // 2) % 2 == 1
+                assert v.normalized and v.norm_sq == (-ONE if minus else ONE)
+                assert v.element == (plain.element.scale(-I_UNIT) if minus else plain.element)
 
 
 def test_matrix_coefficients_spin_half():

@@ -12,7 +12,7 @@ from superq.scalars import (
     KAPPA, MINUS_ONE, ONE, Q, RADICAND_1_PLUS_T2, RADICAND_1_PLUS_TM2,
     RADICAND_KAPPA2, SQRT_1_PLUS_T2, SQRT_1_PLUS_TM2, T, T_INV, ZERO,
     Scalar, ScalarDivisionError, ScalarPoleError, UnsupportedRadicalError,
-    formal_sqrt, scalar_arith, scalar_sqrt,
+    formal_sqrt, scalar_arith,
 )
 
 
@@ -271,17 +271,6 @@ def test_scalar_arith_dispatcher():
     assert scalar_arith(Scalar.from_gauss(1, 1), None, "conj") == Scalar.from_gauss(1, -1)
     with pytest.raises(ValueError):
         scalar_arith(T, T, "pow")
-
-
-def test_scalar_sqrt_detection():
-    sq = (ONE + T * T) ** 2 * Scalar.t_power(-2)
-    r = scalar_sqrt(sq)
-    assert r is not None and r * r == sq
-    assert scalar_sqrt(RADICAND_1_PLUS_T2) is None
-    # -(square) has sqrt i*(root)
-    r2 = scalar_sqrt(-(T * T))
-    assert r2 is not None and r2 * r2 == -(T * T)
-    assert scalar_sqrt(ONE + T) is None
 
 
 def test_specialize_t_exact():
