@@ -34,15 +34,20 @@ canonical denominator is a monomial, always t^k with coefficient 1.  Sums
 and products of such operands (and their conjugates) shift exponents and
 cancel the common t-power directly; they never reach _rf_canon or a gcd.
 
-The canonical atoms are hash-consed: signed_t_power returns one shared
-Scalar per value of +-t^k (ONE itself for 1), and _t_den one shared
-denominator t^k, so the memo tables that hold the relations' coefficients
-hold references, not copies.  Both tables are registered with _cache.
-These units are closed under *, -, conj and inv: a product of two units,
--u, u.conj() and u.inv() are lookups, and a product with any other Scalar
-shifts the exponents of its Laurent parts.  Sharing is only a saving:
-identity is a short-cut for ONE, every other `is` a short-cut in front of
-==, and no code may mutate a Scalar or a polynomial dict once built.
+The canonical atoms are hash-consed (Goto 1974; Filliatre-Conchon 2006):
+signed_t_power returns one shared Scalar per value of +-t^k (ONE itself
+for 1), and _t_den one shared denominator t^k.  Both tables are
+registered with _cache.  These units are closed under *, -, conj and inv:
+a product of two units, -u, u.conj() and u.inv() are lookups, a sum that
+is +-t^k is the unit, and a product with any other Scalar shifts the
+exponents of its Laurent parts.  Every other value is shared where it is
+kept, not where it is made: _cache.memo and _cache.store pass what a memo
+table stores through share, so every plain Scalar in a memo table is the
+one object for its value held in _share_cache (0 is ZERO, +-t^k the
+unit), until a cap or clear() empties that table.  The products and sums
+in between are not hashed and not kept.  Sharing is only a saving:
+identity is a short-cut for ONE, every other `is` a short-cut in front
+of ==, and no code may mutate a Scalar or a polynomial dict once built.
 
 A non-monomial denominator takes Henrici's route (Knuth, TAOCP vol. 2,
 4.5.1), which cancels before it combines.  A product cancels gcd(n1, d2)
@@ -439,7 +444,7 @@ def _t_den(k: int):
     d = _t_den_cache.get(k)
     if d is None:
         d = ({k: _C1}, 1) if k else P_ONE
-        _cache.store(_t_den_cache, k, d)
+        _cache.put(_t_den_cache, k, d)
     return d
 
 
@@ -624,8 +629,12 @@ class Scalar:
         return isinstance(other, Scalar) and self.parts == other.parts
 
     def __hash__(self):
-        return hash(frozenset((m, frozenset(n.items()), dn, frozenset(d.items()), dd)
-                              for m, ((n, dn), (d, dd)) in self.parts.items()))
+        # The parts' hashes combined without regard to their order: one
+        # frozenset fewer than hashing the set of parts.
+        h = 0
+        for m, ((n, dn), (d, dd)) in self.parts.items():
+            h ^= hash((m, frozenset(n.items()), dn, frozenset(d.items()), dd))
+        return h
 
     def is_rational_function(self) -> bool:
         return all(m == 0 for m in self.parts)
@@ -636,6 +645,9 @@ class Scalar:
         out = dict(self.parts)
         for m, rf in other.parts.items():
             _add_part(out, m, rf)
+        rf = out.get(0)
+        if rf is not None and len(rf[0][0]) == 1:    # maybe +-t^k
+            return _unit_of(out) or _scalar(out)
         return _scalar(out)
 
     def __sub__(self, other):
@@ -868,8 +880,24 @@ def signed_t_power(eps: int, p: int) -> Scalar:
     x = _unit_cache.get(key)
     if x is None:
         x = ONE if key == (0, 0) else _Unit(*key)
-        _cache.store(_unit_cache, key, x)
+        _cache.put(_unit_cache, key, x)
     return x
+
+
+def _unit_of(parts: dict) -> Optional[Scalar]:
+    """The shared unit equal to a Scalar with these parts when it is +-t^k:
+    one part, of mask 0, whose numerator is one term (+-D, 0) (so D = 1)
+    over a monomial denominator; else None."""
+    rf = parts.get(0)
+    if rf is None or len(parts) != 1:
+        return None
+    (n, D), (d, _) = rf
+    if len(n) == 1 == len(d) and D == 1:
+        ((k, (x, y)),) = n.items()
+        if not y and (x == 1 or x == -1):
+            (e,) = d
+            return signed_t_power(x < 0, k - e)
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -990,6 +1018,64 @@ class _Combination:
         if isinstance(c, int):
             c = Scalar.from_rational(c)
         return self.scale(c) if isinstance(c, Scalar) else NotImplemented
+
+
+# ---------------------------------------------------------------------------
+# One stored object per value: the share step of the memo tables
+# ---------------------------------------------------------------------------
+
+# {x: x} over the plain Scalars the memo tables store.
+_share_cache: dict = {}
+_cache.register(_share_cache)
+
+
+def _share_scalar(x):
+    """The one stored object equal to the plain Scalar x: ZERO for 0, the
+    first equal plain Scalar stored, or, for +-t^k, the shared unit (on a
+    miss only, so a hit costs one lookup)."""
+    parts = x.parts
+    if not parts:
+        return ZERO
+    s = _share_cache.get(x)
+    if s is None:
+        s = _unit_of(parts)
+        if s is None:
+            _cache.put(_share_cache, x, x)
+            return x
+    return s
+
+
+def share(value):
+    """value with each plain Scalar in it replaced by _share_scalar's
+    object: a bare Scalar, the coefficients of a tuple of (key, Scalar)
+    pairs, the values of a dict, the coefficients of a sparse sum (Element,
+    Tensor, ...) and the fields of any other object with __slots__ (a
+    record such as repn's CorepMatrix), copied.  Tuple and dict order are
+    kept.  A _Unit passes, and so does a value of any other kind and a
+    tuple with no plain Scalar in it."""
+    t = type(value)
+    if t is tuple:
+        for _, c in value:
+            if type(c) is Scalar:
+                return tuple([(k, _share_scalar(c) if type(c) is Scalar else c)
+                              for k, c in value])
+        return value
+    if t is Scalar:
+        return _share_scalar(value)
+    if t is dict:
+        return {k: share(c) for k, c in value.items()}
+    if t is _Unit or not hasattr(t, "__slots__"):
+        return value
+    if isinstance(value, _Combination):
+        return value._like(share(value.terms))
+    record = _new(t)
+    for c in t.__mro__:
+        for f in getattr(c, "__slots__", ()):
+            setattr(record, f, share(getattr(value, f)))
+    return record
+
+
+_cache.share = share
 
 
 def _signed_join(pieces) -> str:

@@ -56,3 +56,11 @@ def test_scalar_times_element_hand_off_is_not_counted(c):
     # by c: that product is the only one counted.
     a = Element.generator("a")
     assert counts_of(lambda: c * a) == counts_of(lambda: a.scale(c))
+
+
+def test_plain_scalars_counts_objects_once_and_skips_units():
+    x, y = ONE + T, ONE + T         # equal values, two objects
+    assert x is not y
+    e = Element.generator("a").scale(x)
+    found = bench_pr.plain_scalars([{"k": (("a", x), ("b", T))}, [y, ONE], e])
+    assert set(found) == {id(x), id(y)} and len(set(found.values())) == 1

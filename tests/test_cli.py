@@ -508,7 +508,7 @@ def test_cache_size_caps_every_memo_table():
     ]
     uncapped = [q() for q in queries]
     tables = _memo_tables()
-    assert len(tables) == 14
+    assert len(tables) == 15
     previous = _cache.LIMIT
     used = set()
     try:

@@ -1050,9 +1050,10 @@ def _is_unit(c):
 
 
 def test_memo_tables_share_the_unit_scalars():
-    # Units are closed under products, so a +-t^k coefficient that a product
-    # made is the shared object.  A product that needs neither d^l a^I nor
-    # ad = sigma - t bc is one term, +-t^k times ONE.
+    # Units are closed under products, and a sum that is +-t^k is the
+    # shared unit, so every +-t^k coefficient is the shared object.  A
+    # product that needs neither d^l a^I nor ad = sigma - t bc is one term,
+    # +-t^k times ONE.
     from superq import _cache, algebra, hopf
 
     _cache.clear()
@@ -1068,10 +1069,10 @@ def test_memo_tables_share_the_unit_scalars():
 
     reduced = units(algebra._reduce_cache)
     assert len(reduced) == 84 and all(reduced)
-    # The rest are sums, not products: in A(sigma) a C_r of d^l a^I merged
-    # with a term of the ad reduction can add up to +-t^k, a fresh Scalar.
+    # 84 of these are sums: in A(sigma) a C_r of d^l a^I merged with a term
+    # of the ad reduction adds up to +-t^k.
     products = units(algebra._mul_cache)
-    assert len(products) == 851 and sum(products) >= 767
+    assert len(products) == 851 and all(products)
 
 
 def test_shared_units_survive_a_verify_pass(capsys):
@@ -1087,3 +1088,126 @@ def test_shared_units_survive_a_verify_pass(capsys):
     for k, d in sc._t_den_cache.items():
         assert d == ({k: (1, 0)}, 1), k
     assert ONE.parts == _fresh_unit(0, 0) and sc.P_ONE == ({0: (1, 0)}, 1)
+
+
+def test_sums_that_are_units_are_the_shared_units():
+    from superq import _cache
+
+    i = Scalar.from_gauss(0, 1)
+    for limit in (None, 0):     # capped, the unit table keeps one entry
+        _cache.set_limit(limit)
+        try:
+            assert (T + ONE) - ONE is sc.signed_t_power(0, 1)
+            assert (T_INV - T) + T is sc.signed_t_power(0, -1)
+            assert ZERO - Q is sc.signed_t_power(0, 2)
+            assert Scalar.from_rational(3) + Scalar.from_rational(-2) is ONE
+            assert (i * T + MINUS_ONE) - i * T is sc.signed_t_power(1, 0)
+            assert T * (T + ONE) - T is sc.signed_t_power(0, 2)
+            # Not +-t^k: 2, i t, 1 + t, a radical and 1/(1 + t) stay plain.
+            for x in (ONE + ONE, i * T + ZERO, T + ONE, SQRT_1_PLUS_T2 + ZERO,
+                      (T + ONE).inv() + ZERO):
+                assert type(x) is Scalar, x
+        finally:
+            _cache.set_limit(None)
+
+
+def _plain_scalars(value, out: list) -> list:
+    """Every plain Scalar (not a unit) reachable from value through
+    tuples, dicts (keys and values), the terms of a sparse sum and the
+    fields of a __slots__ record, once per path."""
+    if type(value) is Scalar:
+        out.append(value)
+    elif isinstance(value, (tuple, list)):
+        for v in value:
+            _plain_scalars(v, out)
+    elif isinstance(value, dict):
+        for k, v in value.items():
+            _plain_scalars(k, out)
+            _plain_scalars(v, out)
+    elif not isinstance(value, Scalar):
+        for cls in type(value).__mro__:
+            for f in getattr(cls, "__slots__", ()):
+                _plain_scalars(getattr(value, f, None), out)
+    return out
+
+
+def test_memo_tables_hold_one_object_per_scalar_value():
+    from superq import _cache, suites
+
+    _cache.clear()
+    for name in suites.SUITES:
+        assert suites.run(name).ok, name
+    held = _plain_scalars([t for t in _cache.TABLES if t is not sc._share_cache], [])
+    objects = {id(x): x for x in held}
+    assert len(held) > 5000 and len(objects) > 200
+    assert len(set(objects.values())) == len(objects)
+    # ... and each is ZERO or the share table's own entry, never +-t^k
+    # (that is a unit).
+    objects.pop(id(ZERO))
+    assert all(sc._share_cache.get(x) is x for x in objects.values())
+    assert not any(_is_unit(x) for x in objects.values())
+    assert len(sc._share_cache) == len(objects)
+    _cache.clear()
+    assert not sc._share_cache
+
+
+def test_share_keeps_values_and_order():
+    from superq import _cache
+    from superq.algebra import Element
+    from superq.hopf import coproduct
+
+    _cache.clear()
+    x, y = T + ONE, (T + ONE).inv()
+    assert sc.share(x) is x and sc.share(T + ONE) is x
+    assert sc.share(Scalar.from_rational(1)) is ONE and sc.share(ZERO + ZERO) is ZERO
+    assert sc.share(-(T * T)) is -(T * T) and sc.share(T) is T
+    pairs = (("b", T + ONE), ("a", T), ("c", y))
+    shared = sc.share(pairs)
+    assert shared == pairs and [k for k, _ in shared] == ["b", "a", "c"]
+    assert shared[0][1] is x and shared[1][1] is T and shared[2][1] is sc.share(y)
+    units = (("a", T), ("b", ONE))
+    assert sc.share(units) is units
+    terms = {"b": T + ONE, "a": MINUS_ONE}
+    assert list(sc.share(terms).items()) == list(terms.items())
+    assert sc.share(terms)["b"] is x
+    e = Element.generator("a").scale(T + ONE) + Element.generator("b").scale(y)
+    se = sc.share(e)
+    assert se == e and list(se.terms) == list(e.terms)
+    assert all(se.terms[m] is sc.share(c) for m, c in e.terms.items())
+    d = coproduct(e)
+    sd = sc.share(d)
+    assert sd == d and sd.slots == d.slots and list(sd.terms) == list(d.terms)
+    assert sc.share(3) == 3 and sc.share("a") == "a" and sc.share(None) is None
+    # On a miss the memo returns the stored, shared object, not its own.
+    from superq.qfun import gauss_binomial
+    v = T * T
+    b = gauss_binomial(6, 3, v)
+    _cache.clear()
+    assert sc.share(b) is b
+    again = gauss_binomial(6, 3, v)
+    assert again is b and type(b) is Scalar
+    _cache.clear()
+
+
+def test_share_table_obeys_the_cap(monkeypatch, capsys):
+    from superq import _cache
+    from superq.cli import main
+
+    sizes = []
+    put = _cache.put
+
+    def recording_put(table, key, value):
+        put(table, key, value)
+        if table is sc._share_cache:
+            sizes.append(len(table))
+
+    monkeypatch.setattr(_cache, "put", recording_put)
+    _cache.clear()
+    assert main(["verify", "--suite", "all", "--json"]) == 0
+    uncapped = capsys.readouterr().out
+    assert max(sizes) > 100
+    sizes.clear()
+    _cache.clear()
+    assert main(["--cache-size", "0", "verify", "--suite", "all", "--json"]) == 0
+    assert capsys.readouterr().out == uncapped
+    assert len(sizes) > 100 and max(sizes) == 1

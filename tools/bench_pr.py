@@ -17,7 +17,10 @@ perfbench's workers do (it restarts itself with it), in this order:
      runs them, under tracemalloc and `counting()`: the counts, and each
      suite's checks; then each *_cache table's entries
      and the traced MiB freed by clearing it (an object shared by several
-     tables counts for the last one cleared).
+     tables counts for the last one cleared, so a shared coefficient counts
+     for scalars._share_cache or a later table; compare the total), and the
+     plain Scalar objects the tables hold (each once) and their distinct
+     values, which the memo tables' share step keeps equal.
   3. "ops_us": one + and one * of small values of each sparse-sum class,
      the best of 7 timeit repeats with warm memo tables.
   4. "sweeps": the gcd-bound sweeps, each from empty memo tables and each
@@ -147,6 +150,28 @@ def counting():
             setattr(owner, name, fn)
 
 
+def plain_scalars(tables) -> dict:
+    """{id(x): x} over the plain Scalars x (units excluded) reachable from
+    tables through tuples, dicts (keys and values), the terms of a sparse
+    sum and the fields of any other object with __slots__."""
+    from superq.scalars import Scalar
+
+    found, todo = {}, list(tables)
+    while todo:
+        v = todo.pop()
+        if type(v) is Scalar:
+            found[id(v)] = v
+        elif isinstance(v, (tuple, list)):
+            todo.extend(v)
+        elif isinstance(v, dict):
+            todo.extend(v)
+            todo.extend(v.values())
+        elif not isinstance(v, Scalar):
+            todo.extend(getattr(v, f, None) for c in type(v).__mro__
+                        for f in getattr(c, "__slots__", ()))
+    return found
+
+
 def verify_pass() -> tuple:
     """The "verify" and "memo" sections of one pass over every suite."""
     from superq import _cache, suites
@@ -162,6 +187,10 @@ def verify_pass() -> tuple:
             failed += not rep.ok
     gc.collect()
     peak = tracemalloc.get_traced_memory()[1]
+    held = plain_scalars(_cache.TABLES)
+    scalar_counts = {"plain_scalar_objects": len(held),
+                     "plain_scalar_values": len(set(held.values()))}
+    del held        # else clearing the tables below would free none of them
     tables = {}
     for name, mod in sorted(sys.modules.items()):
         if not name.startswith("superq."):
@@ -183,7 +212,7 @@ def verify_pass() -> tuple:
               "_pdiv": counts["_pdiv"], "suites": per_suite}
     memo = {"tables": tables, "entries": sum(t["entries"] for t in tables.values()),
             "mib": round(sum(t["mib"] for t in tables.values()), 3),
-            "traced_peak_mib": round(peak / MIB, 3)}
+            "traced_peak_mib": round(peak / MIB, 3), **scalar_counts}
     return verify, memo
 
 
