@@ -188,13 +188,11 @@ def _mono_str(m: tuple, symbols: str = "abcds") -> str:
 # Monomial multiplication
 # ---------------------------------------------------------------------------
 
-_geom_cache: Dict[tuple, Scalar] = {}
 _dla_cache: Dict[tuple, tuple] = {}
 _mul_cache: Dict[tuple, tuple] = {}
 _reduce_cache: Dict[tuple, tuple] = {}
 
 
-@_cache.memo(_geom_cache)
 def _geom_t2inv(l: int) -> Scalar:
     # 1 + t^-2 + ... + t^-2(l-1)
     return sum((Scalar.t_power(-2 * r) for r in range(l)), ZERO)

@@ -13,6 +13,21 @@ Conventions that matter:
   * on a tensor product, star is (u ox v)* = (-1)^(p(u)p(v)) u* ox v*,
     which is what makes it a star structure for the graded multiplication
     (and the only reading under which star commutes with the coproduct).
+
+On generators, S(a, b; c, d) = (d, -t^-1 b; t c, a) sigma and
+(a, b; c, d)* = (d, t c; -t^-1 b, a) sigma, with S(sigma) = sigma* = sigma.
+Each sends the basis monomial m = a^i b^j c^k d^l sigma^u (i l = 0) to one
+signed power of t times one basis monomial; with s = (u+i+j+k+l) mod 2,
+
+    S(m) = (-1)^(jk + j + (u+l)(j+k)) t^(k-j) a^l b^j c^k d^i sigma^s,
+    m*   = (-1)^(k + (j+k)(j+k-1)/2 + (u+l)(j+k)) t^(j-k) a^l b^k c^j d^i sigma^s,
+
+the product of the generator images in reverse order.  Moving every sigma
+to the right, sigma^u and the l sigmas of (a sigma)^l pass the j + k odd
+generators, and the sigmas of the odd images pass (j+k)(j+k-1)/2 odd
+generators among themselves.  For S that count cancels the Koszul sign of
+the reversal, c^k b^j -> b^j c^k adds jk and the j factors -t^-1 add j;
+star has no Koszul sign, keeps b^k c^j in order and has k factors -t^-1.
 """
 
 from __future__ import annotations
@@ -23,7 +38,7 @@ from typing import Dict
 from . import _cache, algebra
 from .algebra import Element, Monomial, basis_monomials, mono_parity
 from .report import Report
-from .scalars import ONE, Scalar, T, T_INV, ZERO, _Combination, add_term, sum_images
+from .scalars import ONE, Scalar, T, ZERO, _Combination, add_term, signed_t_power, sum_images
 from .tensor import AlgSlot, PlaneSlot, Tensor, _distribute, _tensor
 
 
@@ -46,30 +61,7 @@ DELTA_GEN = {
     "sigma": ((_S, _S),),
 }
 
-# Antipode and star images of the generators (A(sigma) elements).
-_S_IMG = {
-    "a": ((0, 0, 0, 1, 1), ONE),        # d sigma
-    "b": ((0, 1, 0, 0, 1), -T_INV),     # -t^-1 b sigma
-    "c": ((0, 0, 1, 0, 1), T),          # t c sigma
-    "d": ((1, 0, 0, 0, 1), ONE),        # a sigma
-    "sigma": ((0, 0, 0, 0, 1), ONE),
-}
-
-_STAR_IMG = {
-    "a": ((0, 0, 0, 1, 1), ONE),        # d sigma
-    "b": ((0, 0, 1, 0, 1), T),          # t c sigma
-    "c": ((0, 1, 0, 0, 1), -T_INV),     # -t^-1 b sigma
-    "d": ((1, 0, 0, 0, 1), ONE),        # a sigma
-    "sigma": ((0, 0, 0, 0, 1), ONE),
-}
-
 _GEN_ORDER = ("a", "b", "c", "d", "sigma")
-
-
-def _mono_gens(m: Monomial):
-    for name, e in zip(_GEN_ORDER, m):
-        for _ in range(e):
-            yield name
 
 
 def _prefix_product(table: dict, key, m: tuple, slots, gens) -> dict:
@@ -138,34 +130,31 @@ def counit(x: Element) -> Scalar:
     return out
 
 
-_anti_cache: Dict[tuple, Element] = {}
-
-
 def _fold_anti(x: Element, koszul: bool) -> Element:
     """Shared skeleton of antipode (koszul=True) and star (koszul=False,
-    anti-linear on coefficients): the linear extension of the memoised
-    monomial images _anti_mono, over conjugated coefficients for star."""
+    anti-linear on coefficients): the linear extension of the monomial
+    images _anti_mono, over conjugated coefficients for star."""
     if x.ring != "Asigma":
         raise HopfStructureError(f"ring {x.ring} has no antipode/star")
     pairs = x.terms.items() if koszul else ((m, c.conj()) for m, c in x.terms.items())
-    return Element(x.ring, sum_images(pairs, lambda m: _anti_mono(m, koszul).terms.items()))
+    return Element(x.ring, sum_images(pairs, lambda m: _anti_mono(m, koszul).items()))
 
 
-@_cache.memo(_anti_cache)
-def _anti_mono(m: Monomial, koszul: bool) -> Element:
-    images = _S_IMG if koszul else _STAR_IMG
-    acc = Element.one("Asigma")
-    par = 0
-    for g in _mono_gens(m):
-        mono, c = images[g]
-        if koszul and (par * _PARITY[g]) % 2:
-            c = -c
-        acc = Element.monomial(mono, coeff=c) * acc
-        par = (par + _PARITY[g]) % 2
-    return acc
+def _anti_mono(m: Monomial, koszul: bool) -> dict:
+    """{S(m): coeff} (koszul=True) or {m*: coeff} (koszul=False) for the
+    A(sigma) basis monomial m, in the closed form of the module docstring.
 
-
-_PARITY = {"a": 0, "b": 1, "c": 1, "d": 0, "sigma": 0}
+    Raises ValueError when m has both a and d (not a basis monomial).
+    """
+    i, j, k, l, u = m
+    if i and l:
+        raise ValueError(f"{m} is not an A(sigma) basis monomial (need i=0 or l=0)")
+    odd = j + k
+    eps = (u + l) * odd
+    s = (u + i + odd + l) % 2
+    if koszul:
+        return {(l, j, k, i, s): signed_t_power(j * k + j + eps, k - j)}
+    return {(l, k, j, i, s): signed_t_power(k + odd * (odd - 1) // 2 + eps, j - k)}
 
 
 def antipode(x: Element) -> Element:
@@ -185,7 +174,7 @@ def tensor_star(t: Tensor) -> Tensor:
     pairs = ((k, -c.conj() if mono_parity(k[0]) and mono_parity(k[1]) else c.conj())
              for k, c in t.terms.items())
     return _tensor(t.slots, sum_images(
-        pairs, lambda k: _distribute(_anti_mono(m, False).terms.items() for m in k)))
+        pairs, lambda k: _distribute(_anti_mono(m, False).items() for m in k)))
 
 
 def _delta_terms_fn(ring: str):
@@ -255,7 +244,7 @@ def verify_hopf(max_degree: int, rng_seed: int = 0) -> Report:
 def _convolve(dx: Tensor, apply_left: bool) -> Element:
     """m (S ox id) dx or m (id ox S) dx: the antipode on one leg, then the
     linear extension of the monomial product over the two legs."""
-    applied = dx.apply(0 if apply_left else 1, lambda m: _anti_mono(m, True).terms)
+    applied = dx.apply(0 if apply_left else 1, lambda m: _anti_mono(m, True))
     return Element("Asigma", sum_images(applied.terms.items(),
                                         lambda k: algebra._mono_mul(k[0], k[1], "Asigma")))
 

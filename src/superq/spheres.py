@@ -398,15 +398,19 @@ def character_analysis() -> CharacterAnalysis:
     chars = [(ZERO, ONE, ZERO), (ZERO, MINUS_ONE, ZERO)]
     # Each candidate must satisfy all four relations with w = y_0.
     for (ym, y0, yp) in chars:
-        w = y0
-        checks = [
-            y0 * y0 - ym * yp + yp * ym - w * y0,
-            y0 * y0 + Scalar.q_power(-1) * (one + Scalar.q_power(-1)) * ym * yp
-            - (one + Scalar.q_power(-1)) * yp * ym - one,
-            q * y0 * ym - ym * y0 - (one + q) * w * ym,
-            y0 * yp - q * yp * y0 - (one + q) * w * yp,
-        ]
-        for val in checks:
-            if not val.is_zero():
-                raise ArithmeticError(f"candidate character {ym, y0, yp} fails")
+        if any(character_residuals(ym, y0, yp, y0)):
+            raise ArithmeticError(f"candidate character {ym, y0, yp} fails")
     return CharacterAnalysis(chars, residuals)
+
+
+def character_residuals(ym: Scalar, y0: Scalar, yp: Scalar, w: Scalar) -> List[Scalar]:
+    """lhs - rhs of the four relations of verify_infinity_relations (sigma,
+    unit, lower and upper commutation) at x_-1, x_0, x_1, sigma -> ym, y0,
+    yp, w: all four vanish at a character."""
+    q = Scalar.q_power(1)
+    return [
+        y0 * y0 + ym * yp - yp * ym - w * y0,
+        y0 * y0 + (ONE + Scalar.q_power(-1)) * ym * yp - (ONE + q) * yp * ym - ONE,
+        q * y0 * ym - ym * y0 - (ONE + q) * w * ym,
+        y0 * yp - q * yp * y0 - (ONE + q) * w * yp,
+    ]

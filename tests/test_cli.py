@@ -508,7 +508,7 @@ def test_cache_size_caps_every_memo_table():
     ]
     uncapped = [q() for q in queries]
     tables = _memo_tables()
-    assert len(tables) == 15
+    assert len(tables) == 13
     previous = _cache.LIMIT
     used = set()
     try:

@@ -242,11 +242,16 @@ def test_nilpotent_plane_is_not_comodule_algebra():
 
 # -- memoised prefixes and one-dict sums, against builders that start from 1 --
 
+def _generators(m):
+    """The generator names of monomial m from the left, one per factor."""
+    return [g for g, e in zip(hopf._GEN_ORDER, m) for _ in range(e)]
+
+
 def _delta_mono_from_unit(m, ring):
     """Delta(m) as Delta(g_1) ... Delta(g_n) multiplied from the unit."""
     slots = (AlgSlot(ring), AlgSlot(ring))
     acc = Tensor.unit(slots)
-    for g in hopf._mono_gens(m):
+    for g in _generators(m):
         acc = acc * Tensor(slots, {pair: ONE for pair in hopf.DELTA_GEN[g]})
     return acc.terms
 
@@ -295,7 +300,8 @@ def test_one_dict_sums_keep_the_term_by_term_order():
     for op, koszul in ((antipode, True), (star, False)):
         old = Element.zero()
         for m, c in x.terms.items():
-            old = old + hopf._anti_mono(m, koszul).scale(c if koszul else c.conj())
+            image = Element("Asigma", hopf._anti_mono(m, koszul))
+            old = old + image.scale(c if koszul else c.conj())
         assert _same(op(x).terms, old.terms)
 
     dx = coproduct(x)
@@ -343,3 +349,91 @@ def test_deep_coaction_fills_prefixes_without_recursion():
     _cache.clear()
     psi = coaction("left", PlaneElement.monomial(1500, 0, nilpotent=True))
     assert len(psi.terms) == 2
+
+
+# -- antipode and star of a basis monomial: closed form against products --
+
+# S and star of the generators (A(sigma) monomial, coefficient) and parities.
+_S_GEN = {"a": ((0, 0, 0, 1, 1), ONE), "b": ((0, 1, 0, 0, 1), -T_INV),
+          "c": ((0, 0, 1, 0, 1), T), "d": ((1, 0, 0, 0, 1), ONE),
+          "sigma": ((0, 0, 0, 0, 1), ONE)}
+_STAR_GEN = {**_S_GEN, "b": ((0, 0, 1, 0, 1), T), "c": ((0, 1, 0, 0, 1), -T_INV)}
+_ODD = {"b", "c"}
+
+
+def _anti_mono_by_products(m, koszul):
+    """S(m) (koszul) or m* as the product of the generator images in
+    reverse order, one Element product per generator: S(x g) = +-S(g) S(x)
+    with the Koszul sign of g passing the odd generators before it."""
+    images = _S_GEN if koszul else _STAR_GEN
+    acc = Element.one()
+    odd = 0
+    for g in _generators(m):
+        mono, c = images[g]
+        if koszul and odd and g in _ODD:
+            c = -c
+        acc = Element.monomial(mono, coeff=c) * acc
+        odd ^= g in _ODD
+    return acc.terms
+
+
+def test_antipode_and_star_monomials_match_their_products():
+    _cache.clear()
+    monos = list(algebra.basis_monomials(8, "Asigma"))
+    assert len(monos) == 570
+    for m in monos:
+        x = Element.monomial(m)
+        for op, koszul in ((antipode, True), (star, False)):
+            want = _anti_mono_by_products(m, koszul)
+            assert hopf._anti_mono(m, koszul) == want, (m, koszul)
+            assert op(x).terms == want, (m, koszul)
+
+
+def test_anti_mono_refuses_a_and_d_together():
+    for koszul in (True, False):
+        with pytest.raises(ValueError):
+            hopf._anti_mono((1, 0, 0, 1, 0), koszul)
+
+
+def test_antipode_and_star_multiply_no_monomials(monkeypatch):
+    import random
+    rng = random.Random(29)
+    x = Element.zero()
+    for _ in range(12):
+        m = algebra.random_monomial(rng, 5)
+        x = x + Element.monomial(m).scale(Scalar.from_gauss(rng.randint(1, 9), rng.randint(-3, 3)))
+    dx = coproduct(x)
+    calls = [0]
+    mono_mul = algebra._mono_mul
+
+    def counted(*args):
+        calls[0] += 1
+        return mono_mul(*args)
+    monkeypatch.setattr(algebra, "_mono_mul", counted)
+    _cache.clear()
+    assert len(antipode(x).terms) == len(star(x).terms) == len(x.terms) > 5
+    assert len(tensor_star(dx).terms) == len(dx.terms)
+    assert calls[0] == 0
+
+
+def _sign_mutant(koszul, term):
+    """_anti_mono with one term of one sign exponent dropped: the linear
+    term (j for S, k for star) or the sigma passage (u+l)(j+k)."""
+    anti_mono = hopf._anti_mono
+
+    def mutant(m, k):
+        out = anti_mono(m, k)
+        if k != koszul:
+            return out
+        _, j, kk, l, u = m
+        flip = (j if koszul else kk) if term == "linear" else (u + l) * (j + kk)
+        return {mono: -c for mono, c in out.items()} if flip % 2 else out
+    return mutant
+
+
+@pytest.mark.parametrize("koszul", [True, False], ids=["antipode", "star"])
+@pytest.mark.parametrize("term", ["linear", "sigma"])
+def test_each_sign_term_is_needed(monkeypatch, koszul, term):
+    # No table holds an antipode or star image, so nothing needs clearing.
+    monkeypatch.setattr(hopf, "_anti_mono", _sign_mutant(koszul, term))
+    assert not verify_hopf(4).ok

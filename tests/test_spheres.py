@@ -8,9 +8,9 @@ from superq.scalars import (
 )
 from superq.spheres import (
     INFINITY, RELATION_KINDS, build_M, canonicalize_alpha, character_analysis,
-    characters_of_S_infinity, coaction_matrix, find_relations, relation_residual,
-    sphere_basis_check, verify_M, verify_coideal, verify_infinity_relations,
-    x_vector,
+    character_residuals, characters_of_S_infinity, coaction_matrix, find_relations,
+    relation_residual, sphere_basis_check, verify_M, verify_coideal,
+    verify_infinity_relations, x_vector,
 )
 
 
@@ -206,6 +206,21 @@ def test_characters():
     assert len(chars) == 2
     assert (ZERO, ONE, ZERO) in chars
     assert (ZERO, MINUS_ONE, ZERO) in chars
+
+
+def test_character_residuals_use_the_verified_relations():
+    # The unit relation x0^2 + (1+q^-1) x-1 x1 - (1+q) x1 x-1 = 1 reads
+    # y0^2 + (q^-1 - q) y-1 y1 = 1 on scalars: it holds at y0 = 0,
+    # y-1 = 1, y1 = 1/(q^-1 - q), where the printed coefficients
+    # (q^-1(1+q^-1), -(1+q^-1)) leave q^-1 - 1.
+    q, qinv = Scalar.q_power(1), Scalar.q_power(-1)
+    ym, yp = ONE, ONE / (qinv - q)
+    sigma_rel, unit_rel, _, _ = character_residuals(ym, ZERO, yp, ONE)
+    assert unit_rel.is_zero()
+    assert sigma_rel.is_zero()
+    assert character_residuals(ONE, ZERO, ONE, ONE)[1] == qinv - q - ONE
+    for y0 in (ONE, MINUS_ONE):
+        assert not any(character_residuals(ZERO, y0, ZERO, y0))
 
 
 def test_character_obstruction():
