@@ -26,6 +26,12 @@ d, in B(sigma) a^i b^j c^k d^l s^u * a^I b^J c^K d^L s^U is one term per r,
 
 as a^(I-r) passes b^j c^k, b^r passes c^k, and b^J c^K pass sigma^u,
 d^(l-r) and (b^J only) c^(k+r).  A(sigma) then applies ad = sigma - t bc.
+
+Only the products that need d^l a^I (l, I > 0) or, in A(sigma), the ad
+reduction (an a and a d in the result) are memoised, in _mul_cache.  Every
+other product is its r = 0 term alone, one signed_t_power and one
+monomial, and costs less to redo than a table entry costs to keep: after
+one verify pass such products had made 5,311 of _mul_cache's 7,191 entries.
 """
 
 from __future__ import annotations
@@ -240,10 +246,25 @@ def _reduce_ad_both(m: Monomial):
     return tuple(sum_images(branches, _reduce_ad).items())
 
 
-@_cache.memo(_mul_cache)
 def _mono_mul(m1: Monomial, m2: Monomial, ring: str):
     """Product of two normal monomials as a tuple of (monomial, Scalar).
 
+    A product that moves no d past an a and, in A(sigma), leaves no a
+    beside a d is the r = 0 term alone, +-t^p times one monomial, built
+    here with no table; every other product is _mono_mul_tabled's.
+    """
+    i, j, k, l, u = m1
+    I, J, K, L, U = m2
+    if l and I or ring == "Asigma" and i + I and l + L:
+        return _mono_mul_tabled(m1, m2, ring)
+    JK = J + K
+    return (((i + I, j + J, k + K, l + L, (u + U) % 2),
+             signed_t_power(JK * (u + l) + J * k, -(j + k) * I - l * JK)),)
+
+
+@_cache.memo(_mul_cache)
+def _mono_mul_tabled(m1: Monomial, m2: Monomial, ring: str):
+    """_mono_mul of a product that needs d^l a^I or ad = sigma - t bc.
     In B(sigma), the term C_r (-1)^eps t^p of each r, with eps and p of the
     module docstring: only d^l a^I is more than a sign and a t-power, so
     only its C_r need a table.  A(sigma) then reduces each term's ad: the

@@ -22,6 +22,24 @@ only with the opposite sign (the two printed conventions disagree by
 exactly this sign), so e(b) is the fixed literal E_SIGN times the printed
 value, E_SIGN = -1.  calibrate_e_sign_value re-derives that sign from the
 relation at a and checks it against the literal.
+
+A word w pairs to zero with every normal monomial a^i b^j c^k d^l sigma^s
+off the weight j - k = #e - #f, where #e and #f count those letters in w:
+
+  - j - k is additive under Delta on every generator: Delta(a) = a ox a +
+    b ox c, Delta(b) = a ox b + b ox d, Delta(c) = c ox a + d ox c,
+    Delta(d) = c ox b + d ox d and Delta(sigma) = sigma ox sigma, and so
+    on every product of generators;
+  - normal ordering keeps it: d^l a^I = sum_r C_r a^(I-r) b^r c^r d^(l-r)
+    and ad = sigma - t bc, so Delta(m) is a sum of m1 ox m2 with
+    (j1 - k1) + (j2 - k2) = j - k;
+  - each letter vanishes off its own weight: the counit, k and k^-1 off
+    j = k = 0, e off (j, k) = (1, 0) and f off (0, 1); so the first letter
+    of w and the rest, by induction on the length, vanish on each m1 ox m2
+    unless j - k adds up to #e - #f.
+
+_eval_word_mono returns ZERO there before _eval_long_word's walk and its
+memo table, which keep only the pairings that can be nonzero.
 """
 
 from __future__ import annotations
@@ -116,10 +134,13 @@ _eval_cache: Dict[tuple, Scalar] = {}
 
 
 def _eval_word_mono(word: Word, m: Monomial, ring: str) -> Scalar:
+    """word(m); ZERO off the weight j - k = #e - #f, without a walk."""
     if not word:
         return counit(Element.monomial(m, ring))
     if len(word) == 1:
         return _letter_value(word[0], m)
+    if m[1] - m[2] != word.count("e") - word.count("f"):
+        return ZERO
     return _eval_long_word(word, m, ring)
 
 

@@ -6,8 +6,9 @@ from pathlib import Path
 
 import pytest
 
-from superq import scalars
+from superq import _cache, algebra, dual, scalars
 from superq.algebra import Element
+from superq.dual import Functional
 from superq.scalars import ONE, T, Scalar, _Unit
 
 _spec = importlib.util.spec_from_file_location(
@@ -16,7 +17,9 @@ bench_pr = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(bench_pr)
 
 PATCHED = [(scalars, "_rf_mul"), (scalars, "_pgcd"), (scalars, "_pdivmod"),
-           (scalars, "_pdiv"), (Scalar, "__mul__"), (_Unit, "__mul__"), (_Unit, "__rmul__")]
+           (scalars, "_pdiv"), (Scalar, "__mul__"), (_Unit, "__mul__"), (_Unit, "__rmul__"),
+           (algebra, "_mono_mul"), (algebra, "_mono_mul_tabled"),
+           (dual, "_eval_word_mono"), (dual, "_eval_long_word")]
 
 
 def counts_of(fn):
@@ -64,3 +67,23 @@ def test_plain_scalars_counts_objects_once_and_skips_units():
     e = Element.generator("a").scale(x)
     found = bench_pr.plain_scalars([{"k": (("a", x), ("b", T))}, [y, ONE], e])
     assert set(found) == {id(x), id(y)} and len(set(found.values())) == 1
+
+
+@pytest.mark.parametrize("x, y, tabled", [("a", "b", 0), ("b", "d", 0), ("d", "a", 1),
+                                          ("a", "d", 1)])
+def test_mono_mul_counts_calls_and_table_calls(x, y, tabled):
+    # d a moves d past a, and a d needs ad = sigma - t bc: only those two
+    # reach _mono_mul's table.
+    gx, gy = Element.generator(x), Element.generator(y)
+    counts = counts_of(lambda: gx * gy)
+    assert (counts["_mono_mul"], counts["_mono_mul_tabled"]) == (1, tabled)
+
+
+@pytest.mark.parametrize("g, calls, walks", [("b", 1, 0), ("a", 2, 1)])
+def test_eval_word_mono_counts_calls_and_walks(g, calls, walks):
+    # ef is decided zero on b by its weight; on a it walks Delta(a) =
+    # a ox a + b ox c, and f is called on c, the one leg e does not kill.
+    ef, x = Functional.word("e", "f"), Element.generator(g)
+    _cache.clear()
+    counts = counts_of(lambda: ef(x))
+    assert (counts["_eval_word_mono"], counts["_eval_long_word"]) == (calls, walks)

@@ -1,10 +1,11 @@
+import itertools
 import random
 from contextlib import contextmanager, nullcontext
 
 import pytest
 
-from superq import _cache, dual, suites
-from superq.algebra import Element, basis_monomials
+from superq import _cache, algebra, dual, suites
+from superq.algebra import RINGS, Element, basis_monomials
 from superq.dual import (
     E_SIGN, LETTERS, Functional, calibrate_e_sign, calibrate_e_sign_value,
     eval_functional, pairing_gram_rank, pairing_words, verify_dual_hopf,
@@ -227,3 +228,47 @@ def test_zero_row_never_occurs_small():
             rows = _pairing_rows(words, monos)
         for w, row in zip(words, rows):
             assert row, f"zero functional row for word {w}"
+
+
+def _off_weight(word, m):
+    """Whether the weight rule decides word(m) = 0: j - k != #e - #f."""
+    return m[1] - m[2] != word.count("e") - word.count("f")
+
+
+def test_weight_rule_matches_the_walk(monkeypatch):
+    # Every word of length 2 to 4 against every basis monomial of degree
+    # <= 3 of each ring.  The oracle walks every word of length >= 2, with
+    # no weight rule at any depth and no memo table.
+    words = [w for n in (2, 3, 4) for w in itertools.product(LETTERS, repeat=n)]
+    pairs = [(w, m, ring) for ring in RINGS for m in basis_monomials(3, ring) for w in words]
+    assert len(pairs) == 55440
+    walked, guarded = {}, dual._eval_word_mono
+
+    def unguarded(word, m, ring):
+        if len(word) < 2:
+            return guarded(word, m, ring)
+        key = (word, m, ring)
+        if key not in walked:
+            walked[key] = dual._eval_long_word.__wrapped__(word, m, ring)
+        return walked[key]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(dual, "_eval_word_mono", unguarded)
+        expected = [unguarded(*p) for p in pairs]
+    assert sum(1 for v in expected if v) > 1000
+    _cache.clear()
+    for p, v in zip(pairs, expected):
+        assert dual._eval_word_mono(*p) == v, p
+    assert sum(_off_weight(w, m) for w, m, _ in pairs) == 43686
+    assert not any(_off_weight(w, m) for w, m, _ in dual._eval_cache)
+
+
+def test_tables_hold_no_closed_form_case():
+    # After every suite, _mul_cache holds only products that need d^l a^I
+    # or ad = sigma - t bc, and _eval_cache only pairings on the weight.
+    _cache.clear()
+    for name in suites.SUITES:
+        assert suites.run(name).ok, name
+    assert len(algebra._mul_cache) > 500 and len(dual._eval_cache) > 500
+    assert all(len(terms) > 1 for terms in algebra._mul_cache.values())
+    assert not any(_off_weight(w, m) for w, m, _ in dual._eval_cache)

@@ -14,7 +14,9 @@ perfbench's workers do (it restarts itself with it), in this order:
      of its ops' scaled times, untraced).
   2. "verify", "memo": from empty memo tables, one run of every suite of
      superq.suites.SUITES at its defaults, as `superq verify --suite all`
-     runs them, under tracemalloc and `counting()`: the counts, and each
+     runs them, under tracemalloc and `counting()`: the counts (among them
+     the _mono_mul calls against those that reach its table, and the
+     _eval_word_mono calls against those that walk the coproduct), and each
      suite's checks; then each *_cache table's entries
      and the traced MiB freed by clearing it (an object shared by several
      tables counts for the last one cleared, so a shared coefficient counts
@@ -122,13 +124,18 @@ def counting():
     _Unit.__mul__ or _Unit.__rmul__ for a unit, +-t^k, on either side
     ("unit").  A product whose right operand is no Scalar hands over to
     that operand's __rmul__ (a Scalar times an Element) and is not counted.
+    Also counted are the calls of algebra._mono_mul and dual._eval_word_mono
+    and of the memoised functions behind their closed forms,
+    _mono_mul_tabled and _eval_long_word (the walk), table hits included.
     Every patched attribute is restored on exit, also when the body raises."""
-    from superq import scalars
+    from superq import algebra, dual, scalars
     from superq.scalars import Scalar, _Unit
 
     targets = [(scalars, name, name) for name in ("_rf_mul", "_pgcd", "_pdivmod", "_pdiv")]
     targets += [(Scalar, "__mul__", "plain"), (_Unit, "__mul__", "unit"),
                 (_Unit, "__rmul__", "unit")]
+    targets += [(algebra, name, name) for name in ("_mono_mul", "_mono_mul_tabled")]
+    targets += [(dual, name, name) for name in ("_eval_word_mono", "_eval_long_word")]
     counts = {key: 0 for _, _, key in targets}
 
     def wrap(fn, key):
@@ -209,7 +216,11 @@ def verify_pass() -> tuple:
               "unit_products": counts["unit"],
               "plain_products": counts["plain"], "products": counts["unit"] + counts["plain"],
               "_pgcd": counts["_pgcd"], "euclid_steps": counts["_pdivmod"] - counts["_pdiv"],
-              "_pdiv": counts["_pdiv"], "suites": per_suite}
+              "_pdiv": counts["_pdiv"],
+              "_mono_mul": {"calls": counts["_mono_mul"], "tabled": counts["_mono_mul_tabled"]},
+              "_eval_word_mono": {"calls": counts["_eval_word_mono"],
+                                  "walks": counts["_eval_long_word"]},
+              "suites": per_suite}
     memo = {"tables": tables, "entries": sum(t["entries"] for t in tables.values()),
             "mib": round(sum(t["mib"] for t in tables.values()), 3),
             "traced_peak_mib": round(peak / MIB, 3), **scalar_counts}
