@@ -21,6 +21,14 @@ Capped, equal values may again be distinct objects, so `is` stays a
 short-cut in front of ==.  put() stores a value as it is: scalars fills
 its tables of shared atoms with it.
 
+Two tables of scalars are keyed by identity, not by value:
+scalars._share_id_cache, {id(x): x} over the stored values, and the
+product memo scalars._product_cache, {(id(x), id(y)): (x, y, x*y)}.  Each
+entry holds the objects whose ids key it, so no such id can pass to
+another object while the entry exists.  A table keyed by id that held
+only its result would answer for whatever object is later made at a freed
+address.
+
 The tables are observationally pure; by default they grow without bound
 (desk-scale workloads stay small).  The CLI's --cache-size flag sets a
 limit (set_limit).  Before each insert a table that holds more than the

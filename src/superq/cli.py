@@ -9,7 +9,8 @@ Each subcommand's parser sets `run`, its handler, which prints through
 `_print`.  Handlers look library functions up when they run, not when the
 parser is built, so a profiler that swaps module attributes sees them.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error.
+Exit codes: 0 success, 1 verification failure, 2 usage error, 141 when
+the reader closes stdout early (`superq ... | head`), quietly.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import re
 import sys
 from fractions import Fraction
@@ -29,6 +31,7 @@ from .scalars import Scalar
 
 USAGE_ERROR = 2
 VERIFY_FAIL = 1
+CLOSED_PIPE = 141     # 128 + SIGPIPE, as the shell reports a tool SIGPIPE ends
 
 
 def _add_common(p, ring=True, numeric=False):
@@ -252,10 +255,18 @@ def main(argv=None) -> int:
     previous = _cache.LIMIT
     _cache.set_limit(args.cache_size)   # None (no cap) unless this call sets one
     try:
-        return args.run(args)
+        code = args.run(args)
+        sys.stdout.flush()      # a closed pipe shows here, not at exit
+        return code
     except (ValueError, ArithmeticError) as exc:   # ExprError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    except BrokenPipeError:
+        # The interpreter's last flush then writes what is left to devnull.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return CLOSED_PIPE
     finally:
         _cache.set_limit(previous)      # the cap is this call's alone
 

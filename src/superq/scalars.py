@@ -49,6 +49,16 @@ in between are not hashed and not kept.  Sharing is only a saving:
 identity is a short-cut for ONE, every other `is` a short-cut in front
 of ==, and no code may mutate a Scalar or a polynomial dict once built.
 
+A product of two stored values is memoised by identity.  _share_scalar
+also puts each value it stores in _share_id_cache, {id(x): x}; when both
+operands' ids are there, Scalar.__mul__ looks (id(x), id(y)) up in
+_product_cache and on a miss stores (x, y, x*y), the product passed
+through the share step, so it is a stored value too.  No value is hashed
+on this path.  An entry holds both operands, so neither can be freed and
+neither id can pass to another object while the entry exists: a hit is
+the product of the very objects asked for.  A cap that empties the index
+only makes fills rarer.
+
 A non-monomial denominator takes Henrici's route (Knuth, TAOCP vol. 2,
 4.5.1), which cancels before it combines.  A product cancels gcd(n1, d2)
 and gcd(n2, d1), then multiplies.  A sum takes g = gcd(d1, d2) and
@@ -659,23 +669,16 @@ class Scalar:
     def __mul__(self, other):
         if not isinstance(other, Scalar):
             return NotImplemented
-        a, b = self.parts, other.parts
-        if b == _ONE_PARTS:
-            return self
-        if a == _ONE_PARTS:
-            return other
-        if len(a) == 1 == len(b) and 0 in a and 0 in b:
-            return _scalar({0: _rf_mul(a[0], b[0])})
-        out = {}
-        for m1, rf1 in a.items():
-            for m2, rf2 in b.items():
-                rf = _rf_mul(rf1, rf2)
-                common = m1 & m2
-                for bit, square in _BIT_SQUARES.items():
-                    if common & bit:
-                        rf = _rf_mul(rf, square)
-                _add_part(out, m1 ^ m2, rf)
-        return _scalar(out)
+        i = id(self)
+        if i in _share_id_cache:
+            j = id(other)
+            if j in _share_id_cache:    # two stored values: the product memo
+                hit = _product_cache.get((i, j))
+                if hit is None:
+                    hit = (self, other, _share_scalar(_product(self, other)))
+                    _cache.put(_product_cache, (i, j), hit)
+                return hit[2]
+        return _product(self, other)
 
     # Scalars commute.  Defining __rmul__ here also spares x * u, u a _Unit,
     # a failed lookup of Scalar.__rmul__ before Python calls _Unit.__rmul__.
@@ -789,6 +792,27 @@ class Scalar:
                 "den": _poly_json(iden),
             })
         return comps
+
+
+def _product(x: Scalar, y: Scalar) -> Scalar:
+    """x * y, part by part, for two plain Scalars."""
+    a, b = x.parts, y.parts
+    if b == _ONE_PARTS:
+        return x
+    if a == _ONE_PARTS:
+        return y
+    if len(a) == 1 == len(b) and 0 in a and 0 in b:
+        return _scalar({0: _rf_mul(a[0], b[0])})
+    out = {}
+    for m1, rf1 in a.items():
+        for m2, rf2 in b.items():
+            rf = _rf_mul(rf1, rf2)
+            common = m1 & m2
+            for bit, square in _BIT_SQUARES.items():
+                if common & bit:
+                    rf = _rf_mul(rf, square)
+            _add_part(out, m1 ^ m2, rf)
+    return _scalar(out)
 
 
 def _add_part(parts: dict, m: int, rf) -> None:
@@ -1024,9 +1048,15 @@ class _Combination:
 # One stored object per value: the share step of the memo tables
 # ---------------------------------------------------------------------------
 
-# {x: x} over the plain Scalars the memo tables store.
+# {x: x} over the plain Scalars the memo tables store; {id(x): x} over the
+# same, filled with it and read without hashing a value; and the product
+# memo of Scalar.__mul__, {(id(x), id(y)): (x, y, x*y)} for two indexed x, y.
 _share_cache: dict = {}
+_share_id_cache: dict = {}
+_product_cache: dict = {}
 _cache.register(_share_cache)
+_cache.register(_share_id_cache)
+_cache.register(_product_cache)
 
 
 def _share_scalar(x):
@@ -1041,6 +1071,7 @@ def _share_scalar(x):
         s = _unit_of(parts)
         if s is None:
             _cache.put(_share_cache, x, x)
+            _cache.put(_share_id_cache, id(x), x)
             return x
     return s
 

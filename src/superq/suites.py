@@ -67,13 +67,14 @@ SUITES = {
     "dual": (None, lambda d: dual.verify_uq_relations(d or 4).merge(
         dual.verify_dual_hopf())),
     "pairing": (None, lambda d: _pairing(d or 4)),
-    "matcoef": (None, lambda d: _matcoef(d or 4)),
+    "matcoef": (2 * repn.MATRIX_BOUND, lambda d: _matcoef(d or 4)),
     "integral": (None, lambda d: repn.verify_integral(d or 4)),
     "moments": (None, lambda d: repn.moments_report(d or 4, d or 4)),
     "peterweyl": (3, lambda d: repn.verify_peter_weyl(d or 2).merge(
         repn.verify_weight_norms(3))),
     "spheres": (None, lambda d: _spheres(d or 2)),
-    "completeness": (None, lambda d: repn.completeness_witness(d or 3, d or 3)),
+    "completeness": (2 * repn.MATRIX_BOUND,
+                     lambda d: repn.completeness_witness(d or 3, d or 3)),
 }
 
 

@@ -2,6 +2,7 @@
 every patched attribute comes back."""
 
 import importlib.util
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -87,3 +88,27 @@ def test_eval_word_mono_counts_calls_and_walks(g, calls, walks):
     _cache.clear()
     counts = counts_of(lambda: ef(x))
     assert (counts["_eval_word_mono"], counts["_eval_long_word"]) == (calls, walks)
+
+
+def test_plain_product_of_stored_values_counts_a_memo_hit():
+    _cache.clear()
+    x, y = scalars.share(ONE + T), scalars.share(T - T * T)
+    counts = counts_of(lambda: (x * y, x * y, (ONE + T) * y))
+    assert (counts["plain"], counts["plain_memo_hits"]) == (3, 1)
+
+
+def test_table_sizes_hold_the_product_memo():
+    _cache.clear()
+    x, y = scalars.share(ONE + T), scalars.share(T - T * T)
+    tracemalloc.start()
+    try:
+        x * y
+        sizes = bench_pr.table_sizes()
+    finally:
+        tracemalloc.stop()
+    assert sizes["superq.scalars._product_cache"]["entries"] == 1
+    # x, y and their product, which the memo stores through the share step
+    assert sizes["superq.scalars._share_id_cache"]["entries"] == 3
+    assert all(set(sizes[f"superq.scalars.{t}"]) == {"entries", "mib"}
+               for t in ("_product_cache", "_share_id_cache"))
+    assert not any(_cache.TABLES)

@@ -241,6 +241,32 @@ def test_verify_degree_above_cap_exits_2(capsys, suite, cap):
     assert f"suite {suite} runs --degree {cap} at most, got {cap + 1}" in err
 
 
+@pytest.mark.parametrize("suite", ["matcoef", "completeness"])
+def test_matrix_suites_refuse_above_the_matrix_bound_at_once(capsys, monkeypatch, suite):
+    from superq import repn
+
+    def refuse(*args):
+        raise AssertionError("the suite ran")
+
+    cap = 2 * repn.MATRIX_BOUND
+    monkeypatch.setattr(repn, "matrix_coefficients", refuse)
+    code, out, err = run_cli(capsys, "verify", "--suite", suite, "--degree", str(cap + 1))
+    assert code == 2 and out == ""
+    assert f"suite {suite} runs --degree {cap} at most, got {cap + 1}" in err
+
+
+def test_closed_pipe_ends_quietly():
+    # The reader is gone before superq writes, as after `| head -c 300`.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = [src, os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
+    proc = subprocess.Popen([sys.executable, "-m", "superq", "nf", "(a + d)^8*(b + c*s)"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert (proc.wait(), err) == (141, b"")
+
+
 def test_verify_all_names_each_capped_suite(capsys):
     code, out, err = run_cli(capsys, "verify", "--suite", "all", "--degree", "4")
     assert code == 0
@@ -508,7 +534,7 @@ def test_cache_size_caps_every_memo_table():
     ]
     uncapped = [q() for q in queries]
     tables = _memo_tables()
-    assert len(tables) == 13
+    assert len(tables) == 15
     previous = _cache.LIMIT
     used = set()
     try:

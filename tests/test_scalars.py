@@ -1227,3 +1227,53 @@ def test_share_table_obeys_the_cap(monkeypatch, capsys):
     assert main(["--cache-size", "0", "verify", "--suite", "all", "--json"]) == 0
     assert capsys.readouterr().out == uncapped
     assert len(sizes) > 100 and max(sizes) == 1
+
+
+def _stored_pool(rng, n):
+    """n distinct stored plain Scalars, Laurent and not, radical-free."""
+    pool = {}
+    while len(pool) < n:
+        x = _random_scalar(rng)
+        if x and rng.random() < 0.3:
+            x = x.inv()
+        x = sc.share(x)
+        if type(x) is Scalar and x:
+            pool[x] = x
+    return list(pool)
+
+
+def test_product_memo_matches_the_part_product():
+    from superq import _cache
+
+    rng = random.Random(32)
+    _cache.clear()
+    pool = _stored_pool(rng, 40)
+    pairs = [(rng.choice(pool), rng.choice(pool)) for _ in range(400)]
+    got = [x * y for x, y in pairs]
+    keys = {(id(x), id(y)) for x, y in pairs}
+    assert set(sc._product_cache) >= keys and len(keys) < len(pairs)
+    assert all(x * y is z for (x, y), z in zip(pairs, got))     # the memo's hits
+    assert all(sc.share(z) is z for z in got if type(z) is Scalar)
+    _cache.clear()
+    for (x, y), z in zip(pairs, got):
+        assert z == sc._scalar({0: sc._rf_mul(x.parts[0], y.parts[0])})
+
+
+def test_product_memo_survives_id_reuse():
+    # Capped tables drop stored values, so their ids come free and new
+    # stored values take them; a product entry must keep its operands
+    # alive, or a new pair of values would read an old pair's product.
+    from superq import _cache
+
+    rng = random.Random(33)
+    _cache.set_limit(7)
+    try:
+        _cache.clear()
+        for _ in range(300):
+            pool = _stored_pool(rng, 6)
+            for x, y in zip(pool, pool[1:] + pool[:1]):
+                assert x * y == sc._scalar({0: sc._rf_mul(x.parts[0], y.parts[0])})
+            del pool, x, y
+    finally:
+        _cache.set_limit(None)
+        _cache.clear()

@@ -15,12 +15,13 @@ perfbench's workers do (it restarts itself with it), in this order:
   2. "verify", "memo": from empty memo tables, one run of every suite of
      superq.suites.SUITES at its defaults, as `superq verify --suite all`
      runs them, under tracemalloc and `counting()`: the counts (among them
-     the _mono_mul calls against those that reach its table, and the
-     _eval_word_mono calls against those that walk the coproduct), and each
+     the _mono_mul calls against those that reach its table, the
+     _eval_word_mono calls against those that walk the coproduct, and the
+     plain Scalar products the product memo answers), and each
      suite's checks; then each *_cache table's entries
      and the traced MiB freed by clearing it (an object shared by several
      tables counts for the last one cleared, so a shared coefficient counts
-     for scalars._share_cache or a later table; compare the total), and the
+     for scalars._share_id_cache or a later table; compare the total), and the
      plain Scalar objects the tables hold (each once) and their distinct
      values, which the memo tables' share step keeps equal.
   3. "ops_us": one + and one * of small values of each sparse-sum class,
@@ -124,6 +125,9 @@ def counting():
     _Unit.__mul__ or _Unit.__rmul__ for a unit, +-t^k, on either side
     ("unit").  A product whose right operand is no Scalar hands over to
     that operand's __rmul__ (a Scalar times an Element) and is not counted.
+    A plain product whose (id, id) key the product memo
+    (scalars._product_cache) holds when it starts is also counted as a hit
+    ("plain_memo_hits"): uncapped, exactly the products the memo answers.
     Also counted are the calls of algebra._mono_mul and dual._eval_word_mono
     and of the memoised functions behind their closed forms,
     _mono_mul_tabled and _eval_long_word (the walk), table hits included.
@@ -137,6 +141,8 @@ def counting():
     targets += [(algebra, name, name) for name in ("_mono_mul", "_mono_mul_tabled")]
     targets += [(dual, name, name) for name in ("_eval_word_mono", "_eval_long_word")]
     counts = {key: 0 for _, _, key in targets}
+    counts["plain_memo_hits"] = 0
+    memo = scalars._product_cache
 
     def wrap(fn, key):
         product = key in ("plain", "unit")
@@ -144,6 +150,8 @@ def counting():
         def counted(*args):
             if not product or isinstance(args[1], Scalar):
                 counts[key] += 1
+                if key == "plain" and (id(args[0]), id(args[1])) in memo:
+                    counts["plain_memo_hits"] += 1
             return fn(*args)
         return counted
 
@@ -179,6 +187,24 @@ def plain_scalars(tables) -> dict:
     return found
 
 
+def table_sizes() -> dict:
+    """{"<module>.<table>": {"entries": n, "mib": traced MiB freed}} over
+    every *_cache table of superq, each cleared in turn, in name order.
+    tracemalloc must be tracing."""
+    tables = {}
+    for name, mod in sorted(sys.modules.items()):
+        if not name.startswith("superq."):
+            continue
+        for attr, table in sorted(vars(mod).items()):
+            if attr.endswith("_cache") and isinstance(table, dict):
+                entries, before = len(table), tracemalloc.get_traced_memory()[0]
+                table.clear()
+                gc.collect()
+                freed = (before - tracemalloc.get_traced_memory()[0]) / MIB
+                tables[f"{name}.{attr}"] = {"entries": entries, "mib": round(freed, 3)}
+    return tables
+
+
 def verify_pass() -> tuple:
     """The "verify" and "memo" sections of one pass over every suite."""
     from superq import _cache, suites
@@ -198,23 +224,14 @@ def verify_pass() -> tuple:
     scalar_counts = {"plain_scalar_objects": len(held),
                      "plain_scalar_values": len(set(held.values()))}
     del held        # else clearing the tables below would free none of them
-    tables = {}
-    for name, mod in sorted(sys.modules.items()):
-        if not name.startswith("superq."):
-            continue
-        for attr, table in sorted(vars(mod).items()):
-            if attr.endswith("_cache") and isinstance(table, dict):
-                entries, before = len(table), tracemalloc.get_traced_memory()[0]
-                table.clear()
-                gc.collect()
-                freed = (before - tracemalloc.get_traced_memory()[0]) / MIB
-                tables[f"{name}.{attr}"] = {"entries": entries, "mib": round(freed, 3)}
+    tables = table_sizes()
     tracemalloc.stop()
     # Each exact division runs the division loop once; every other run of it
     # is one step of a gcd.
     verify = {"exit": 1 if failed else 0, "_rf_mul": counts["_rf_mul"],
               "unit_products": counts["unit"],
-              "plain_products": counts["plain"], "products": counts["unit"] + counts["plain"],
+              "plain_products": counts["plain"], "plain_memo_hits": counts["plain_memo_hits"],
+              "products": counts["unit"] + counts["plain"],
               "_pgcd": counts["_pgcd"], "euclid_steps": counts["_pdivmod"] - counts["_pdiv"],
               "_pdiv": counts["_pdiv"],
               "_mono_mul": {"calls": counts["_mono_mul"], "tabled": counts["_mono_mul_tabled"]},
