@@ -23,7 +23,7 @@ from typing import Dict, List, Tuple
 
 from . import _cache, linalg
 from .algebra import (
-    Element, basis_monomials, bigrade, mono_bigrade, project_00,
+    Element, Monomial, basis_monomials, bigrade, mono_bigrade, project_00,
     zeta_power,
 )
 from .hopf import antipode, comodule_matrix, coproduct, corep_report, star, tensor_sum
@@ -293,8 +293,43 @@ _cache.register(_coord_cache)
 
 @_cache.memo(_haar_zeta_cache)
 def haar_zeta(n: int) -> Scalar:
-    """h(zeta^n) = (1 - t^-2)/(1 - t^-2(n+1))."""
+    """h(zeta^n) = (1 - t^-2)/(1 - t^-2(n+1)), as for SU_q(2) [KS]."""
     return (ONE - TM2) / (ONE - Scalar.t_power(-2 * (n + 1)))
+
+
+def _haar_mono(m: Monomial) -> Scalar:
+    """h of one basis monomial of A(sigma), in closed form:
+
+        h(b^r c^r sigma^u) = (-1)^(r(r-1)/2) t^-r h(zeta^r)
+                           = (-1)^(r(r-1)/2) / [r+1]_t       (u = 0, 1),
+
+    and h(m) = 0 on every other basis monomial.
+
+    Proof.  h kills every weight space but (0,0), and the basis monomials
+    of weight (0,0) are the b^r c^r sigma^u: a^i b^j c^k d^l has weight
+    (i+j-k-l, i-j+k-l), and a basis monomial holds no a beside a d.  By
+    zeta^r's closed form, b^r c^r sigma^u = (-1)^(r(r-1)/2) t^-r
+    zeta^r sigma^(u+r).  In the basis {m^(l)_00 sigma^w} of the (0,0)
+    weight space, h is 1 on 1 and on sigma and kills every m^(l)_00
+    sigma^w with l > 0, so h(zeta^r sigma^w) is the sum of the two l = 0
+    coefficients of zeta^r sigma^w.  Right multiplication by sigma maps
+    m^(l)_00 sigma^w to m^(l)_00 sigma^(w+1): it swaps those two
+    coefficients and keeps their sum, so h(zeta^r sigma) = h(zeta^r).
+    Last, t^-r (1 - t^-2)/(1 - t^-2(r+1)) = (t - t^-1)/(t^(r+1) - t^-(r+1)).
+    """
+    r = m[1]
+    if m[0] or m[3] or m[2] != r:
+        return ZERO
+    return signed_t_power(r * (r - 1) // 2, -r) * haar_zeta(r)
+
+
+def haar(x: Element) -> Scalar:
+    """The normalized two-sided invariant functional h: the linear
+    extension of its closed form on basis monomials, _haar_mono, whose
+    docstring holds the proof.  It reads h(zeta^n) from haar_zeta and no
+    lambda_n, so haar_via_corep_expansion is an independent route on every
+    coordinate."""
+    return sum((c * h for m, c in x.terms.items() if (h := _haar_mono(m))), ZERO)
 
 
 def _zeta_coordinates(x: Element) -> Dict[Tuple[int, int], Scalar]:
@@ -309,11 +344,9 @@ def _zeta_coordinates(x: Element) -> Dict[Tuple[int, int], Scalar]:
 
 
 def haar_zeta_sigma(n: int) -> Scalar:
-    """h(zeta^n sigma) = lambda_n, the m^(0)_00 sigma^u coefficient of
-    zeta^n sigma^u in the basis {m^(l)_00 sigma^w}: h kills every
-    m^(l)_00 sigma^w with l > 0 and is 1 on 1 and sigma.  lambda_n is the
-    same for u = 0 and u = 1, because right multiplication by sigma flips
-    the sigma class of every coordinate of both sides.
+    """lambda_n, the l = 0 coefficient (on sigma^u) of zeta^n sigma^u in
+    the basis {m^(l)_00 sigma^w}; the corep route alone reads it, and
+    _haar_mono's proof shows that it equals h(zeta^n).
 
     P_k, the zeta-coordinates of m^(k)_00, has degree k and all its
     coordinates in the sigma class k mod 2, so zeta^k sigma^u is
@@ -345,42 +378,19 @@ def haar_zeta_sigma(n: int) -> Scalar:
     return lam
 
 
-def _coordinate_sum(x: Element, even, odd) -> Scalar:
-    """sum c f(r) over the zeta-coordinates c zeta^r sigma^u of
-    project_00(x), with f = even on the sigma-even ones (u = 0) and
-    f = odd on the sigma-odd ones; a None f skips its class."""
-    out = ZERO
-    for (r, u), c in _zeta_coordinates(x).items():
-        f = odd if u else even
-        if f:
-            out = out + c * f(r)
-    return out
-
-
-def haar(x: Element) -> Scalar:
-    """The normalized two-sided invariant functional.
-
-    h kills every weight space except (0,0); there it is fixed by
-    h(sigma) = 1, the closed form for h(zeta^n), and the basis expansion
-    for h(zeta^n sigma).
-    """
-    return _coordinate_sum(x, haar_zeta, haar_zeta_sigma)
-
-
 def haar_via_corep_expansion(x: Element) -> Scalar:
     """Independent route: the l = 0 coefficient of project_00(x) in the
     m^(l)_00 sigma^w basis, sum c lambda_r over its zeta-coordinates
-    c zeta^r sigma^u (lambda_r by the recurrence of haar_zeta_sigma).
-    haar uses the closed form for h(zeta^n), so the two routes meet on
-    every sigma-even coordinate."""
-    return _coordinate_sum(x, haar_zeta_sigma, haar_zeta_sigma)
+    c zeta^r sigma^u, with lambda_r by the recurrence of haar_zeta_sigma.
+    haar reads no lambda_r, and this route no closed form h(zeta^n)."""
+    return sum((c * haar_zeta_sigma(r) for (r, _u), c in _zeta_coordinates(x).items()), ZERO)
 
 
 def sigma_component(x: Element) -> Scalar:
     """Coefficient of sigma (= m^(0)_00 sigma) in the corep-basis expansion
-    of project_00(x): sum c lambda_r over its sigma-odd zeta-coordinates
-    c zeta^r sigma.  The exact obstruction to the verbatim integral law."""
-    return _coordinate_sum(x, None, haar_zeta_sigma)
+    of project_00(x): the corep route on its sigma-odd coordinates only.
+    The exact obstruction to the verbatim integral law."""
+    return sum((c * haar_zeta_sigma(r) for (r, u), c in _zeta_coordinates(x).items() if u), ZERO)
 
 
 def verify_integral(max_degree: int) -> Report:
@@ -405,8 +415,8 @@ def verify_integral(max_degree: int) -> Report:
         hx = haar(x)
         csig = sigma_component(x)
         dx = coproduct(x)
-        left = dx.contract(1, lambda mm: haar(Element.monomial(mm, "Asigma"))).to_element()
-        right = dx.contract(0, lambda mm: haar(Element.monomial(mm, "Asigma"))).to_element()
+        left = dx.contract(1, _haar_mono).to_element()
+        right = dx.contract(0, _haar_mono).to_element()
         expected = one.scale(hx) + (sig - one).scale(csig)
         rep.check(f"left integral {m}", left == expected, left, expected)
         rep.check(f"right integral {m}", right == expected, right, expected)

@@ -2,12 +2,13 @@
 every patched attribute comes back."""
 
 import importlib.util
+import time
 import tracemalloc
 from pathlib import Path
 
 import pytest
 
-from superq import _cache, algebra, dual, scalars
+from superq import _cache, algebra, dual, repn, scalars
 from superq.algebra import Element
 from superq.dual import Functional
 from superq.scalars import ONE, T, Scalar, _Unit
@@ -112,3 +113,19 @@ def test_table_sizes_hold_the_product_memo():
     assert all(set(sizes[f"superq.scalars.{t}"]) == {"entries", "mib"}
                for t in ("_product_cache", "_share_id_cache"))
     assert not any(_cache.TABLES)
+
+
+def test_haar_alone_sweep_checks_each_value(monkeypatch):
+    took, wrong = bench_pr.haar_alone(6)
+    assert took is not None and wrong == 0
+    real = repn.haar
+    monkeypatch.setattr(repn, "haar", lambda x: real(x) + ONE)
+    assert bench_pr.haar_alone(6)[1] == 1
+
+
+@pytest.mark.parametrize("budget", [1e-6, 0.05])
+def test_haar_alone_sweep_over_budget_reads_null(monkeypatch, budget):
+    # 1e-6 s: the alarm may fire before fn starts
+    monkeypatch.setattr(bench_pr, "BUDGET_S", budget)
+    monkeypatch.setattr(repn, "haar", lambda x: time.sleep(1))
+    assert bench_pr.haar_alone(bench_pr.HAAR_ALONE_N) == (None, 0)

@@ -232,8 +232,13 @@ def test_verify_exit_codes(capsys):
     assert "pass" in out
 
 
+def test_every_suite_has_a_cap():
+    # so the test below refuses a degree above the cap of every suite
+    assert all(isinstance(cap, int) and cap >= 1 for cap, _run in suites.SUITES.values())
+
+
 @pytest.mark.parametrize("suite, cap", [(name, cap) for name, (cap, _run)
-                                        in suites.SUITES.items() if cap is not None])
+                                        in suites.SUITES.items()])
 def test_verify_degree_above_cap_exits_2(capsys, suite, cap):
     code, out, err = run_cli(capsys, "verify", "--suite", suite,
                              "--degree", str(cap + 1))
@@ -289,7 +294,7 @@ def test_verify_all_runs_a_capped_suite_at_its_cap(capsys, monkeypatch):
             return rep
         return run
 
-    monkeypatch.setattr(suites, "SUITES", {"free": (None, stub("free")),
+    monkeypatch.setattr(suites, "SUITES", {"free": (9, stub("free")),
                                            "capped": (3, stub("capped"))})
     code, out, err = run_cli(capsys, "verify", "--suite", "all", "--degree", "5")
     assert code == 0

@@ -5,10 +5,10 @@ import pytest
 import sympy
 
 from superq import _cache, linalg, repn
-from superq.algebra import Element, bigrade, zeta, zeta_power
+from superq.algebra import Element, basis_monomials, bigrade, zeta, zeta_power
 from superq.hopf import star
 from superq.repn import (
-    CorepIndex, closed_form, closed_form_matrix, comodule_vector,
+    CorepIndex, bracket_t, closed_form, closed_form_matrix, comodule_vector,
     completeness_witness, index_range, haar, haar_via_corep_expansion, haar_zeta,
     haar_zeta_sigma, inner, matrix_coefficients, moments, moments_report,
     sigma_component, vector_norm_sq, verify_integral, verify_peter_weyl,
@@ -203,7 +203,8 @@ def test_haar_two_routes():
 
 def test_haar_sweep_scaling():
     # Both routes on zeta^n and on zeta^n * sigma for n = 1..16, from empty
-    # memo tables: the closed form meets the recurrence on zeta^n.
+    # memo tables: haar's closed form against the corep route's recurrence
+    # on every input.
     sig = gen("sigma")
     for with_sigma in (False, True):
         _cache.clear()
@@ -216,9 +217,9 @@ def test_haar_sweep_scaling():
 
 
 def test_capped_haar_builds_each_basis_vector_once(monkeypatch):
-    # With every table capped at one entry, h(zeta^14 sigma) still runs the
-    # recurrence once, bottom-up: m^(0)_00..m^(14)_00, never a lower degree
-    # again.
+    # With every table capped at one entry, the corep route on zeta^14 sigma
+    # still runs the recurrence once, bottom-up: m^(0)_00..m^(14)_00, never
+    # a lower degree again.
     calls = []
     real_closed_form = repn.closed_form
 
@@ -231,11 +232,85 @@ def test_capped_haar_builds_each_basis_vector_once(monkeypatch):
     _cache.clear()
     _cache.set_limit(0)
     try:
-        got = haar(zeta_power(14) * gen("sigma"))
+        got = haar_via_corep_expansion(zeta_power(14) * gen("sigma"))
     finally:
         _cache.set_limit(None)
     assert got == haar_zeta(14)
-    assert len(calls) <= 15, calls
+    assert sorted(calls) == list(range(15)), calls
+
+
+def _haar_by_classes(x):
+    """Oracle: h as the sum over the zeta-coordinates c zeta^r sigma^u of
+    project_00(x) of c h(zeta^r) when u = 0 and c lambda_r when u = 1."""
+    out = ZERO
+    for (r, u), c in repn._zeta_coordinates(x).items():
+        out = out + c * (haar_zeta_sigma(r) if u else haar_zeta(r))
+    return out
+
+
+def test_haar_mono_matches_the_sigma_class_route():
+    _cache.clear()
+    for r in range(17):
+        for u in (0, 1):
+            m = (0, r, r, 0, u)
+            x = Element.monomial(m, "Asigma")
+            expected = _haar_by_classes(x)
+            assert repn._haar_mono(m) == expected == haar(x), m
+            # the closed form (-1)^(r(r-1)/2) / [r+1]_t
+            sign = -ONE if (r * (r - 1) // 2) % 2 else ONE
+            assert expected == sign * bracket_t(r + 1).inv(), m
+    for m in basis_monomials(6, "Asigma"):
+        assert repn._haar_mono(m) == _haar_by_classes(Element.monomial(m, "Asigma")), m
+    rng = random.Random(33)
+    pool = [ONE, -ONE, T, T_INV, ONE + T * T, Scalar.from_rational(3) * T_INV, I_UNIT]
+    for _ in range(50):
+        x = Element.zero()
+        for _ in range(rng.randint(1, 6)):
+            r = rng.randint(0, 10)
+            x = x + Element.monomial((0, r, r, 0, rng.randint(0, 1)), "Asigma",
+                                     rng.choice(pool))
+        assert haar(x) == _haar_by_classes(x), x
+
+
+def test_haar_and_the_corep_route_split_on_a_lambda_mutant(monkeypatch):
+    # lambda_3 + 1: haar reads no lambda, so only the corep route moves
+    real = repn.haar_zeta_sigma
+    monkeypatch.setattr(repn, "haar_zeta_sigma",
+                        lambda n: real(n) + ONE if n == 3 else real(n))
+    _cache.clear()
+    x = zeta_power(3) * gen("sigma")
+    assert haar(x) == haar_zeta(3)
+    assert haar(x) != haar_via_corep_expansion(x)
+
+
+def test_haar_calls_no_closed_form_and_no_lambda(monkeypatch):
+    calls = []
+
+    def counted(name):
+        real = getattr(repn, name)
+
+        def fn(*args):
+            calls.append((name, args))
+            return real(*args)
+        return fn
+
+    for name in ("closed_form", "haar_zeta_sigma"):
+        monkeypatch.setattr(repn, name, counted(name))
+    _cache.clear()
+    for n in range(9):
+        assert haar(zeta_power(n) * gen("sigma")) == haar_zeta(n), n
+    assert calls == []
+
+
+def test_haar_on_zeta_sigma_scales():
+    # from empty tables, h(zeta^n sigma) for n = 1..40 is one closed form each
+    _cache.clear()
+    sig = gen("sigma")
+    t0 = time.perf_counter()
+    for n in range(1, 41):
+        haar(zeta_power(n) * sig)
+    took = time.perf_counter() - t0
+    assert took < 1.0, f"haar on zeta^n sigma, n = 1..40, took {took:.2f}s"
 
 
 def test_haar_zeta_sigma_agrees_with_zeta():

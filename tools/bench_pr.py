@@ -29,8 +29,10 @@ perfbench's workers do (it restarts itself with it), in this order:
   4. "sweeps": the gcd-bound sweeps, each from empty memo tables and each
      stopped (null) after BUDGET_S: both Haar routes on zeta^n sigma
      ("haar_both_routes_s") and on zeta^n ("haar_zeta_both_routes_s"),
-     n = 1..N for each N of HAAR_N, and the inputs of the scaling tests in
-     tests/test_scalars.py (so the test extra must be installed).
+     n = 1..N for each N of HAAR_N; haar alone on zeta^n sigma,
+     n = 1..HAAR_ALONE_N ("haar_alone_zeta_sigma_s"); and the inputs of the
+     scaling tests in tests/test_scalars.py (so the test extra must be
+     installed).
 
 Times are reported, never checked: single runs on a shared machine vary by
 tens of percent.  The exit status is 1 when the verify pass fails, when an
@@ -59,6 +61,7 @@ ROOT = Path(__file__).resolve().parent.parent
 WORKLOAD, SEED = "verify_all", 1
 TAIL_RANK = 11          # op_tail_ms is the 11th slowest op of a pass
 HAAR_N = (10, 12, 16, 24)
+HAAR_ALONE_N = 40
 ROW = 30
 BUDGET_S = 30.0
 REPEATS, NUMBER = 7, 2000
@@ -280,8 +283,9 @@ def timed(fn):
     _cache.clear()
     old = signal.signal(signal.SIGALRM, alarm)
     t0 = time.perf_counter()
-    signal.setitimer(signal.ITIMER_REAL, BUDGET_S)
     try:
+        # armed inside the try, so an alarm that fires at once is caught too
+        signal.setitimer(signal.ITIMER_REAL, BUDGET_S)
         out = fn()
     except TimeoutError:
         return None, None
@@ -291,9 +295,25 @@ def timed(fn):
     return round(time.perf_counter() - t0, 3), out
 
 
+def haar_alone(n: int) -> tuple:
+    """(seconds or None, wrong results) of repn.haar on zeta^j sigma,
+    j = 1..n, from empty memo tables; h(zeta^j sigma) must be
+    t^j / [j+1]_t."""
+    from superq import repn
+    from superq.algebra import Element, zeta_power
+    from superq.scalars import Scalar
+
+    xs = [zeta_power(j) * Element.generator("sigma") for j in range(1, n + 1)]
+    took, hs = timed(lambda: [repn.haar(x) for x in xs])
+    wrong = took is not None and any(h * repn.bracket_t(j + 1) != Scalar.t_power(j)
+                                     for j, h in enumerate(hs, 1))
+    return took, int(wrong)
+
+
 def sweeps() -> dict:
     """The "sweeps" section.  Each result is checked
-    after its timing: the two Haar routes agree, x * x.inv() is 1, the
+    after its timing: the two Haar routes agree, haar alone meets the
+    closed form t^n / [n+1]_t on zeta^n sigma, x * x.inv() is 1, the
     dense product specialises to the product of the specialisations, and
     the row satisfies Gauss's sum_k (-1)^k v^(k(k-1)/2) [n k]_v = 0."""
     from superq import repn
@@ -306,8 +326,8 @@ def sweeps() -> dict:
 
     sigma, v = Element.generator("sigma"), T * T
     out, wrong = {"budget_s": BUDGET_S}, 0
-    # On zeta^n sigma both routes read the recurrence's lambda_n; on zeta^n
-    # haar takes the closed form h(zeta^n), so the two routes meet there.
+    # haar takes the closed form h(zeta^n) and haar_via_corep_expansion the
+    # recurrence's lambda_n, on zeta^n sigma and on zeta^n alike.
     for key, tail in (("haar_both_routes_s", sigma), ("haar_zeta_both_routes_s", Element.one())):
         out[key] = {}
         for n in HAAR_N:
@@ -316,6 +336,9 @@ def sweeps() -> dict:
                                          for x in xs])
             out[key][f"n=1..{n}"] = took
             wrong += took is not None and any(h != g for h, g in pairs)
+    took, bad = haar_alone(HAAR_ALONE_N)
+    out["haar_alone_zeta_sigma_s"] = {f"n=1..{HAAR_ALONE_N}": took}
+    wrong += bad
 
     rng = random.Random(1)
     times = []
