@@ -15,23 +15,34 @@ combinations of normal monomials; equality of elements is equality of
 these canonical expansions.
 
 Products reduce to _mono_mul, the product of two normal monomials, in
-closed form.  Every swap it needs is a sign and a t-power, except d past a:
-d^l a^I = sum_r C_r a^(I-r) b^r c^r d^(l-r) (r <= l, I), with C_r from
-da = ad - (t^-1 - t) bc, memoised by (l, I).  As sigma commutes with a and
-d, in B(sigma) a^i b^j c^k d^l s^u * a^I b^J c^K d^L s^U is one term per r,
+closed form.  Every swap it needs is a sign and a t-power, except d past a.
+In B(sigma), d^l a^I = sum_r C_r a^(I-r) b^r c^r d^(l-r) (r <= l, I), C_r
+from da = ad - (t^-1 - t) bc, memoised by (l, I); as sigma commutes with a
+and d, a^i b^j c^k d^l s^u * a^I b^J c^K d^L s^U is, summed over r,
 
     C_r (-1)^eps t^p a^(i+I-r) b^(j+J+r) c^(k+K+r) d^(l+L-r) s^(u+U mod 2),
-    eps = k r + J (k + r) + (l - r)(J + K) + (J + K) u,
-    p = -(j + k)(I - r) - (l - r)(J + K),
+    eps = (u + l - r)(J + K) + J (k + r) + k r,  p = -(j + k)(I - r) - (l - r)(J + K),
 
 as a^(I-r) passes b^j c^k, b^r passes c^k, and b^J c^K pass sigma^u,
-d^(l-r) and (b^J only) c^(k+r).  A(sigma) then applies ad = sigma - t bc.
+d^(l-r) and (b^J only) c^(k+r).  In A(sigma), ad = sigma - t bc and
+da = sigma - t^-1 bc; X = bc commutes with sigma, aX = t^2 Xa, dX = t^-2 Xd,
+so d^n a^n and a^n d^n are the products over k < n of sigma - t^-+(1+2k) X.
+The q-binomial theorem, X^r = (-1)^(r(r-1)/2) b^r c^r and [n r]_(t^2) =
+t^(2r(n-r)) [n r], [n r] the Gauss binomial at base t^-2 (_gauss_row), give
 
-Only the products that need d^l a^I (l, I > 0) or, in A(sigma), the ad
-reduction (an a and a d in the result) are memoised, in _mul_cache.  Every
-other product is its r = 0 term alone, one signed_t_power and one
-monomial, and costs less to redo than a table entry costs to keep: after
-one verify pass such products had made 5,311 of _mul_cache's 7,191 entries.
+    d^n a^n = sum_r (-1)^(r(r+1)/2) t^(-r^2) [n r] b^r c^r sigma^(n-r),
+    a^n d^n = sum_r (-1)^(r(r+1)/2) t^(r^2 + 2r(n-r)) [n r] b^r c^r sigma^(n-r).
+
+So an A(sigma) product is one sum over r <= n.  Past a, d^l a^I (i = L = 0)
+is d^D (d^n a^n) a^A, n = min(l, I), D or A zero; a^A passes b^r c^r b^j c^k,
+b^r c^r pass d^D, and the rest is as in B(sigma): (-1)^(eps + r(r+1)/2) t^p
+[n r] a^A b^(j+J+r) c^(k+K+r) d^D s^(u+U+n-r), p = -r^2 - D (2r + J + K) -
+A (j + k + 2r).  An a beside a d (I = l = 0) is (-1)^((J + K) u + J k) a^i
+b^Y c^Z d^L s^(u+U), Y = j + J, Z = k + K; a^n, n = min(i, L), passes b^Y c^Z
+to meet d^n and c^Z passes b^r: (-1)^(Z r + r(r+1)/2) t^(n(Y+Z) + r^2 +
+2r(n-r)) [n r] a^(i-n) b^(Y+r) c^(Z+r) d^(L-n) s^(u+U+n-r).  Only these
+products and d^l a^I are memoised, in _mul_cache: every other is its r = 0
+term, one signed_t_power and one monomial, cheaper to redo than to keep.
 """
 
 from __future__ import annotations
@@ -39,7 +50,7 @@ from __future__ import annotations
 from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 from . import _cache
-from .scalars import ONE, Scalar, T, T_INV, ZERO, _Combination, _signed_join, signed_t_power, sum_images
+from .scalars import ONE, Scalar, T, T_INV, _Combination, _signed_join, signed_t_power, sum_images
 
 Monomial = Tuple[int, int, int, int, int]   # exponents of a, b, c, d, sigma
 
@@ -196,12 +207,19 @@ def _mono_str(m: tuple, symbols: str = "abcds") -> str:
 
 _dla_cache: Dict[tuple, tuple] = {}
 _mul_cache: Dict[tuple, tuple] = {}
-_reduce_cache: Dict[tuple, tuple] = {}
+_gauss_cache: Dict[tuple, dict] = {}
 
 
-def _geom_t2inv(l: int) -> Scalar:
-    # 1 + t^-2 + ... + t^-2(l-1)
-    return sum((Scalar.t_power(-2 * r) for r in range(l)), ZERO)
+@_cache.memo(_gauss_cache)
+def _gauss_row(n: int) -> Dict[int, Scalar]:
+    """{r: [n r]} at base t^-2 by [m r] = [m-1 r-1] + t^(-2r) [m-1 r] from
+    row 0 up, storing each lower row; none is read back, so no cap recurses."""
+    row = {0: ONE}
+    for m in range(1, n + 1):
+        _cache.store(_gauss_cache, (m - 1,), row)
+        row = {r: row[r - 1] + row[r] * Scalar.t_power(-2 * r) if 0 < r < m else ONE
+               for r in range(m + 1)}
+    return row
 
 
 def _times_gen(m: Monomial):
@@ -210,49 +228,26 @@ def _times_gen(m: Monomial):
     lead = ((i + 1, j, k, l, s), Scalar.t_power(-(j + k)))
     if l == 0:
         return [lead]
-    # d^l a = a d^l - (t^-1 - t) (1 + ... + t^-2(l-1)) bc d^(l-1)
-    coeff = (T_INV - T) * _geom_t2inv(l)
-    if k % 2:
-        coeff = -coeff
-    return [lead, ((i, j + 1, k + 1, l - 1, s), -coeff)]
+    # d^l a = a d^l - (t^-1 - t) [l 1] bc d^(l-1)
+    coeff = (T - T_INV) * _gauss_row(l)[1]
+    return [lead, ((i, j + 1, k + 1, l - 1, s), -coeff if k % 2 else coeff)]
 
 
 @_cache.memo(_dla_cache)
 def _d_power_a_power(l: int, I: int):
-    """d^l a^I = sum_r C_r a^(I-r) b^r c^r d^(l-r), as the tuple of (r, C_r):
-    d^l times a, I times, each step the linear extension of _times_gen."""
+    """d^l a^I = sum_r C_r a^(I-r) b^r c^r d^(l-r) in B, as the tuple of
+    (r, C_r): d^l times a, I times, each step the linear extension of
+    _times_gen."""
     terms = {(0, 0, 0, l, 0): ONE}
     for _ in range(I):
         terms = sum_images(terms.items(), _times_gen)
     return tuple((m[1], c) for m, c in terms.items())
 
 
-def _reduce_ad(m: Monomial):
-    """Rewrite coexisting a and d via ad = sigma - t bc (A(sigma) only)."""
-    if m[0] == 0 or m[3] == 0:
-        return ((m, ONE),)
-    return _reduce_ad_both(m)
-
-
-@_cache.memo(_reduce_cache)
-def _reduce_ad_both(m: Monomial):
-    i, j, k, l, s = m
-    # a^i b^j c^k d^l = t^(j+k) [ a^(i-1) b^j c^k d^(l-1) sigma
-    #                             - (-1)^k t a^(i-1) b^(j+1) c^(k+1) d^(l-1) ]
-    # sum_images adds the two branches' reductions and merges equal
-    # monomials, so a^n d^n gives n + 1 terms, not 2^n.
-    branches = (((i - 1, j, k, l - 1, 1 - s), Scalar.t_power(j + k)),
-                ((i - 1, j + 1, k + 1, l - 1, s), signed_t_power(k + 1, j + k + 1)))
-    return tuple(sum_images(branches, _reduce_ad).items())
-
-
 def _mono_mul(m1: Monomial, m2: Monomial, ring: str):
-    """Product of two normal monomials as a tuple of (monomial, Scalar).
-
-    A product that moves no d past an a and, in A(sigma), leaves no a
-    beside a d is the r = 0 term alone, +-t^p times one monomial, built
-    here with no table; every other product is _mono_mul_tabled's.
-    """
+    """Product of two normal monomials as a tuple of (monomial, Scalar):
+    the r = 0 term alone, or _mono_mul_tabled's sum when d passes a or,
+    in A(sigma), an a meets a d."""
     i, j, k, l, u = m1
     I, J, K, L, U = m2
     if l and I or ring == "Asigma" and i + I and l + L:
@@ -264,25 +259,29 @@ def _mono_mul(m1: Monomial, m2: Monomial, ring: str):
 
 @_cache.memo(_mul_cache)
 def _mono_mul_tabled(m1: Monomial, m2: Monomial, ring: str):
-    """_mono_mul of a product that needs d^l a^I or ad = sigma - t bc.
-    In B(sigma), the term C_r (-1)^eps t^p of each r, with eps and p of the
-    module docstring: only d^l a^I is more than a sign and a t-power, so
-    only its C_r need a table.  A(sigma) then reduces each term's ad: the
-    linear extension of _reduce_ad over the terms.
-    """
+    """_mono_mul of a product that needs d^l a^I or an [n r] sum, as the
+    module docstring sums it."""
     i, j, k, l, u = m1
     I, J, K, L, U = m2
-    # Sign exponent of b^J c^K passing sigma^u: sigma b = -b sigma, sigma c = -c sigma.
-    eps0 = (J + K) * u
-    terms = []
-    for r, c in _d_power_a_power(l, I) if l and I else ((0, ONE),):
-        eps = eps0 + k * r + J * (k + r) + (l - r) * (J + K)
-        p = -(j + k) * (I - r) - (l - r) * (J + K)
-        terms.append(((i + I - r, j + J + r, k + K + r, l + L - r, (u + U) % 2),
-                      c * signed_t_power(eps, p)))
-    if ring == "Asigma":
-        return tuple(sum_images(terms, _reduce_ad).items())
-    return tuple(terms)
+    JK = J + K
+    if ring != "Asigma":
+        return tuple(((i + I - r, j + J + r, k + K + r, l + L - r, (u + U) % 2),
+                      c * signed_t_power(JK * (u + l - r) + J * (k + r) + k * r,
+                                         -(j + k) * (I - r) - (l - r) * JK))
+                     for r, c in _d_power_a_power(l, I))
+    if l and I:     # d^l a^I = d^D (d^n a^n) a^A; i = L = 0
+        n = min(l, I)
+        D, A = l - n, I - n
+        return tuple(((A, j + J + r, k + K + r, D, (u + U + n - r) % 2),
+                      signed_t_power(JK * (u + l - r) + J * (k + r) + k * r + r * (r + 1) // 2,
+                                     -r * r - D * (2 * r + JK) - A * (j + k + 2 * r)) * c)
+                     for r, c in _gauss_row(n).items())
+    # an a beside a d, I = l = 0: a^n passes b^Y c^Z to meet d^n
+    Y, Z, n = j + J, k + K, min(i, L)
+    return tuple(((i - n, Y + r, Z + r, L - n, (u + U + n - r) % 2),
+                  signed_t_power(JK * u + J * k + Z * r + r * (r + 1) // 2,
+                                 (Y + Z) * n + r * r + 2 * r * (n - r)) * c)
+                 for r, c in _gauss_row(n).items())
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import functools
+import inspect
 import random
 import time
 
@@ -9,7 +11,7 @@ from superq.algebra import (
     mono_bigrade, multiply, normal_form, parity, project_00, random_monomial,
     zeta, zeta_power,
 )
-from superq.scalars import MINUS_ONE, ONE, Scalar, T, T_INV, add_term
+from superq.scalars import MINUS_ONE, ONE, Scalar, T, T_INV, add_term, signed_t_power
 
 
 def gen(name, ring="Asigma"):
@@ -208,17 +210,17 @@ def test_power_identities_ad():
         assert lhs == rhs, f"a^m d^m mismatch at m={m}"
 
 
-def test_reduce_ad_merges_equal_monomials():
-    # a^m d^m has m + 1 normal monomials; the rewrite of one a*d pair
-    # splits in two, so unmerged branches would carry 2^m entries.
-    from superq import _cache
-    from superq.algebra import _reduce_ad
+def test_ad_products_have_n_plus_1_terms():
+    # a^m d^m and d^m a^m have m + 1 normal monomials, one per Gauss
+    # binomial [m r]; a product of basis monomials builds them in one sum.
     from superq.qfun import gauss_binomial
     a, d, b, c, s = (gen(x) for x in "a d b c sigma".split())
     v = T_INV * T_INV
     _cache.clear()
     for m in range(11):
-        assert len(_reduce_ad((m, 0, 0, m, 0))) == m + 1
+        for m1, m2 in (((m, 0, 0, 0, 0), (0, 0, 0, m, 0)),
+                       ((0, 0, 0, m, 0), (m, 0, 0, 0, 0))):
+            assert len(algebra._mono_mul(m1, m2, "Asigma")) == m + 1
         rhs = Element.zero()
         for k in range(m + 1):
             coeff = gauss_binomial(m, k, v) * Scalar.t_power(2 * k * m - k * k)
@@ -226,15 +228,17 @@ def test_reduce_ad_merges_equal_monomials():
         assert a ** m * d ** m == rhs, f"a^m d^m mismatch at m={m}"
 
 
-def test_reduce_ad_scaling():
-    from superq import _cache
+def test_ad_products_scale():
+    # Each product is one sum over the row of [40 r], built from empty
+    # tables; a rewrite one relation at a time grows super-linearly in 40.
     a, d = gen("a"), gen("d")
-    _cache.clear()
-    t0 = time.perf_counter()
-    x = a ** 24 * d ** 24
-    took = time.perf_counter() - t0
-    assert len(x.terms) == 25
-    assert took < 1.0, f"a^24 d^24 took {took:.2f}s"
+    for x, y in ((d, a), (a, d)):
+        _cache.clear()
+        t0 = time.perf_counter()
+        out = x ** 40 * y ** 40
+        took = time.perf_counter() - t0
+        assert len(out.terms) == 41
+        assert took < 1.0, f"{x}^40 {y}^40 took {took:.2f}s"
 
 
 def test_power_identities_da():
@@ -292,6 +296,27 @@ def test_element_str():
 # The closed-form monomial product against the generator-step kernel
 # ---------------------------------------------------------------------------
 
+def _geom_t2inv(l):
+    # 1 + t^-2 + ... + t^-2(l-1)
+    return sum((Scalar.t_power(-2 * r) for r in range(l)), Scalar())
+
+
+@functools.lru_cache(maxsize=None)
+def _reduce_ad(m):
+    """Rewrite coexisting a and d via ad = sigma - t bc, one pair at a time:
+    a^i b^j c^k d^l = t^(j+k) [ a^(i-1) b^j c^k d^(l-1) sigma
+                                - (-1)^k t a^(i-1) b^(j+1) c^(k+1) d^(l-1) ]."""
+    i, j, k, l, s = m
+    if i == 0 or l == 0:
+        return ((m, ONE),)
+    out = {}
+    for mm, c in (((i - 1, j, k, l - 1, 1 - s), Scalar.t_power(j + k)),
+                  ((i - 1, j + 1, k + 1, l - 1, s), signed_t_power(k + 1, j + k + 1))):
+        for mmm, cc in _reduce_ad(mm):
+            add_term(out, mmm, c * cc)
+    return tuple(out.items())
+
+
 def _step_times_gen(m, g):
     """Right-multiply a B(sigma)-normal monomial by one generator."""
     i, j, k, l, s = m
@@ -299,7 +324,7 @@ def _step_times_gen(m, g):
         lead = ((i + 1, j, k, l, s), Scalar.t_power(-(j + k)))
         if l == 0:
             return [lead]
-        coeff = (T_INV - T) * algebra._geom_t2inv(l)
+        coeff = (T_INV - T) * _geom_t2inv(l)
         if k % 2:
             coeff = -coeff
         return [lead, ((i, j + 1, k + 1, l - 1, s), -coeff)]
@@ -317,8 +342,8 @@ def _step_times_gen(m, g):
 
 
 def _step_mono_mul(m1, m2, ring):
-    """The former _mono_mul: m2's generators applied to m1 one at a time,
-    kept as the oracle of the closed form."""
+    """m2's generators applied to m1 one at a time and, in A(sigma), each
+    a d pair rewritten by _reduce_ad: the oracle of the closed forms."""
     terms = {m1: ONE}
     for g, e in zip(("a", "b", "c", "d", "sigma"), m2):
         for _ in range(e):
@@ -330,7 +355,7 @@ def _step_mono_mul(m1, m2, ring):
     if ring == "Asigma":
         red = {}
         for m, c in terms.items():
-            for mm, cc in algebra._reduce_ad(m):
+            for mm, cc in _reduce_ad(m):
                 add_term(red, mm, c * cc)
         terms = red
     return list(terms.items())
@@ -349,21 +374,99 @@ def test_mono_mul_matches_generator_steps(ring):
 
 
 def test_mono_mul_times_gen_count(monkeypatch):
-    # Only d^l a^I is rewritten step by step, once per (l, I): the products
-    # of all degree <= 2 basis pairs in the three rings make 8 steps, 1 for
-    # each of d a and d^2 a and 1 + 2 for each of d a^2 and d^2 a^2.
-    calls = []
-    real = algebra._times_gen
+    # Only d^l a^I in B and B(sigma) is rewritten step by step, once per
+    # (l, I): the products of all degree <= 2 basis pairs in the two rings
+    # make 8 steps, 1 for each of d a and d^2 a and 1 + 2 for each of d a^2
+    # and d^2 a^2.  A(sigma) products are one sum over [n r] each and never
+    # expand d^l a^I.
+    calls, expansions = [], []
+    real_step, real_expand = algebra._times_gen, algebra._d_power_a_power
 
     def counting(*args):
         calls.append(args)
-        return real(*args)
+        return real_step(*args)
+
+    def expanding(*args):
+        expansions.append(args)
+        return real_expand(*args)
 
     _cache.clear()
     monkeypatch.setattr(algebra, "_times_gen", counting)
-    for ring in ("B", "Bsigma", "Asigma"):
-        basis = list(basis_monomials(2, ring))
+    monkeypatch.setattr(algebra, "_d_power_a_power", expanding)
+    for ring in ("Asigma", "B", "Bsigma"):
+        basis = list(basis_monomials(2 if ring != "Asigma" else 6, ring))
         for m1 in basis:
             for m2 in basis:
                 algebra._mono_mul(m1, m2, ring)
+        if ring == "Asigma":
+            assert len(algebra._mul_cache) > 1000 and not expansions
     assert len(calls) == 8
+
+
+# Each mutant drops one term of an exponent of _mono_mul_tabled's A(sigma)
+# sums; the oracle must tell every one of them from the closed form.
+_A_SIGMA_MUTANTS = [
+    # d past a: the sign and the t-power
+    ("JK * (u + l - r) + J * (k + r) + k * r + r * (r + 1) // 2",
+     "J * (k + r) + k * r + r * (r + 1) // 2"),
+    ("JK * (u + l - r) + J * (k + r) + k * r + r * (r + 1) // 2",
+     "JK * (l - r) + J * (k + r) + k * r + r * (r + 1) // 2"),
+    ("JK * (u + l - r) + J * (k + r) + k * r + r * (r + 1) // 2",
+     "JK * (u - r) + J * (k + r) + k * r + r * (r + 1) // 2"),
+    ("JK * (u + l - r) + J * (k + r) + k * r + r * (r + 1) // 2",
+     "JK * (u + l) + J * (k + r) + k * r + r * (r + 1) // 2"),
+    ("JK * (u + l - r) + J * (k + r) + k * r + r * (r + 1) // 2",
+     "JK * (u + l - r) + k * r + r * (r + 1) // 2"),
+    ("JK * (u + l - r) + J * (k + r) + k * r + r * (r + 1) // 2",
+     "JK * (u + l - r) + J * r + k * r + r * (r + 1) // 2"),
+    ("JK * (u + l - r) + J * (k + r) + k * r + r * (r + 1) // 2",
+     "JK * (u + l - r) + J * k + k * r + r * (r + 1) // 2"),
+    ("JK * (u + l - r) + J * (k + r) + k * r + r * (r + 1) // 2",
+     "JK * (u + l - r) + J * (k + r) + r * (r + 1) // 2"),
+    ("JK * (u + l - r) + J * (k + r) + k * r + r * (r + 1) // 2",
+     "JK * (u + l - r) + J * (k + r) + k * r"),
+    ("-r * r - D * (2 * r + JK) - A * (j + k + 2 * r)", "-D * (2 * r + JK) - A * (j + k + 2 * r)"),
+    ("-r * r - D * (2 * r + JK) - A * (j + k + 2 * r)", "-r * r - A * (j + k + 2 * r)"),
+    ("-r * r - D * (2 * r + JK) - A * (j + k + 2 * r)", "-r * r - D * JK - A * (j + k + 2 * r)"),
+    ("-r * r - D * (2 * r + JK) - A * (j + k + 2 * r)", "-r * r - D * 2 * r - A * (j + k + 2 * r)"),
+    ("-r * r - D * (2 * r + JK) - A * (j + k + 2 * r)", "-r * r - D * (2 * r + JK)"),
+    ("-r * r - D * (2 * r + JK) - A * (j + k + 2 * r)", "-r * r - D * (2 * r + JK) - A * (k + 2 * r)"),
+    ("-r * r - D * (2 * r + JK) - A * (j + k + 2 * r)", "-r * r - D * (2 * r + JK) - A * (j + 2 * r)"),
+    ("-r * r - D * (2 * r + JK) - A * (j + k + 2 * r)", "-r * r - D * (2 * r + JK) - A * (j + k)"),
+    # d past a: the sigma exponent
+    ("(A, j + J + r, k + K + r, D, (u + U + n - r) % 2)", "(A, j + J + r, k + K + r, D, (u + U + n) % 2)"),
+    # a beside d: the sign, the t-power and the sigma exponent
+    ("JK * u + J * k + Z * r + r * (r + 1) // 2", "J * k + Z * r + r * (r + 1) // 2"),
+    ("JK * u + J * k + Z * r + r * (r + 1) // 2", "JK * u + Z * r + r * (r + 1) // 2"),
+    ("JK * u + J * k + Z * r + r * (r + 1) // 2", "JK * u + J * k + r * (r + 1) // 2"),
+    ("JK * u + J * k + Z * r + r * (r + 1) // 2", "JK * u + J * k + Z * r"),
+    ("(Y + Z) * n + r * r + 2 * r * (n - r)", "r * r + 2 * r * (n - r)"),
+    ("(Y + Z) * n + r * r + 2 * r * (n - r)", "Y * n + r * r + 2 * r * (n - r)"),
+    ("(Y + Z) * n + r * r + 2 * r * (n - r)", "Z * n + r * r + 2 * r * (n - r)"),
+    ("(Y + Z) * n + r * r + 2 * r * (n - r)", "(Y + Z) * n + 2 * r * (n - r)"),
+    ("(Y + Z) * n + r * r + 2 * r * (n - r)", "(Y + Z) * n + r * r"),
+    ("(Y + Z) * n + r * r + 2 * r * (n - r)", "(Y + Z) * n + r * r + 2 * r * n"),
+    ("(i - n, Y + r, Z + r, L - n, (u + U + n - r) % 2)", "(i - n, Y + r, Z + r, L - n, (u + U + n) % 2)"),
+]
+
+_A_SIGMA_ORACLE = {}
+
+
+@pytest.mark.parametrize("old,new", _A_SIGMA_MUTANTS)
+def test_a_sigma_exponent_mutants_fail_the_oracle(monkeypatch, old, new):
+    source = inspect.getsource(algebra._mono_mul_tabled)
+    source = source[source.index("def "):]      # without the memo
+    assert source.count(old) == 1
+    namespace = dict(vars(algebra))
+    exec(source.replace(old, new), namespace)
+    monkeypatch.setattr(algebra, "_mono_mul_tabled", namespace["_mono_mul_tabled"])
+    basis = list(basis_monomials(4, "Asigma"))
+    for m1 in basis:
+        for m2 in basis:
+            if not (m1[3] and m2[0] or (m1[0] + m2[0]) and (m1[3] + m2[3])):
+                continue
+            if (m1, m2) not in _A_SIGMA_ORACLE:
+                _A_SIGMA_ORACLE[m1, m2] = _step_mono_mul(m1, m2, "Asigma")
+            if list(algebra._mono_mul(m1, m2, "Asigma")) != _A_SIGMA_ORACLE[m1, m2]:
+                return
+    pytest.fail(f"no product tells {new!r} from {old!r}")

@@ -129,3 +129,21 @@ def test_haar_alone_sweep_over_budget_reads_null(monkeypatch, budget):
     monkeypatch.setattr(bench_pr, "BUDGET_S", budget)
     monkeypatch.setattr(repn, "haar", lambda x: time.sleep(1))
     assert bench_pr.haar_alone(bench_pr.HAAR_ALONE_N) == (None, 0)
+
+
+def test_d_power_a_power_sweep_checks_each_value(monkeypatch):
+    took, wrong = bench_pr.da_power(6)
+    assert took is not None and wrong == 0
+    real = algebra._mono_mul_tabled
+
+    def off_by_sigma(m1, m2, ring):       # sigma^(n-r) read as sigma^(n-r+1)
+        return tuple(((m[:4] + (1 - m[4],)), c) for m, c in real(m1, m2, ring))
+
+    monkeypatch.setattr(algebra, "_mono_mul_tabled", off_by_sigma)
+    assert bench_pr.da_power(6)[1] == 1
+
+
+def test_d_power_a_power_sweep_over_budget_reads_null(monkeypatch):
+    monkeypatch.setattr(bench_pr, "BUDGET_S", 0.05)
+    monkeypatch.setattr(Element, "__pow__", lambda x, n: time.sleep(1))
+    assert bench_pr.da_power(bench_pr.DA_N) == (None, 0)

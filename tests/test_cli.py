@@ -525,7 +525,7 @@ def test_cache_size_applies_to_its_own_call_only(capsys):
 
 
 def test_cache_size_caps_every_memo_table():
-    from superq import _cache, dual, hopf, repn
+    from superq import _cache, algebra, dual, hopf, repn
 
     queries = [
         lambda: repn.haar(eval_text("zeta^3*s + zeta^2*s + zeta*s + zeta^3 + a*d")),
@@ -536,6 +536,8 @@ def test_cache_size_caps_every_memo_table():
         lambda: dual.eval_functional(dual.Functional.word("e", "f", "k"), eval_text("zeta^2 + a*d")),
         lambda: repn.haar_via_corep_expansion(eval_text("zeta^4*s + zeta^2 + s")),
         lambda: hopf.coaction("right", hopf.PlaneElement.monomial(3, 2)),
+        # A(sigma) products no longer expand d^l a^I; B still does.
+        lambda: algebra.normal_form(["d", "a"], "B"),
     ]
     uncapped = [q() for q in queries]
     tables = _memo_tables()

@@ -30,7 +30,8 @@ perfbench's workers do (it restarts itself with it), in this order:
      stopped (null) after BUDGET_S: both Haar routes on zeta^n sigma
      ("haar_both_routes_s") and on zeta^n ("haar_zeta_both_routes_s"),
      n = 1..N for each N of HAAR_N; haar alone on zeta^n sigma,
-     n = 1..HAAR_ALONE_N ("haar_alone_zeta_sigma_s"); and the inputs of the
+     n = 1..HAAR_ALONE_N ("haar_alone_zeta_sigma_s"); d^n a^n in A(sigma),
+     n = 1..DA_N ("d_power_a_power_s"); and the inputs of the
      scaling tests in tests/test_scalars.py (so the test extra must be
      installed).
 
@@ -62,6 +63,7 @@ WORKLOAD, SEED = "verify_all", 1
 TAIL_RANK = 11          # op_tail_ms is the 11th slowest op of a pass
 HAAR_N = (10, 12, 16, 24)
 HAAR_ALONE_N = 40
+DA_N = 40
 ROW = 30
 BUDGET_S = 30.0
 REPEATS, NUMBER = 7, 2000
@@ -310,10 +312,30 @@ def haar_alone(n: int) -> tuple:
     return took, int(wrong)
 
 
+def da_power(n: int) -> tuple:
+    """(seconds or None, wrong results) of d^j * a^j in A(sigma), j = 1..n,
+    from empty memo tables.  d^j a^j = prod_(k<j) (sigma - t^(-1-2k) bc) has
+    j + 1 terms c_r b^r c^r sigma^(j-r), c_0 = 1, and vanishes at sigma = 1,
+    bc = t, where (bc)^r = (-1)^(r(r-1)/2) b^r c^r."""
+    from superq.algebra import Element
+    from superq.scalars import ONE, ZERO, signed_t_power
+
+    a, d = Element.generator("a"), Element.generator("d")
+    took, xs = timed(lambda: [d ** j * a ** j for j in range(1, n + 1)])
+    wrong = 0
+    for j, x in enumerate(xs or (), 1):
+        at_root = ZERO
+        for r in range(j + 1):
+            at_root += signed_t_power(r * (r - 1) // 2, r) * x.terms.get((0, r, r, 0, (j - r) % 2), ZERO)
+        wrong += len(x.terms) != j + 1 or x.terms.get((0, 0, 0, 0, j % 2)) != ONE or bool(at_root)
+    return took, int(bool(wrong))
+
+
 def sweeps() -> dict:
     """The "sweeps" section.  Each result is checked
     after its timing: the two Haar routes agree, haar alone meets the
-    closed form t^n / [n+1]_t on zeta^n sigma, x * x.inv() is 1, the
+    closed form t^n / [n+1]_t on zeta^n sigma, d^n a^n has the terms and
+    the zero of da_power, x * x.inv() is 1, the
     dense product specialises to the product of the specialisations, and
     the row satisfies Gauss's sum_k (-1)^k v^(k(k-1)/2) [n k]_v = 0."""
     from superq import repn
@@ -338,6 +360,9 @@ def sweeps() -> dict:
             wrong += took is not None and any(h != g for h, g in pairs)
     took, bad = haar_alone(HAAR_ALONE_N)
     out["haar_alone_zeta_sigma_s"] = {f"n=1..{HAAR_ALONE_N}": took}
+    wrong += bad
+    took, bad = da_power(DA_N)
+    out["d_power_a_power_s"] = {f"n=1..{DA_N}": took}
     wrong += bad
 
     rng = random.Random(1)
