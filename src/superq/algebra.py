@@ -28,7 +28,7 @@ d^(l-r) and (b^J only) c^(k+r).  In A(sigma), ad = sigma - t bc and
 da = sigma - t^-1 bc; X = bc commutes with sigma, aX = t^2 Xa, dX = t^-2 Xd,
 so d^n a^n and a^n d^n are the products over k < n of sigma - t^-+(1+2k) X.
 The q-binomial theorem, X^r = (-1)^(r(r-1)/2) b^r c^r and [n r]_(t^2) =
-t^(2r(n-r)) [n r], [n r] the Gauss binomial at base t^-2 (_gauss_row), give
+t^(2r(n-r)) [n r], [n r] the Gauss binomial at base t^-2 (gauss_row), give
 
     d^n a^n = sum_r (-1)^(r(r+1)/2) t^(-r^2) [n r] b^r c^r sigma^(n-r),
     a^n d^n = sum_r (-1)^(r(r+1)/2) t^(r^2 + 2r(n-r)) [n r] b^r c^r sigma^(n-r).
@@ -211,9 +211,11 @@ _gauss_cache: Dict[tuple, dict] = {}
 
 
 @_cache.memo(_gauss_cache)
-def _gauss_row(n: int) -> Dict[int, Scalar]:
-    """{r: [n r]} at base t^-2 by [m r] = [m-1 r-1] + t^(-2r) [m-1 r] from
-    row 0 up, storing each lower row; none is read back, so no cap recurses."""
+def gauss_row(n: int) -> Dict[int, Scalar]:
+    """{r: [n r]} at base t^-2, the library's one table of Gauss binomials
+    (qfun.gauss_binomial's quotient is the independent oracle), by
+    [m r] = [m-1 r-1] + t^(-2r) [m-1 r] from row 0 up, storing each lower
+    row; none is read back, so no cap recurses."""
     row = {0: ONE}
     for m in range(1, n + 1):
         _cache.store(_gauss_cache, (m - 1,), row)
@@ -229,7 +231,7 @@ def _times_gen(m: Monomial):
     if l == 0:
         return [lead]
     # d^l a = a d^l - (t^-1 - t) [l 1] bc d^(l-1)
-    coeff = (T - T_INV) * _gauss_row(l)[1]
+    coeff = (T - T_INV) * gauss_row(l)[1]
     return [lead, ((i, j + 1, k + 1, l - 1, s), -coeff if k % 2 else coeff)]
 
 
@@ -275,13 +277,13 @@ def _mono_mul_tabled(m1: Monomial, m2: Monomial, ring: str):
         return tuple(((A, j + J + r, k + K + r, D, (u + U + n - r) % 2),
                       signed_t_power(JK * (u + l - r) + J * (k + r) + k * r + r * (r + 1) // 2,
                                      -r * r - D * (2 * r + JK) - A * (j + k + 2 * r)) * c)
-                     for r, c in _gauss_row(n).items())
+                     for r, c in gauss_row(n).items())
     # an a beside a d, I = l = 0: a^n passes b^Y c^Z to meet d^n
     Y, Z, n = j + J, k + K, min(i, L)
     return tuple(((i - n, Y + r, Z + r, L - n, (u + U + n - r) % 2),
                   signed_t_power(JK * u + J * k + Z * r + r * (r + 1) // 2,
                                  (Y + Z) * n + r * r + 2 * r * (n - r)) * c)
-                 for r, c in _gauss_row(n).items())
+                 for r, c in gauss_row(n).items())
 
 
 # ---------------------------------------------------------------------------

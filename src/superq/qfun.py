@@ -35,10 +35,10 @@ def gauss_binomial(m: int, n: int, v: Scalar) -> Scalar:
     """Gauss binomial (m over n)_v; 0 when n is out of range.
 
     Each value is the Pochhammer quotient (v; v)_m / ((v; v)_n (v; v)_(m-n)),
-    computed once per (m, n, v) and memoised.  It is not derived from other
-    binomials, so the Pascal-rule and collapse checks below still compare
-    independently built values.
-    """
+    computed once per (m, n, v) and memoised: the public quotient route.
+    The library computes at base t^-2 by algebra.gauss_row; this value is
+    derived from no other binomial, so it is the independent oracle of the
+    Pascal-rule and collapse checks below and of the tests."""
     if n < 0 or n > m:
         return ZERO
     num = pochhammer(v, v, m)

@@ -23,11 +23,11 @@ from typing import Dict, List, Tuple
 
 from . import _cache, linalg
 from .algebra import (
-    Element, Monomial, basis_monomials, bigrade, mono_bigrade, project_00,
-    zeta_power,
+    Element, Monomial, basis_monomials, bigrade, gauss_row, mono_bigrade,
+    project_00, zeta_power,
 )
 from .hopf import antipode, comodule_matrix, coproduct, corep_report, star, tensor_sum
-from .qfun import TM2, QPolynomial, gauss_binomial, little_jacobi, pochhammer, pochhammer_poly
+from .qfun import TM2, QPolynomial, little_jacobi, pochhammer, pochhammer_poly
 from .report import Report
 from .scalars import I_UNIT, ONE, Scalar, T, T_INV, ZERO, add_term, signed_t_power, sum_images
 
@@ -77,7 +77,7 @@ def index_range(twoL: int) -> List[int]:
 def vector_norm_sq(twoL: int, twoI: int) -> Scalar:
     """Square of the i^[(l+i)/2] binom(2l, l+i)^(1/2) prefactor."""
     li = (twoL + twoI) // 2
-    out = gauss_binomial(twoL, li, TM2)
+    out = gauss_row(twoL)[li]
     return -out if (li // 2) % 2 else out
 
 
@@ -155,17 +155,17 @@ MATRIX_BOUND = 6
 
 
 def matrix_coefficients(twoL: int, s: int = 0) -> CorepMatrix:
-    """Entries M'_ij with Delta(xi'_i) = sum_j M'_ij ox xi'_j.
-
-    hopf.comodule_matrix reads the entries off the right tensor legs
-    xi'_j = a^(l-j) c^(l+j) sigma^s, basis monomials with coefficient 1, so
-    collection is literal.  The corepresentation law, the counit law, the
-    eta-side duality and the weight-space membership are verified before
-    the matrix is returned.
-    """
+    """Entries M'_ij with Delta(xi'_i) = sum_j M'_ij ox xi'_j, as read by
+    _read_matrix.  Every call verifies the corepresentation and counit laws,
+    the eta-side duality and the weight-space membership, and raises
+    AssertionError when one fails; no other reader of the matrix checks."""
     if twoL > 2 * MATRIX_BOUND:
         raise ValueError(f"twoL={twoL} exceeds the configured bound {2 * MATRIX_BOUND}")
-    return _verified_matrix(twoL, s)
+    mat = _read_matrix(twoL, s)
+    rep = verify_corep_matrix(mat)
+    if not rep.ok:
+        raise AssertionError(f"corepresentation laws failed:\n{rep}")
+    return mat
 
 
 def _vectors(side: str, twoL: int, s: int) -> Dict[int, Element]:
@@ -175,14 +175,12 @@ def _vectors(side: str, twoL: int, s: int) -> Dict[int, Element]:
 
 
 @_cache.memo(_matrix_cache)
-def _verified_matrix(twoL: int, s: int) -> CorepMatrix:
-    entries = comodule_matrix(_vectors("L", twoL, s))
-    mat = CorepMatrix(twoL, s, entries,
-                      {i: vector_norm_sq(twoL, i) for i in index_range(twoL)})
-    rep = verify_corep_matrix(mat)
-    if not rep.ok:
-        raise AssertionError(f"corepresentation laws failed:\n{rep}")
-    return mat
+def _read_matrix(twoL: int, s: int) -> CorepMatrix:
+    """The unchecked matrix of spin l: hopf.comodule_matrix reads it off the
+    right legs xi'_j = a^(l-j) c^(l+j) sigma^s, basis monomials with
+    coefficient 1, literally, and raises when a leg leaves their span."""
+    return CorepMatrix(twoL, s, comodule_matrix(_vectors("L", twoL, s)),
+                       {i: vector_norm_sq(twoL, i) for i in index_range(twoL)})
 
 
 def verify_corep_matrix(mat: CorepMatrix) -> Report:
@@ -247,19 +245,19 @@ def closed_form(twoL: int, twoI: int, twoJ: int) -> Element:
     jacobi = functools.lru_cache(maxsize=None)(_jacobi_element)
     results = []
     if ij <= 0 and dij >= 0:
-        coeff = Scalar.t_power(lj * dij) * gauss_binomial(li, dij, TM2)
+        coeff = Scalar.t_power(lj * dij) * gauss_row(li)[dij]
         mono = Element.monomial((-ij, 0, dij, 0, lj % 2), "Asigma", coeff)
         results.append(mono * jacobi(lj, dij, -ij))
     if ij <= 0 and dij <= 0:
-        coeff = bsign * Scalar.t_power(li * (-dij)) * gauss_binomial(mi, -dij, TM2)
+        coeff = bsign * Scalar.t_power(li * (-dij)) * gauss_row(mi)[-dij]
         mono = Element.monomial((-ij, -dij, 0, 0, li % 2), "Asigma", coeff)
         results.append(mono * jacobi(li, -dij, -ij))
     if ij >= 0 and dij <= 0:
-        coeff = bsign * Scalar.t_power(mj * (-dij)) * gauss_binomial(mi, -dij, TM2)
+        coeff = bsign * Scalar.t_power(mj * (-dij)) * gauss_row(mi)[-dij]
         mono = Element.monomial((0, -dij, 0, ij, mj % 2), "Asigma", ONE)
         results.append((jacobi(mj, -dij, ij) * mono).scale(coeff))
     if ij >= 0 and dij >= 0:
-        coeff = Scalar.t_power(mi * dij) * gauss_binomial(li, dij, TM2)
+        coeff = Scalar.t_power(mi * dij) * gauss_row(li)[dij]
         mono = Element.monomial((0, 0, dij, ij, mi % 2), "Asigma", ONE)
         results.append((jacobi(mi, dij, ij) * mono).scale(coeff))
     first = results[0]
@@ -534,7 +532,7 @@ def verify_peter_weyl(twoL_max: int = 3) -> Report:
     mats = {}
     for twoL in range(twoL_max + 1):
         for s in (0, 1):
-            mats[(twoL, s)] = matrix_coefficients(twoL, s)
+            mats[(twoL, s)] = _read_matrix(twoL, s)
     keys = sorted(mats)
     signed_pairs = 0
     for (twoL, s) in keys:
@@ -554,9 +552,8 @@ def verify_peter_weyl(twoL_max: int = 3) -> Report:
                         else:
                             tw = Scalar.t_power(j1 if form == "R" else -i1)
                             base = bracket_t(twoL + 1).inv() * tw
-                            ratio = gauss_binomial(twoL2, (twoL2 + j2) // 2, TM2) \
-                                / gauss_binomial(twoL2, (twoL2 + i2) // 2, TM2)
-                            expected = base * ratio
+                            row = gauss_row(twoL2)
+                            expected = base * (row[(twoL2 + j2) // 2] / row[(twoL2 + i2) // 2])
                             # the R form pairs x against y*: on s != s' the
                             # sigma crosses the odd entry and contributes
                             # (-1)^(i-j); in the L form sigma only crosses
@@ -634,7 +631,7 @@ def completeness_witness(max_degree: int = 4, twoL_max: int = 4) -> Report:
     by_weight: Dict[Tuple[int, int], List[Tuple[str, Element]]] = {}
     for twoL in range(twoL_max + 1):
         for s in (0, 1):
-            mat = matrix_coefficients(twoL, s)
+            mat = _read_matrix(twoL, s)
             for (i, j), e in mat.entries.items():
                 if e.is_zero():
                     continue

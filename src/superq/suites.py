@@ -1,14 +1,14 @@
 """The verification suites of `superq verify`.  SUITES maps each name, in
 the order `verify --suite all` runs them, to (cap, run): cap is the largest
 degree the suite accepts; run(degree) returns the suite's Report, at its
-default bounds (the `d or 4` below) when degree is None.  matcoef and
-completeness stop at matrix_coefficients' bound 2 * repn.MATRIX_BOUND, and
-qfun and peterweyl keep their first caps; every other cap is the largest
-degree at which the suite ran alone in under 10 s and 200 MiB (CPython
-3.11, 2 shared cores).  rewrite is not monotone in the degree, as each
-degree draws its own triples, so its cap was found by running every
-degree from 40 up: 71 took 3.1-3.8 s and 148 MiB, 68 194 MiB, and 72
-213 MiB."""
+default bounds (the `d or 4` below) when degree is None.  qfun keeps its
+first cap and completeness 12 (1.5 s, 20 MiB); every other cap is the
+largest degree at which the suite ran alone in under 10 s and 200 MiB
+(CPython 3.11, 2 shared cores).  matcoef runs the corep self-check of
+repn.matrix_coefficients on every matrix: 11 took 5.8-6.1 s and 137 MiB,
+12 243 MiB.  rewrite is not monotone in the degree, as each degree draws
+its own triples, so its cap was found by running every degree from 40 up:
+71 took 3.1-3.8 s and 148 MiB, 68 194 MiB, and 72 213 MiB."""
 
 from __future__ import annotations
 
@@ -74,14 +74,13 @@ SUITES = {
     "dual": (18, lambda d: dual.verify_uq_relations(d or 4).merge(
         dual.verify_dual_hopf())),
     "pairing": (17, lambda d: _pairing(d or 4)),
-    "matcoef": (2 * repn.MATRIX_BOUND, lambda d: _matcoef(d or 4)),
+    "matcoef": (11, lambda d: _matcoef(d or 4)),
     "integral": (15, lambda d: repn.verify_integral(d or 4)),
     "moments": (15, lambda d: repn.moments_report(d or 4, d or 4)),
-    "peterweyl": (3, lambda d: repn.verify_peter_weyl(d or 2).merge(
+    "peterweyl": (6, lambda d: repn.verify_peter_weyl(d or 2).merge(
         repn.verify_weight_norms(3))),
     "spheres": (33, lambda d: _spheres(d or 2)),
-    "completeness": (2 * repn.MATRIX_BOUND,
-                     lambda d: repn.completeness_witness(d or 3, d or 3)),
+    "completeness": (12, lambda d: repn.completeness_witness(d or 3, d or 3)),
 }
 
 

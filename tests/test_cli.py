@@ -253,8 +253,10 @@ def test_matrix_suites_refuse_above_the_matrix_bound_at_once(capsys, monkeypatch
     def refuse(*args):
         raise AssertionError("the suite ran")
 
-    cap = 2 * repn.MATRIX_BOUND
-    monkeypatch.setattr(repn, "matrix_coefficients", refuse)
+    cap = suites.SUITES[suite][0]
+    assert cap <= 2 * repn.MATRIX_BOUND
+    # both suites read their matrices through repn._read_matrix
+    monkeypatch.setattr(repn, "_read_matrix", refuse)
     code, out, err = run_cli(capsys, "verify", "--suite", suite, "--degree", str(cap + 1))
     assert code == 2 and out == ""
     assert f"suite {suite} runs --degree {cap} at most, got {cap + 1}" in err
@@ -272,7 +274,12 @@ def test_closed_pipe_ends_quietly():
     assert (proc.wait(), err) == (141, b"")
 
 
-def test_verify_all_names_each_capped_suite(capsys):
+def test_verify_all_names_each_capped_suite(capsys, monkeypatch):
+    # no cap is below 4; with peterweyl's set to 3 the real suite runs at 3
+    code, out, err = run_cli(capsys, "verify", "--suite", "all", "--degree", "4")
+    assert code == 0 and err == ""
+    assert "peterweyl: pass (24225 checks)" in out
+    monkeypatch.setitem(suites.SUITES, "peterweyl", (3, suites.SUITES["peterweyl"][1]))
     code, out, err = run_cli(capsys, "verify", "--suite", "all", "--degree", "4")
     assert code == 0
     assert err.splitlines() == ["note: suite peterweyl runs at its cap --degree 3, not 4"]
@@ -525,7 +532,7 @@ def test_cache_size_applies_to_its_own_call_only(capsys):
 
 
 def test_cache_size_caps_every_memo_table():
-    from superq import _cache, algebra, dual, hopf, repn
+    from superq import _cache, algebra, dual, hopf, qfun, repn
 
     queries = [
         lambda: repn.haar(eval_text("zeta^3*s + zeta^2*s + zeta*s + zeta^3 + a*d")),
@@ -538,6 +545,8 @@ def test_cache_size_caps_every_memo_table():
         lambda: hopf.coaction("right", hopf.PlaneElement.monomial(3, 2)),
         # A(sigma) products no longer expand d^l a^I; B still does.
         lambda: algebra.normal_form(["d", "a"], "B"),
+        # repn reads algebra.gauss_row; the quotient binomials fill _binom_cache.
+        lambda: str(qfun.pascal_rule_check(3)),
     ]
     uncapped = [q() for q in queries]
     tables = _memo_tables()

@@ -122,6 +122,19 @@ def test_each_gauss_binomial_is_built_once(monkeypatch):
     assert gauss_binomial(6, 2, T_INV * T_INV) is gauss_binomial(6, 2, qfun.TM2)
 
 
+def test_gauss_row_is_the_quotient_binomial():
+    # the two routes to [n k] at base t^-2: algebra.gauss_row by q-Pascal,
+    # gauss_binomial by the Pochhammer quotient
+    from superq import qfun
+    from superq.algebra import gauss_row
+
+    for n in range(25):
+        row = gauss_row(n)
+        assert sorted(row) == list(range(n + 1))
+        for k in range(n + 1):
+            assert row[k] == gauss_binomial(n, k, qfun.TM2), (n, k)
+
+
 def test_qpolynomial_arithmetic():
     p = QPolynomial({0: ONE, 1: T})
     q = QPolynomial({1: T_INV})

@@ -175,6 +175,39 @@ def test_verify_corep_matrix_fails_on_swapped_entries():
     assert {"weight (-1,1)", "weight (1,-1)"} <= failed
 
 
+def test_only_matrix_coefficients_runs_the_corep_check(monkeypatch):
+    calls, check = [], repn.verify_corep_matrix
+    monkeypatch.setattr(repn, "verify_corep_matrix",
+                        lambda mat: calls.append((mat.twoL, mat.s)) or check(mat))
+    _cache.clear()
+    assert completeness_witness(3, 3).ok
+    assert verify_peter_weyl(2).ok
+    assert calls == []
+    # every call checks, also when the read-off is a memo hit
+    matrix_coefficients(2, 1)
+    matrix_coefficients(2, 1)
+    assert calls == [(2, 1), (2, 1)]
+
+
+def test_a_wrong_read_off_fails_peter_weyl_and_raises_in_matrix_coefficients(monkeypatch):
+    read = repn.comodule_matrix
+
+    def wrong(vectors):
+        entries = read(vectors)
+        if len(vectors) == 2:   # spin 1/2
+            entries[(1, -1)] = entries[(1, -1)].scale(T)
+        return entries
+    monkeypatch.setattr(repn, "comodule_matrix", wrong)
+    _cache.clear()
+    try:
+        rep = verify_peter_weyl(2)
+        assert not rep.ok and any("l=1/2" in f["input"] for f in rep.failures)
+        with pytest.raises(AssertionError, match="corepresentation laws failed"):
+            matrix_coefficients(1, 0)
+    finally:
+        _cache.clear()
+
+
 def test_closed_form_invalid_index():
     with pytest.raises(ValueError):
         closed_form(2, 1, 0)
