@@ -81,12 +81,18 @@ def _parse_word(text: str):
     return dual.Functional.word(*letters)
 
 
-def _int_at_least(low: int):
-    """argparse type: an int no smaller than low."""
+def _int_at_least(low: int, suite: str | None = None):
+    """argparse type: an int no smaller than low and, given a suite, no
+    larger than that suite's cap."""
+    cap = suites.SUITES[suite][0] if suite else None
+
     def parse(text):
         n = int(text)
         if n < low:
             raise argparse.ArgumentTypeError(f"must be at least {low}, got {n}")
+        if cap is not None and n > cap:
+            raise argparse.ArgumentTypeError(
+                f"must be at most {cap}, the cap of suite {suite}, got {n}")
         return n
     parse.__name__ = "int"   # argparse names the type in "invalid int value"
     return parse
@@ -153,7 +159,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
         (repn.closed_form_matrix if a.closed_form else repn.matrix_coefficients)(a.twoL, a.s), a))
 
     p = sub.add_parser("gram", help="orthogonality Gram of corep entries")
-    p.add_argument("--twoL-max", type=_int_at_least(0), default=2)
+    p.add_argument("--twoL-max", type=_int_at_least(0, "peterweyl"), default=2)
     p.add_argument("--json", action="store_true")
     p.set_defaults(run=lambda a: _print(repn.verify_peter_weyl(a.twoL_max), a))
 

@@ -28,6 +28,27 @@ generators, and the sigmas of the odd images pass (j+k)(j+k-1)/2 odd
 generators among themselves.  For S that count cancels the Koszul sign of
 the reversal, c^k b^j -> b^j c^k adds jk and the j factors -t^-1 add j;
 star has no Koszul sign, keeps b^k c^j in order and has k factors -t^-1.
+
+The coactions are read off the coproduct of B.  There ac = t ca and
+ab = t ba with b, c odd, and a^i c^k, a^i b^j are basis monomials whose
+products are a^i c^k a^m c^n = t^(-km) a^(i+m) c^(k+n), and likewise for b:
+the products of x^i y^k in the plane.  So iota_L: x -> a, y -> c and
+iota_R: x -> a, y -> b are graded algebra embeddings of the plane into B,
+bijective on monomials.  On the generators,
+
+    (id ox iota_L) psi_L(x) = a ox a + b ox c = Delta(a),
+    (id ox iota_L) psi_L(y) = c ox a + d ox c = Delta(c),
+    (iota_R ox id) psi_R(x) = a ox a + b ox c = Delta(a),
+    (iota_R ox id) psi_R(y) = a ox b + b ox d = Delta(b),
+
+and the legs have equal parities, so the Koszul signs agree.  psi(x^m y^n)
+is psi(x)^m psi(y)^n multiplied from the left, and _delta_mono builds
+Delta(a^m c^n) and Delta(a^m b^n) as Delta(a)^m Delta(c)^n and
+Delta(a)^m Delta(b)^n multiplied from the left.  Each step of one product
+is the other's under iota, which maps a product of monomials to one term
+and keeps keys distinct, so psi_L(x^m y^n) is Delta(a^m c^n) with its
+right leg read back through iota_L, and psi_R(x^m y^n) is Delta(a^m b^n)
+with its left leg read back through iota_R, dict and term order included.
 """
 
 from __future__ import annotations
@@ -64,37 +85,6 @@ DELTA_GEN = {
 _GEN_ORDER = ("a", "b", "c", "d", "sigma")
 
 
-def _prefix_product(table: dict, key, m: tuple, slots, gens) -> dict:
-    """Terms of the product of the generators of monomial m, taken left to
-    right in the order of m's exponents, built on memoised prefixes.
-
-    gens[i] is the Tensor image of the generator whose exponent is m[i],
-    and key(p) is table's key for the monomial p.  The prefix of p is p
-    with the exponent of its last generator lowered by one, so
-    p = prefix * gens[i] is exactly one acc * gen step of the left-to-right
-    product: the result is that product's dict, in its term order, with
-    equal coefficients.  Prefixes missing from table are built shortest
-    first, without recursion, and stored in it; the caller's memo stores m
-    itself.
-    """
-    chain = []
-    acc = None
-    p = m
-    while any(p):
-        i = max(j for j, e in enumerate(p) if e)
-        chain.append((p, i))
-        p = p[:i] + (p[i] - 1,) + p[i + 1:]
-        acc = table.get(key(p))
-        if acc is not None:
-            break
-    acc = Tensor.unit(slots) if acc is None else _tensor(slots, acc)
-    for p, i in reversed(chain):
-        acc = acc * gens[i]
-        if p is not m:
-            _cache.store(table, key(p), acc.terms)
-    return acc.terms
-
-
 _delta_cache: Dict[tuple, dict] = {}
 
 
@@ -106,11 +96,27 @@ def _delta_mono(m: Monomial, ring: str) -> dict:
 
     Each entry is one step of the product Delta(g_1) ... Delta(g_n) over the
     generators of m from the left, so the dict and its term order are those
-    of that product.  The returned dict is shared: read it, do not mutate.
+    of that product.  Prefixes missing from the table are built shortest
+    first, without recursion, and stored in it; the memo stores m itself.
+    The returned dict is shared: read it, do not mutate.
     """
     slots = (AlgSlot(ring), AlgSlot(ring))
-    gens = [Tensor(slots, dict.fromkeys(DELTA_GEN[g], ONE)) for g in _GEN_ORDER]
-    return _prefix_product(_delta_cache, lambda p: (p, ring), m, slots, gens)
+    chain = []
+    acc = None
+    p = m
+    while any(p):
+        i = max(j for j, e in enumerate(p) if e)
+        chain.append((p, i))
+        p = p[:i] + (p[i] - 1,) + p[i + 1:]
+        acc = _delta_cache.get((p, ring))
+        if acc is not None:
+            break
+    acc = Tensor.unit(slots) if acc is None else _tensor(slots, acc)
+    for p, i in reversed(chain):
+        acc = acc * Tensor(slots, dict.fromkeys(DELTA_GEN[_GEN_ORDER[i]], ONE))
+        if p is not m:
+            _cache.store(_delta_cache, (p, ring), acc.terms)
+    return acc.terms
 
 
 def coproduct(x: Element) -> Tensor:
@@ -303,41 +309,22 @@ def corep_report(N: dict, labels) -> Report:
 
 class PlaneElement(_Combination):
     """Zero-free combination of plane monomials x^m y^n (xy = t yx,
-    p(y) = 1), with no y^2 term when nilpotent.  Negation, scaling,
-    equality and the product are _Combination's, with PlaneSlot's product
-    as _times; a sum or product takes either flag and keeps the left
-    operand's."""
+    p(y) = 1).  Sums, negation, scaling, equality and the product are
+    _Combination's, with PlaneSlot's product as _times."""
 
-    __slots__ = ("nilpotent",)
-    _TAG = "nilpotent"
+    __slots__ = ()
     _times = PlaneSlot.mul
 
-    def __init__(self, terms=None, nilpotent: bool = False):
-        self.nilpotent = nilpotent
-        src = {m: c for m, c in (terms or {}).items() if c}
-        if nilpotent:
-            src = {m: c for m, c in src.items() if m[1] < 2}
-        self.terms = src
+    def __init__(self, terms=None):
+        self.terms = {m: c for m, c in (terms or {}).items() if c}
 
     @staticmethod
-    def monomial(mx: int, my: int, coeff: Scalar = ONE,
-                 nilpotent: bool = False) -> "PlaneElement":
-        return PlaneElement({(mx, my): coeff}, nilpotent)
+    def monomial(mx: int, my: int, coeff: Scalar = ONE) -> "PlaneElement":
+        return PlaneElement({(mx, my): coeff})
 
     @staticmethod
-    def one(nilpotent: bool = False) -> "PlaneElement":
-        return PlaneElement.monomial(0, 0, nilpotent=nilpotent)
-
-    def _check(self, other) -> None:
-        """Only the class must match: the flags may differ."""
-        if type(other) is not PlaneElement:
-            raise TypeError(f"cannot combine PlaneElement with {type(other).__name__}")
-
-    def __add__(self, other):
-        out = _Combination.__add__(self, other)
-        if self.nilpotent and not other.nilpotent:     # drop other's y^2 terms
-            return PlaneElement(out.terms, True)
-        return out
+    def one() -> "PlaneElement":
+        return PlaneElement.monomial(0, 0)
 
     def __str__(self):
         if not self.terms:
@@ -350,47 +337,34 @@ class PlaneElement(_Combination):
         return " + ".join(bits)
 
 
-# psi_L(x) = a ox x + b ox y;  psi_L(y) = c ox x + d ox y
-_COACT_L = (((_A, (1, 0)), (_B, (0, 1))), ((_C, (1, 0)), (_D, (0, 1))))
-# psi_R(x) = x ox a + y ox c;  psi_R(y) = x ox b + y ox d
-_COACT_R = ((((1, 0), _A), ((0, 1), _C)), (((1, 0), _B), ((0, 1), _D)))
+def _coact_slots(which: str) -> tuple:
+    return (AlgSlot("B"), PlaneSlot()) if which == "left" else (PlaneSlot(), AlgSlot("B"))
 
 
-def _coact_slots(which: str, nilpotent: bool) -> tuple:
-    plane_slot = PlaneSlot(nilpotent)
-    return (AlgSlot("B"), plane_slot) if which == "left" else (plane_slot, AlgSlot("B"))
-
-
-_coact_cache: Dict[tuple, dict] = {}
-
-
-@_cache.memo(_coact_cache)
-def _coact_mono(which: str, mx: int, my: int, nilpotent: bool) -> dict:
-    """Terms of psi(x^mx y^my) = psi(prefix) psi(g), g = y when my > 0 and x
-    otherwise, prefix the monomial with that exponent lowered by one; the
-    dict and term order of psi(x)^mx psi(y)^my multiplied from the left, as
-    in _delta_mono.  The returned dict is shared: read it, do not mutate."""
-    slots = _coact_slots(which, nilpotent)
-    gens = [Tensor(slots, dict.fromkeys(g, ONE))
-            for g in (_COACT_L if which == "left" else _COACT_R)]
-    return _prefix_product(_coact_cache, lambda p: (which,) + p + (nilpotent,),
-                           (mx, my), slots, gens)
+def _coact_mono(which: str, mx: int, my: int) -> dict:
+    """Terms of psi(x^mx y^my), read off the memoised Delta in B as the
+    module docstring shows: those of Delta(a^mx c^my) with the right leg
+    a^i c^k read back as x^i y^k (left), or of Delta(a^mx b^my) with the
+    left leg a^i b^j read back as x^i y^j (right), in the same order."""
+    if which == "left":
+        return {(l, (r[0], r[2])): c
+                for (l, r), c in _delta_mono((mx, 0, my, 0, 0), "B").items()}
+    return {((l[0], l[1]), r): c
+            for (l, r), c in _delta_mono((mx, my, 0, 0, 0), "B").items()}
 
 
 def coaction(which: str, p: PlaneElement) -> Tensor:
     """Left coaction (algebra ox plane) or right coaction (plane ox algebra),
     extended as a graded algebra morphism.
 
-    Each monomial's image is read from a table built on memoised prefixes
-    (_coact_mono), and sum_images extends it linearly: one dict in the
-    order of p.terms and of each image's keys, the order of the
-    term-by-term sum.
+    Each monomial's image is read off the coproduct (_coact_mono), and
+    sum_images extends it linearly: one dict in the order of p.terms and
+    of each image's keys, the order of the term-by-term sum.
     """
     if which not in ("left", "right"):
         raise ValueError("which must be 'left' or 'right'")
-    nil = p.nilpotent
-    return _tensor(_coact_slots(which, nil), sum_images(
-        p.terms.items(), lambda m: _coact_mono(which, m[0], m[1], nil).items()))
+    return _tensor(_coact_slots(which), sum_images(
+        p.terms.items(), lambda m: _coact_mono(which, m[0], m[1]).items()))
 
 
 def verify_coaction(max_total_degree: int = 5) -> Report:
@@ -398,7 +372,7 @@ def verify_coaction(max_total_degree: int = 5) -> Report:
     rep = Report()
     ring_slot = AlgSlot("B")
     for which in ("left", "right"):
-        slots = _coact_slots(which, False)
+        slots = _coact_slots(which)
         alg = slots.index(ring_slot)
         for mx in range(max_total_degree + 1):
             for my in range(max_total_degree + 1 - mx):
@@ -410,7 +384,7 @@ def verify_coaction(max_total_degree: int = 5) -> Report:
                 expect = Tensor((PlaneSlot(),), {((mx, my),): ONE})
                 rep.check(f"counit law {label}", ce == expect, ce, expect)
 
-                lhs = psi.split(1 - alg, lambda mm: _coact_mono(which, *mm, False), slots)
+                lhs = psi.split(1 - alg, lambda mm: _coact_mono(which, *mm), slots)
                 rhs = psi.split(alg, _delta_terms_fn("B"), (ring_slot, ring_slot))
                 rep.check(f"coassociativity {label}", lhs == rhs, lhs, rhs)
 

@@ -3,8 +3,7 @@
 A Tensor is a Scalar-linear combination of pure tensors over a fixed tuple
 of slots.  Slots are either algebra slots (carrying a ring tag, monomials
 are the normal-form monomials of that ring) or quantum-plane slots
-(monomials x^m y^n with xy = t yx, p(x) = 0, p(y) = 1; optionally with
-y^2 = 0 imposed).
+(monomials x^m y^n with xy = t yx, p(x) = 0, p(y) = 1).
 
 Multiplication follows the graded rule
 
@@ -50,24 +49,19 @@ class AlgSlot:
 
 
 class PlaneSlot:
-    """Quantum plane x^m y^n, xy = t yx; nilpotent=True imposes y^2 = 0."""
+    """Quantum plane x^m y^n, xy = t yx."""
 
-    __slots__ = ("nilpotent",)
+    __slots__ = ()
     SYMBOLS = "xy"
-
-    def __init__(self, nilpotent: bool = False):
-        self.nilpotent = nilpotent
 
     def parity(self, mono) -> int:
         return mono[1] % 2
 
     def mul(self, m1, m2):
         """x^mx1 y^my1 * x^mx2 y^my2 as (monomial, Scalar) pairs.  It reads
-        only self.nilpotent, so hopf.PlaneElement shares it as its _times."""
+        nothing of self, so hopf.PlaneElement shares it as its _times."""
         mx1, my1 = m1
         mx2, my2 = m2
-        if self.nilpotent and my1 + my2 >= 2:
-            return ()
         # y^n1 x^m2 = t^(-n1*m2) x^m2 y^n1
         coeff = ONE if my1 * mx2 == 0 else signed_t_power(0, -my1 * mx2)
         return (((mx1 + mx2, my1 + my2), coeff),)
@@ -76,10 +70,10 @@ class PlaneSlot:
         return (0, 0)
 
     def __eq__(self, other):
-        return isinstance(other, PlaneSlot) and self.nilpotent == other.nilpotent
+        return isinstance(other, PlaneSlot)
 
     def __repr__(self):
-        return f"PlaneSlot(nilpotent={self.nilpotent})"
+        return "PlaneSlot()"
 
 
 def _distribute(factors, c: Scalar = ONE) -> list:

@@ -56,11 +56,13 @@ def test_criterion_02_hopf_axioms():
 def test_criterion_03_comodule_algebra():
     rep = hopf.verify_coaction(5)
     rep.merge(hopf.verify_coaction_morphism(3))
-    # with y^2 = 0 imposed psi(y)^2 stays nonzero: that quotient plane is
-    # not a comodule algebra
-    psi_y = hopf.coaction("left", hopf.PlaneElement.monomial(0, 1, nilpotent=True))
-    broken = psi_y * psi_y
-    _verdict(3, "quantum plane comodule laws", rep.ok and not broken.is_zero(),
+    # psi(y)^2 maps to no zero in the quotient plane P/(y^2), where y^2 = 0:
+    # that quotient is not a comodule algebra.  The quotient map drops every
+    # plane leg y^n with n >= 2; the image keeps the x^2 and xy terms.
+    psi_y = hopf.coaction("left", hopf.PlaneElement.monomial(0, 1))
+    broken = {k: c for k, c in (psi_y * psi_y).terms.items() if k[1][1] < 2}
+    legs = sorted(k[1] for k in broken)
+    _verdict(3, "quantum plane comodule laws", rep.ok and legs == [(1, 1), (2, 0)],
              f"{rep.checked} checks; y^2=0 control nonzero")
 
 

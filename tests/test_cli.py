@@ -345,6 +345,8 @@ def test_sphere_characters_cli(capsys):
 @pytest.mark.parametrize("argv, message", [
     (["--cache-size", "-5", "nf", "a"], "--cache-size: must be at least 0, got -5"),
     (["gram", "--twoL-max", "-1"], "--twoL-max: must be at least 0, got -1"),
+    (["gram", "--twoL-max", "7"],
+     "--twoL-max: must be at most 6, the cap of suite peterweyl, got 7"),
     (["verify", "--degree", "-3"], "--degree: must be at least 1, got -3"),
     (["verify", "--suite", "hopf", "--degree", "0"], "--degree: must be at least 1, got 0"),
     (["sphere", "--alpha", "1,0,1", "--check", "characters"],
@@ -550,7 +552,7 @@ def test_cache_size_caps_every_memo_table():
     ]
     uncapped = [q() for q in queries]
     tables = _memo_tables()
-    assert len(tables) == 15
+    assert len(tables) == 14
     previous = _cache.LIMIT
     used = set()
     try:

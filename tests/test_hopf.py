@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from superq import _cache, algebra, hopf
@@ -181,14 +183,19 @@ def test_verify_hopf_negative_control(monkeypatch):
     assert (coproduct(x), antipode(x)) == before
 
 
-def test_coassociativity_degree_four():
-    ring = "Asigma"
+@pytest.mark.parametrize("ring", ["B", "Bsigma", "Asigma"])
+def test_coassociativity_degree_four(ring):
+    # The coaction suite's laws rest on Delta in B, the hopf suite's on A(sigma).
     slots = (AlgSlot(ring), AlgSlot(ring))
+    eps = lambda mm: counit(Element.monomial(mm, ring))
     for m in algebra.basis_monomials(4, ring):
-        dx = coproduct(Element.monomial(m, ring))
+        x = Element.monomial(m, ring)
+        dx = coproduct(x)
         lhs = dx.split(0, hopf._delta_terms_fn(ring), slots)
         rhs = dx.split(1, hopf._delta_terms_fn(ring), slots)
         assert lhs == rhs, f"coassociativity fails at {m}"
+        assert dx.contract(0, eps).to_element() == x, f"left counit law fails at {m}"
+        assert dx.contract(1, eps).to_element() == x, f"right counit law fails at {m}"
 
 
 # ---------------------------------------------------------------------------
@@ -231,13 +238,20 @@ def test_verify_coaction_suite():
     assert rep2.ok, str(rep2)
 
 
+def _in_quotient_plane(psi):
+    """The image of a left-coaction tensor under id ox (P -> P/(y^2)): every
+    plane leg y^n with n >= 2 dropped."""
+    return {k: c for k, c in psi.terms.items() if k[1][1] < 2}
+
+
 def test_nilpotent_plane_is_not_comodule_algebra():
-    # psi(y)^2 != 0 even though y^2 = 0 in the quotient plane.
-    psi = coaction("left", PlaneElement.monomial(0, 1, nilpotent=True))
+    # psi(y)^2 maps to no zero in P/(y^2), though y^2 = 0 there: its image
+    # holds the x^2 and xy terms of psi(y)^2 and drops only d^2 ox y^2.
+    psi = coaction("left", PlaneElement.monomial(0, 1))
     sq = psi * psi
-    assert not sq.is_zero()
-    # its plane part contains x^2 and xy but no y^2
-    assert all(key[1][1] < 2 for key in sq.terms)
+    image = _in_quotient_plane(sq)
+    assert sorted(k[1] for k in image) == [(1, 1), (2, 0)]
+    assert image == {k: c for k, c in sq.terms.items() if k != ((0, 0, 0, 2, 0), (0, 2))}
 
 
 # -- memoised prefixes and one-dict sums, against builders that start from 1 --
@@ -256,11 +270,20 @@ def _delta_mono_from_unit(m, ring):
     return acc.terms
 
 
-def _coact_mono_from_unit(which, mx, my, nilpotent):
-    """psi(x)^mx psi(y)^my multiplied from the unit."""
-    plane = PlaneSlot(nilpotent)
-    slots = (AlgSlot("B"), plane) if which == "left" else (plane, AlgSlot("B"))
-    gx, gy = hopf._COACT_L if which == "left" else hopf._COACT_R
+# The generator images of the coactions, the tables psi is defined by:
+# psi_L(x) = a ox x + b ox y;  psi_L(y) = c ox x + d ox y
+# psi_R(x) = x ox a + y ox c;  psi_R(y) = x ox b + y ox d
+_A, _B, _C, _D = ((1, 0, 0, 0, 0), (0, 1, 0, 0, 0), (0, 0, 1, 0, 0), (0, 0, 0, 1, 0))
+_X, _Y = (1, 0), (0, 1)
+_COACT_L = (((_A, _X), (_B, _Y)), ((_C, _X), (_D, _Y)))
+_COACT_R = (((_X, _A), (_Y, _C)), ((_X, _B), (_Y, _D)))
+
+
+def _coact_mono_from_unit(which, mx, my):
+    """psi(x)^mx psi(y)^my multiplied from the unit, from the generator
+    images alone: independent of the coproduct that _coact_mono reads."""
+    slots = (AlgSlot("B"), PlaneSlot()) if which == "left" else (PlaneSlot(), AlgSlot("B"))
+    gx, gy = _COACT_L if which == "left" else _COACT_R
     acc = Tensor.unit(slots)
     for g, e in ((gx, mx), (gy, my)):
         for _ in range(e):
@@ -278,13 +301,16 @@ def test_prefix_built_monomials_match_products_from_the_unit():
         # highest degree first: long prefix chains fill, later calls hit them
         for m in reversed(list(algebra.basis_monomials(5, ring))):
             assert _same(hopf._delta_mono(m, ring), _delta_mono_from_unit(m, ring)), (ring, m)
+
+
+def test_coactions_read_off_the_coproduct_match_the_generator_products():
+    _cache.clear()
     monos = [(mx, my) for mx in range(8) for my in range(8 - mx)]
+    assert len(monos) == 36
     for which in ("left", "right"):
-        for nilpotent in (False, True):
-            for mx, my in reversed(monos):
-                got = hopf._coact_mono(which, mx, my, nilpotent)
-                want = _coact_mono_from_unit(which, mx, my, nilpotent)
-                assert _same(got, want), (which, mx, my, nilpotent)
+        for mx, my in reversed(monos):
+            got = hopf._coact_mono(which, mx, my)
+            assert _same(got, _coact_mono_from_unit(which, mx, my)), (which, mx, my)
 
 
 def test_one_dict_sums_keep_the_term_by_term_order():
@@ -313,10 +339,10 @@ def test_one_dict_sums_keep_the_term_by_term_order():
 
     p = PlaneElement({(3, 1): T, (0, 2): ONE + T, (2, 0): -ONE})
     for which in ("left", "right"):
-        pslots = hopf._coact_slots(which, False)
+        pslots = hopf._coact_slots(which)
         old = Tensor(pslots)
         for (mx, my), c in p.terms.items():
-            old = old + Tensor(pslots, _coact_mono_from_unit(which, mx, my, False)).scale(c)
+            old = old + Tensor(pslots, _coact_mono_from_unit(which, mx, my)).scale(c)
         assert _same(coaction(which, p).terms, old.terms)
 
 
@@ -337,18 +363,35 @@ def test_each_coproduct_and_coaction_is_built_once(monkeypatch):
     assert verify_hopf(4).ok
     # one product per non-unit basis monomial (395 when every call rebuilt it)
     assert calls[0] == len(list(algebra.basis_monomials(4, "Asigma"))) - 1 == 109
-    for verifier, degree, bound in ((verify_coaction, 5, 169),            # 1660 rebuilt per call
-                                    (verify_coaction_morphism, 3, 254)):  # 1800 rebuilt per call
+    # psi is read off the memoised Delta in B: one product per prefix of
+    # Delta(a^m c^n) or Delta(a^m b^n), plus the verifiers' own products
+    for verifier, degree, bound in ((verify_coaction, 5, 129),
+                                    (verify_coaction_morphism, 3, 248)):
         _cache.clear()
         calls[0] = 0
         assert verifier(degree).ok
         assert calls[0] <= bound, verifier.__name__
 
 
-def test_deep_coaction_fills_prefixes_without_recursion():
+def _stack_depth():
+    frame, depth = sys._getframe(), 0
+    while frame:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+def test_deep_coproduct_fills_prefixes_without_recursion():
+    # Delta(a^40) walks a chain of 40 prefixes in about 15 frames; one or
+    # more frames per prefix would overflow this limit.
     _cache.clear()
-    psi = coaction("left", PlaneElement.monomial(1500, 0, nilpotent=True))
-    assert len(psi.terms) == 2
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + 30)
+    try:
+        terms = hopf._delta_mono((40, 0, 0, 0, 0), "B")
+    finally:
+        sys.setrecursionlimit(limit)
+    assert len(terms) == 41
+    assert ((20, 0, 0, 0, 0), "B") in hopf._delta_cache
 
 
 # -- antipode and star of a basis monomial: closed form against products --

@@ -60,16 +60,14 @@ _tensor = _terms([(m1, m2) for m1 in _monos[:4] for m2 in _monos[:4]]).map(
 _functional = _terms([(), ("k",), ("K",), ("e",), ("f",), ("e", "f"), ("k", "K")]).map(
     Functional)
 _qpoly = _terms([0, 1, 2, 3]).map(QPolynomial)
-_plane = st.tuples(_terms([(0, 0), (1, 0), (0, 1), (1, 1), (0, 2)]), st.booleans()).map(
-    lambda dn: PlaneElement(*dn))
+_plane = _terms([(0, 0), (1, 0), (0, 1), (1, 1), (0, 2)]).map(PlaneElement)
 
 
 def _stored(x):
     return list(x.terms.values())
 
 
-_pairs = st.one_of(*(st.tuples(s, s) for s in (_element, _tensor, _functional, _qpoly)),
-                   st.tuples(_plane, _plane).filter(lambda p: p[0].nilpotent == p[1].nilpotent))
+_pairs = st.one_of(*(st.tuples(s, s) for s in (_element, _tensor, _functional, _qpoly, _plane)))
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
@@ -112,10 +110,9 @@ def test_tensor_results_store_no_zero(x, y):
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(_plane, _plane)
 def test_plane_results_store_no_zero(x, y):
-    results = [x + y, x - y, x * y, y * x]   # either may be nilpotent
+    results = [x + y, x - y, x * y, y * x]
     for r in results:
         assert all(_stored(r)), r
-        assert not r.nilpotent or all(my < 2 for _, my in r.terms), r
     assert not _stored(x + (-x))
 
 

@@ -23,17 +23,15 @@ from superq.tensor import AlgSlot, PlaneSlot, Tensor
 _COEFFS = [ONE, -ONE, Scalar.from_rational(2), T, -T, T_INV, ONE + T, Scalar.from_gauss(0, 1)]
 
 
-def _old_plane_mul(slot, m1, m2):
+def _old_plane_mul(m1, m2):
     mx1, my1 = m1
     mx2, my2 = m2
-    if slot.nilpotent and my1 + my2 >= 2:
-        return {}
     return {(mx1 + mx2, my1 + my2): ONE if my1 * mx2 == 0 else signed_t_power(0, -my1 * mx2)}
 
 
 def _old_slot_mul(slot, m1, m2):
     if isinstance(slot, PlaneSlot):
-        return _old_plane_mul(slot, m1, m2)
+        return _old_plane_mul(m1, m2)
     return dict(algebra._mono_mul(m1, m2, slot.ring))
 
 
@@ -92,15 +90,15 @@ def _old_contract(x, leg, fn):
 
 
 def _random_slots(rng, n):
-    return tuple(PlaneSlot(rng.random() < 0.5) if rng.random() < 0.4
+    return tuple(PlaneSlot() if rng.random() < 0.4
                  else AlgSlot(rng.choice(algebra.RINGS)) for _ in range(n))
 
 
 def _random_mono(rng, slot):
     if isinstance(slot, AlgSlot):
         return algebra.random_monomial(rng, 2, slot.ring)
-    # odd powers of y, and y^2 and y^3 where the slot allows them
-    return (rng.randint(0, 2), rng.randint(0, 1 if slot.nilpotent else 3))
+    # odd and even powers of y
+    return (rng.randint(0, 2), rng.randint(0, 3))
 
 
 def _random_tensor(rng, slots):
@@ -137,8 +135,7 @@ def _leg_maps(slot):
             split = (lambda m: _delta_mono(m, ring), (AlgSlot(ring), AlgSlot(ring)))
         return apply_fn, split, lambda m: ZERO if sum(m) % 3 == 1 else signed_t_power(m[0], m[3])
     apply_fn = lambda m: {(m[0], m[1] % 2): T_INV, (0, 0): ONE}
-    split = (lambda m: _coact_mono("left", m[0], m[1], slot.nilpotent),
-             (AlgSlot("B"), PlaneSlot(slot.nilpotent)))
+    split = (lambda m: _coact_mono("left", m[0], m[1]), (AlgSlot("B"), PlaneSlot()))
     return apply_fn, split, lambda m: ZERO if m[1] % 2 else signed_t_power(m[1], m[0])
 
 
