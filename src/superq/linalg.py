@@ -1,16 +1,31 @@
 """Exact linear algebra over the scalar field.
 
 Rows are sparse dicts {column key: Scalar}.  One Gaussian elimination
-loop with exact division, rref, serves rank, nullspace, solve and the
-specialised rank certificate (whose GaussRat rows it reduces just
-as well); no pivoting heuristics beyond sparsity.
+loop with exact division, rref, serves nullspace, solve and rank, which
+runs it only when specialized_rank_certificate, an elimination of the
+rows' image in F_PRIME (Scalar.mod_p), declines.
+
+The certificate is a proof.  Up to squares, the radicands 1 + t^2 and
+(t^2 + 1)/(t^2 - 1) and their product are t^2 + 1, t^4 - 1 and t^2 - 1,
+none a square in Q(i)(t), so the four radical masks are a basis of
+K = Q(i)(t)(R1, KAPPA).  Let L hold the n/d, n and d in Z[i][t], with
+d(T_P) != 0 at i = I_P mod PRIME: n/d -> n(T_P)/d(T_P) is a ring map
+L -> F_PRIME (n/d = n'/d' gives n d' = n' d).  R1^2 and KAPPA^2 lie in L
+(T_P^2 != 1) with images R1_P^2 and KAPPA_P^2, so R1 -> R1_P and
+KAPPA -> KAPPA_P extend it to a ring map phi on the L-span of the masks,
+a subring of K.  Scalar.mod_p is phi, and raises ScalarPoleError off its
+domain.  A nonzero r x r minor of the image is phi of the same minor of
+the rows, which is then nonzero, and r = min(#nonzero rows, #columns)
+bounds the rank.  Chance enters only in how rarely a point hides a full
+rank (Schwartz 1980, Zippel 1979; von zur Gathen-Gerhard, Modern
+Computer Algebra, ch. 5); then, or at a pole, the certificate gives None.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
+from . import scalars
 from .scalars import ONE, Scalar, ScalarPoleError, ZERO, add_term
 
 Row = Dict[Hashable, Scalar]
@@ -62,7 +77,8 @@ def _col_key(c):
 
 
 def rank(rows: Sequence[Row]) -> int:
-    return len(rref(rows)[0])
+    cert = specialized_rank_certificate(rows)
+    return len(rref(rows)[0]) if cert is None else cert
 
 
 def nullspace(rows: Sequence[Row], unknowns: Sequence[Hashable]) -> List[Dict]:
@@ -99,39 +115,26 @@ def solve(rows: Sequence[Row], rhs: Sequence[Scalar],
     return {u: sol.get(u, ZERO) for u in unknowns}
 
 
-# ---------------------------------------------------------------------------
-# Certified fast rank via exact specialization
-# ---------------------------------------------------------------------------
-
-# The values of t tried in turn; a pole of an entry at one skips it.
-_T_POINTS = (Fraction(5, 3), Fraction(7, 2), Fraction(11, 4))
-
-
 def specialized_rank_certificate(rows: Sequence[Row]) -> Optional[int]:
-    """Try to certify full rank by exact substitution t = rational.
-
-    The rank of a specialization never exceeds the rank over Q(i)(t), so if
-    a specialization reaches min(#rows, #cols) the symbolic rank equals it.
-    Returns that rank, or None when the certificate does not apply (then use
-    the symbolic path).  Only valid for radical-free entries: a row with a
-    radical-bearing entry gives None.
-    """
-    rows = [r for r in rows if r]
-    if not rows:
-        return 0
-    if not all(v.is_rational_function() for r in rows for v in r.values()):
+    """min(#nonzero rows, #columns) when the rows' image in F_PRIME has that
+    rank, which proves it (module docstring); else None, also at a pole.  An
+    image row is reduced at its smallest column until that has no pivot."""
+    p, index, pivots = scalars.PRIME, {}, {}
+    try:
+        images = [{index.setdefault(c, len(index)): v.mod_p() for c, v in r.items()}
+                  for r in rows if r]
+    except ScalarPoleError:
         return None
-    cols = set()
-    for r in rows:
-        cols.update(r)
-    target = min(len(rows), len(cols))
-    for t0 in _T_POINTS:
-        try:
-            num_rows = [{c: v.specialize_t(t0) for c, v in r.items()} for r in rows]
-        except ScalarPoleError:
-            continue
-        # rref pivots on any entry it finds, so the zeros must go
-        r = rank([{c: x for c, x in row.items() if x} for row in num_rows])
-        if r == target:
-            return r
-    return None
+    for row in images:
+        row = {c: v for c, v in row.items() if v}
+        while row:
+            col = min(row)
+            if col not in pivots:
+                inv = pow(row[col], -1, p)
+                pivots[col] = {c: v * inv % p for c, v in row.items()}
+                break
+            f = row[col]
+            for c, v in pivots[col].items():
+                row[c] = (row.get(c, 0) - f * v) % p
+            row = {c: v for c, v in row.items() if v}
+    return len(pivots) if len(pivots) == min(len(images), len(index)) else None

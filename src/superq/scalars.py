@@ -74,10 +74,13 @@ The printer takes no gcd for a canonical part: its integer form
 (_integerize) has content 1 by construction.
 
 GaussRat, a normalised integer triple, holds the scalar constants and the
-exact numeric evaluation: with s = t^2 = -q a Gaussian rational, a
+exact numeric evaluation only: with s = t^2 = -q a Gaussian rational, a
 polynomial is E(s) + t*O(s), and a rational function is brought to A + t*B
-exactly (see Scalar.eval_numeric).  Nothing reads the key order of a
-polynomial dict: printing sorts.
+exactly (see Scalar.eval_numeric).  Scalar.mod_p is the ring map to
+F_PRIME that sends i, t, R1 and KAPPA to I_P, T_P, R1_P and KAPPA_P: a part
+(N/dn)/(D/dd) goes to N(T_P) dd / (D(T_P) dn) when that denominator is
+nonzero mod PRIME (the proof, and why a full rank there is one: linalg).
+Nothing reads the key order of a polynomial dict: printing sorts.
 
 add_term, sum_images and _Combination hold the zero-free sparse
 {key: Scalar} sums of Element, Tensor, Functional, QPolynomial and
@@ -113,7 +116,7 @@ class UnsupportedRadicalError(ScalarError):
 
 
 class ScalarPoleError(ScalarError):
-    """Numeric evaluation hit a pole of a rational-function component."""
+    """A rational-function component has a pole at the point of evaluation."""
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +210,6 @@ def _gr(a: int, b: int, d: int) -> GaussRat:
     return x
 
 
-G_ZERO = GaussRat(0)
 G_ONE = GaussRat(1)
 
 
@@ -438,6 +440,17 @@ def _complex(x: GaussRat, y: GaussRat = G_ONE) -> complex:
     return complex((x.a * y.a + x.b * y.b) * y.d / n, (x.b * y.a - x.a * y.b) * y.d / n)
 
 
+# The image in F_PRIME (module docstring): PRIME = 1 (mod 4), I_P^2 = -1,
+# R1_P^2 = 1 + T_P^2 and KAPPA_P^2 (T_P^2 - 1) = T_P^2 + 1 mod PRIME.
+PRIME, I_P, T_P = 2305843009213693921, 583529827753931384, 1739777986574700980
+R1_P, KAPPA_P = 248955396429619667, 1141122414864257813
+
+
+def _poly_mod_p(C) -> int:
+    """The Gaussian-integer polynomial C at i = I_P, t = T_P, unreduced."""
+    return sum((x + y * I_P) * pow(T_P, e, PRIME) for e, (x, y) in C.items())
+
+
 _C1 = (1, 0)
 P_ONE = ({0: _C1}, 1)
 
@@ -646,9 +659,6 @@ class Scalar:
             h ^= hash((m, frozenset(n.items()), dn, frozenset(d.items()), dd))
         return h
 
-    def is_rational_function(self) -> bool:
-        return all(m == 0 for m in self.parts)
-
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other):
@@ -754,15 +764,17 @@ class Scalar:
             raise ScalarError(f"the value at q = {q_val} is outside float range")
         return total
 
-    def specialize_t(self, t_val: Fraction) -> GaussRat:
-        """Exact substitution t = rational, for radical-free scalars only."""
-        if not self.is_rational_function():
-            raise ScalarError("cannot specialize a radical-bearing scalar exactly")
-        if not self.parts:
-            return G_ZERO
-        t = _gr(t_val.numerator, 0, t_val.denominator)
-        a, _, c = _rf_value(self.parts[0], t * t, t)
-        return a / c
+    def mod_p(self) -> int:
+        """The image of self in F_PRIME (module docstring).  Raises
+        ScalarPoleError when a part's denominator maps to 0."""
+        total = 0
+        for mask, ((N, dn), (D, dd)) in self.parts.items():
+            den = _poly_mod_p(D) * dn % PRIME
+            if not den:
+                raise ScalarPoleError(f"a denominator vanishes at t = {T_P} mod {PRIME}")
+            total += (_poly_mod_p(N) * dd * pow(den, -1, PRIME) * (R1_P if mask & R1_BIT else 1)
+                      * (KAPPA_P if mask & KAPPA_BIT else 1))
+        return total % PRIME
 
     # -- rendering ----------------------------------------------------------
 
@@ -1177,24 +1189,14 @@ def _sqrt_ratio(n: int, d: int):
 
 
 def _sqrt_gauss(c: GaussRat) -> Optional[GaussRat]:
+    """x + y*i with x >= 0, y*b >= 0 when it squares to c = (a + b*i)/d:
+    x^2 = (|c| + a/d)/2 and y^2 = (|c| - a/d)/2."""
     a, b, d = c.a, c.b, c.d
-    if not b:
-        r = _sqrt_ratio(a, d)
-        if r is not None:
-            return _gr(r[0], 0, r[1])
-        r = _sqrt_ratio(-a, d)
-        if r is not None:
-            return _gr(0, r[0], r[1])
-        return None
-    # sqrt(c) = x + (b/d)/(2x)*i with x^2 = (re + |c|)/2.
     n = isqrt(a * a + b * b)
-    if n * n != a * a + b * b:
+    x, y = _sqrt_ratio(a + n, 2 * d), _sqrt_ratio(n - a, 2 * d)
+    if n * n != a * a + b * b or x is None or y is None:
         return None
-    x = _sqrt_ratio(a + n, 2 * d)
-    if x is None or not x[0]:
-        return None
-    xn, xd = x
-    return _gr(2 * d * xn * xn, b * xd * xd, 2 * d * xn * xd)
+    return _gr(x[0] * y[1], (y[0] if b >= 0 else -y[0]) * x[1], x[1] * y[1])
 
 
 # ---------------------------------------------------------------------------
@@ -1217,12 +1219,7 @@ def _integerize(num, den):
 
 
 def _rat_str(n: int, d: int) -> str:
-    """n/d as Fraction prints it."""
-    if d == 1:
-        return str(n)
-    g = gcd(n, d)
-    n, d = n // g, d // g
-    return str(n) if d == 1 else f"{n}/{d}"
+    return str(n) if d == 1 else str(Fraction(n, d))
 
 
 def _gauss_str(a: int, b: int, d: int = 1) -> str:

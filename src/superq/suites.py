@@ -5,10 +5,10 @@ default bounds (the `d or 4` below) when degree is None.  qfun keeps its
 first cap and completeness 12 (1.5 s, 20 MiB); every other cap is the
 largest degree at which the suite ran alone in under 10 s and 200 MiB
 (CPython 3.11, 2 shared cores).  matcoef runs the corep self-check of
-repn.matrix_coefficients on every matrix: 11 took 5.8-6.1 s and 137 MiB,
-12 243 MiB.  rewrite is not monotone in the degree, as each degree draws
-its own triples, so its cap was found by running every degree from 40 up:
-71 took 3.1-3.8 s and 148 MiB, 68 194 MiB, and 72 213 MiB."""
+repn.matrix_coefficients on every matrix: 11 took 5.8-6.1 s, 12 243 MiB.
+rewrite (not monotone in the degree, as each degree draws its own triples)
+and spheres ran at every degree above their old caps: rewrite 71 took
+3.1-3.8 s and 148 MiB, 72 213 MiB; spheres 37 7.7-9.2 s, 38 9.2-11.4 s."""
 
 from __future__ import annotations
 
@@ -79,7 +79,7 @@ SUITES = {
     "moments": (15, lambda d: repn.moments_report(d or 4, d or 4)),
     "peterweyl": (6, lambda d: repn.verify_peter_weyl(d or 2).merge(
         repn.verify_weight_norms(3))),
-    "spheres": (33, lambda d: _spheres(d or 2)),
+    "spheres": (37, lambda d: _spheres(d or 2)),
     "completeness": (12, lambda d: repn.completeness_witness(d or 3, d or 3)),
 }
 

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from superq import _cache, algebra, dual, repn, scalars
+from superq import _cache, algebra, dual, linalg, repn, scalars, spheres
 from superq.algebra import Element
 from superq.dual import Functional
 from superq.scalars import ONE, T, Scalar, _Unit
@@ -147,3 +147,18 @@ def test_d_power_a_power_sweep_over_budget_reads_null(monkeypatch):
     monkeypatch.setattr(bench_pr, "BUDGET_S", 0.05)
     monkeypatch.setattr(Element, "__pow__", lambda x, n: time.sleep(1))
     assert bench_pr.da_power(bench_pr.DA_N) == (None, 0)
+
+
+
+def test_sphere_rank_sweep_checks_full_rank(monkeypatch):
+    took, wrong = bench_pr.sphere_rank(4)
+    assert took is not None and wrong == 0
+    real = linalg.rank
+    monkeypatch.setattr(linalg, "rank", lambda rows: real(rows) - 1)
+    assert bench_pr.sphere_rank(4)[1] == 1
+
+
+def test_sphere_rank_sweep_over_budget_reads_null(monkeypatch):
+    monkeypatch.setattr(bench_pr, "BUDGET_S", 0.05)
+    monkeypatch.setattr(spheres, "x_vector", lambda p: time.sleep(1))
+    assert bench_pr.sphere_rank(bench_pr.SPHERE_N) == (None, 0)

@@ -31,9 +31,10 @@ perfbench's workers do (it restarts itself with it), in this order:
      ("haar_both_routes_s") and on zeta^n ("haar_zeta_both_routes_s"),
      n = 1..N for each N of HAAR_N; haar alone on zeta^n sigma,
      n = 1..HAAR_ALONE_N ("haar_alone_zeta_sigma_s"); d^n a^n in A(sigma),
-     n = 1..DA_N ("d_power_a_power_s"); and the inputs of the
-     scaling tests in tests/test_scalars.py (so the test extra must be
-     installed).
+     n = 1..DA_N ("d_power_a_power_s"); the basis of the infinity sphere
+     to degree SPHERE_N, whose rank the image mod PRIME certifies
+     ("sphere_basis_rank_s"); and the inputs of the scaling tests in
+     tests/test_scalars.py (so the test extra must be installed).
 
 Times are reported, never checked: single runs on a shared machine vary by
 tens of percent.  The exit status is 1 when the verify pass fails, when an
@@ -55,7 +56,6 @@ import time
 import timeit
 import tracemalloc
 from bisect import bisect_right
-from fractions import Fraction
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -64,6 +64,7 @@ TAIL_RANK = 11          # op_tail_ms is the 11th slowest op of a pass
 HAAR_N = (10, 12, 16, 24)
 HAAR_ALONE_N = 40
 DA_N = 40
+SPHERE_N = 24
 ROW = 30
 BUDGET_S = 30.0
 REPEATS, NUMBER = 7, 2000
@@ -331,17 +332,27 @@ def da_power(n: int) -> tuple:
     return took, int(bool(wrong))
 
 
+def sphere_rank(n: int) -> tuple:
+    """(seconds or None, wrong results) of spheres.sphere_basis_check at the
+    infinity sphere to degree n, from empty memo tables; it must find the
+    monomials independent."""
+    from superq import spheres
+
+    took, rep = timed(lambda: spheres.sphere_basis_check(spheres.INFINITY, n))
+    return took, int(took is not None and not rep.ok)
+
+
 def sweeps() -> dict:
     """The "sweeps" section.  Each result is checked
     after its timing: the two Haar routes agree, haar alone meets the
     closed form t^n / [n+1]_t on zeta^n sigma, d^n a^n has the terms and
-    the zero of da_power, x * x.inv() is 1, the
-    dense product specialises to the product of the specialisations, and
-    the row satisfies Gauss's sum_k (-1)^k v^(k(k-1)/2) [n k]_v = 0."""
+    the zero of da_power, the sphere monomials are independent, x * x.inv()
+    is 1, the dense product maps to the product of the images mod PRIME,
+    and the row satisfies Gauss's sum_k (-1)^k v^(k(k-1)/2) [n k]_v = 0."""
     from superq import repn
     from superq.algebra import Element, zeta_power
     from superq.qfun import gauss_binomial
-    from superq.scalars import ONE, T, ZERO
+    from superq.scalars import ONE, PRIME, T, ZERO
     sys.path.insert(0, str(ROOT / "tests"))
     # sympy comes with this import, so it waits until after the gc pass.
     from test_scalars import _dense_scalar, _three_part_scalar
@@ -364,6 +375,9 @@ def sweeps() -> dict:
     took, bad = da_power(DA_N)
     out["d_power_a_power_s"] = {f"n=1..{DA_N}": took}
     wrong += bad
+    took, bad = sphere_rank(SPHERE_N)
+    out["sphere_basis_rank_s"] = {f"degree={SPHERE_N}": took}
+    wrong += bad
 
     rng = random.Random(1)
     times = []
@@ -380,8 +394,7 @@ def sweeps() -> dict:
     x, y = _dense_scalar(rng), _dense_scalar(rng)
     took, z = timed(lambda: x * y)
     out["dense_coprime_product_s"] = took
-    at = Fraction(3, 2)
-    wrong += took is not None and z.specialize_t(at) != x.specialize_t(at) * y.specialize_t(at)
+    wrong += took is not None and z.mod_p() != x.mod_p() * y.mod_p() % PRIME
 
     took, row = timed(lambda: [gauss_binomial(ROW, k, v) for k in range(ROW + 1)])
     out["gauss_binomial_row_s"] = {f"n={ROW}": took}
